@@ -26,8 +26,6 @@ from .cfk import (
     ahat,
     bhat,
     homology,
-    induced_h,
-    induced_v,
     mirror,
     staircase_from_alexander,
     to_profile,
@@ -48,8 +46,6 @@ from .exactla import (
     AbelianGroup,
     EliminationOverflow,
     IntMatrix,
-    cokernel_group,
-    kernel_rank,
     smith_normal_form,
 )
 from .obstruct import (
@@ -113,7 +109,6 @@ __all__ = [
     "ahat",
     "bhat",
     "classify_spinc",
-    "cokernel_group",
     "ell_formula_lspace",
     "figure_eight",
     "first_kind_brute",
@@ -121,11 +116,8 @@ __all__ = [
     "genus_inequality",
     "gz_lower_bound",
     "homology",
-    "induced_h",
-    "induced_v",
     "k_family",
     "k_family_obstruction",
-    "kernel_rank",
     "lspace_knot",
     "mirror",
     "pair_obstruction",

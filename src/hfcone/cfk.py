@@ -278,20 +278,6 @@ def _induced_row(
     return tuple(coords)
 
 
-def induced_v(c: CfkComplex, s: int) -> IntMatrix:
-    """Matrix of v_s on homology, target basis H(B) = Z."""
-    a = ahat(c, s)
-    row = _induced_row(c, s, homology(a), a.basis, homology(bhat(c)), use_conj=False)
-    return IntMatrix.from_rows([list(row)])
-
-
-def induced_h(c: CfkComplex, s: int) -> IntMatrix:
-    """Matrix of h_s on homology, target basis H(B) = Z."""
-    a = ahat(c, s)
-    row = _induced_row(c, s, homology(a), a.basis, homology(bhat(c)), use_conj=True)
-    return IntMatrix.from_rows([list(row)])
-
-
 def mirror(c: CfkComplex) -> CfkComplex:
     """The dual complex: gradings negated, arrows reversed with the same
     U power. Surgery p/q on the original matches surgery -p/q here."""

@@ -2,8 +2,9 @@
 
 Subcommands: hf, ell, bound, spinc, pair, kfam, staircase, profile.
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-2 obstruction violated (pair/kfam, for scripting), 64 usage error,
-65 input data error, 70 internal arithmetic overflow.
+1 spinc --oracle disagreement, 2 obstruction violated (pair/kfam, for
+scripting), 64 usage error, 65 input data error, 70 internal arithmetic
+overflow.
 
 Profile selectors: built-in names with parameters (unknot, lspace:g=3,
 fig8, kfam:m=2,k=1, tau:g=2) or @path to a profile file.

@@ -7,9 +7,15 @@ i in [0, |p|), the cone couples copies of the profile slots
 
 indexed by s: the A-slot at position s maps to the B-slot at position s
 by v_{phi(s)} and to the B-slot at position s + 1 by h_{phi(s)}. The
-homology of the cone is ker(D) + coker(D) for the assembled block matrix
-D, which splits because integer kernels are free; torsion can only enter
-through the cokernel and is reported as-is.
+homology of the cone is ker(D) + coker(D) for the cone matrix D, which
+splits because integer kernels are free; torsion can only enter through
+the cokernel and is reported as-is.
+
+D is never built dense. Each A-generator is a column with at most two
+nonzeros, mostly +-1; unit cancellation pivots on them one by one, each
+pivot an elementary divisor 1 that removes its row and column, so the
+cost per class is linear in the window. Only the unit-free remainder
+goes to the dense Smith form of ``exactla``, under the same 2^63 check.
 
 Slot direction convention: h raises the B-slot index by one. The
 opposite choice swaps the roles of +p and -p (it computes the mirror
@@ -31,7 +37,7 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .exactla import AbelianGroup, IntMatrix, smith_normal_form
+from .exactla import AbelianGroup, IntMatrix, _checked, smith_normal_form
 from .profiles import SurgeryProfile
 
 
@@ -120,30 +126,45 @@ def truncation_window(profile: SurgeryProfile, framing: Framing, i: int, pad: in
     return Window(a_lo, a_hi, a_lo, a_hi + 1)
 
 
-def _cone_matrix(profile: SurgeryProfile, framing: Framing, i: int, window: Window) -> IntMatrix:
-    p, q = framing.p, framing.q
-    slots = list(range(window.a_lo, window.a_hi + 1))
-    local = [profile.local(phi(i, p, q, s)) for s in slots]
-    offsets = {}
-    width = 0
-    for s, data in zip(slots, local):
-        offsets[s] = width
-        width += data.rank
-    rows = []
-    for t in range(window.b_lo, window.b_hi + 1):
-        row = [0] * width
-        if window.a_lo <= t <= window.a_hi:
-            data = local[t - window.a_lo]
-            base = offsets[t]
-            for j, x in enumerate(data.v):
-                row[base + j] = x
-        if window.a_lo <= t - 1 <= window.a_hi:
-            data = local[t - 1 - window.a_lo]
-            base = offsets[t - 1]
-            for j, x in enumerate(data.h):
-                row[base + j] += x
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+def _cancel_units(cols: list[dict[int, int]], nrows: int) -> tuple[int, list[dict[int, int]]]:
+    """Pivot on +-1 entries of the {row: entry} columns until none is left;
+    returns the pivot count and the nonzero columns left over.
+
+    Pivoting on the unit u at (r, c) clears row r from every other column
+    c2 by c2 -= c2[r] * u * c, which touches only the one other row of c:
+    columns keep at most two entries and a pivot costs the degree of r.
+    """
+    on_row: list[set[int]] = [set() for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        for r in col:
+            on_row[r].add(c)
+    work = list(range(len(cols)))
+    pivots = 0
+    while work:
+        c = work.pop()
+        col = cols[c]
+        units = [r for r, x in col.items() if x == 1 or x == -1]
+        if not units:
+            continue  # pivoted already, or holds no unit (yet)
+        r = units[0]
+        if len(units) == 2 and len(on_row[units[1]]) < len(on_row[r]):
+            r = units[1]  # fold the sparser row into the denser one
+        u = col.pop(r)
+        for c2 in on_row[r]:
+            col2 = cols[c2]
+            a = col2.pop(r, 0)
+            if not a:
+                continue  # c itself, or a stale entry: c2 has left row r
+            for r2, x in col.items():
+                y = col2[r2] = _checked(col2.get(r2, 0) - a * u * x)
+                if y:
+                    on_row[r2].add(c2)
+                else:
+                    del col2[r2]
+            work.append(c2)
+        col.clear()
+        pivots += 1
+    return pivots, [col for col in cols if col]
 
 
 def spinc_group(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0) -> AbelianGroup:
@@ -151,11 +172,27 @@ def spinc_group(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0)
     ker + coker of the truncated cone matrix."""
     if not 0 <= i < abs(framing.p):
         raise ValueError(f"spin-c class {i} outside [0, {abs(framing.p)})")
-    window = truncation_window(profile, framing, i, pad)
-    d = _cone_matrix(profile, framing, i, window)
-    divisors, rank = smith_normal_form(d)
-    free = (d.cols - rank) + (d.rows - rank)
-    return AbelianGroup(free, tuple(x for x in divisors if x > 1))
+    w = truncation_window(profile, framing, i, pad)
+    nrows = w.b_hi - w.b_lo + 1
+    cols = []
+    for s in range(w.a_lo, w.a_hi + 1):
+        data = profile.local(phi(i, framing.p, framing.q, s))
+        r = s - w.b_lo  # row of v_s; h_s lands on row r + 1
+        for x, y in zip(data.v, data.h):
+            col = {}
+            if x and r >= 0:
+                col[r] = x
+            if y and r + 1 < nrows:
+                col[r + 1] = y
+            cols.append(col)
+    pivots, rest = _cancel_units(cols, nrows)
+    divisors: list[int] = []
+    if rest:
+        rows = sorted({r for col in rest for r in col})
+        remainder = IntMatrix.from_rows([[col.get(r, 0) for col in rest] for r in rows])
+        divisors, _ = smith_normal_form(remainder)
+    rank = pivots + len(divisors)
+    return AbelianGroup((len(cols) - rank) + (nrows - rank), tuple(d for d in divisors if d > 1))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
-"""Exact integer matrix algebra: Smith form, kernels, cokernels.
+"""Exact integer matrix algebra: dense Smith form, with or without transforms.
 
-Everything in this package that looks like homology eventually lands here.
-Matrices are small and dense, with entries dominated by 0 and +-1, so the
-implementation favours simplicity and auditability over asymptotics:
-fraction-free integer elimination, pivoting on the entry of smallest
-nonzero absolute value.
+Matrices here are small: ``cone`` cancels the +-1 entries of its sparse
+cone first and passes only the unit-free remainder, and ``cfk`` slices
+are small to begin with. So the implementation favours simplicity and
+auditability over asymptotics: fraction-free integer elimination,
+pivoting on the entry of smallest nonzero absolute value.
 
 Entries are Python ints but are *checked*: any value whose magnitude
 leaves a fixed 64-bit-style window raises :class:`EliminationOverflow`
@@ -66,10 +66,6 @@ class IntMatrix:
     def zero(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, (0,) * (rows * cols))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -127,10 +123,6 @@ class AbelianGroup:
     @property
     def is_z(self) -> bool:
         return self.free_rank == 1 and not self.torsion
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def describe(self) -> str:
         """Stable text rendering: 'Z^r', '+ Z/d' suffixes, '0' if trivial."""
@@ -300,19 +292,4 @@ def snf_with_transforms(m: IntMatrix) -> SnfDecomposition:
         u_inv=IntMatrix.from_rows(e.uinv),
         v=IntMatrix.from_rows(e.v),
         v_inv=IntMatrix.from_rows(e.vinv),
-    )
-
-
-def kernel_rank(m: IntMatrix) -> int:
-    """Rank of the integer kernel lattice: cols - rank(m)."""
-    _, rank = smith_normal_form(m)
-    return m.cols - rank
-
-
-def cokernel_group(m: IntMatrix) -> AbelianGroup:
-    """Z^rows / column-image(m) as an abelian group."""
-    divisors, rank = smith_normal_form(m)
-    return AbelianGroup(
-        free_rank=m.rows - rank,
-        torsion=tuple(d for d in divisors if d > 1),
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .cone import Framing, phi
+from .cone import Framing, _ceil_div, phi
 
 CONSISTENT = "consistent"
 VIOLATED = "violated"
@@ -129,10 +129,6 @@ def classify_spinc(g: int, p: int, q: int) -> SpincClassification:
             raise AssertionError(f"classification witness failed for i={i}")
         second[i] = (s, value)
     return SpincClassification(frozenset(first), second)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def _check_classification_args(g: int, p: int, q: int) -> None:

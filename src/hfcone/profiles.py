@@ -23,15 +23,24 @@ cone exact, so they are enforced rather than trusted.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import islice
+from typing import Iterable, Iterator, Mapping
+
+from .exactla import _LIMIT
 
 
 class ProfileError(ValueError):
-    """A profile violates its structural invariants."""
+    """A profile violates its structural invariants. Only the first 20
+    violations are kept, then a count of the rest."""
 
     def __init__(self, violations: Iterable[str]):
-        self.violations = list(violations)
+        rest = iter(violations)
+        self.violations = list(islice(rest, 20))
+        hidden = sum(1 for _ in rest)
+        if hidden:
+            self.violations.append(f"… and {hidden} more")
         super().__init__("; ".join(self.violations))
 
 
@@ -58,6 +67,8 @@ class LocalData:
             raise ProfileError(
                 [f"v/h widths ({len(self.v)}, {len(self.h)}) != rank {self.rank}"]
             )
+        if any(abs(x) > _LIMIT for x in self.v + self.h):
+            raise ProfileError(["v/h entries must lie within +-2^63"])
 
 
 RIGHT_EDGE = LocalData(1, (1,), (0,))  # s > g: v is a unit, h vanishes
@@ -76,9 +87,9 @@ class SurgeryProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "overrides", dict(self.overrides))
-        problems = _check(self)
-        if problems:
-            raise ProfileError(problems)
+        error = ProfileError(_check(self))
+        if error.violations:
+            raise error
         # canonical form: overrides that just restate the forced edge data
         # are dropped, so profiles with the same effective data compare equal
         canonical = {
@@ -101,46 +112,44 @@ class SurgeryProfile:
         raise AssertionError(f"validated profile lacks data at s={s}")
 
 
-def _check(p: SurgeryProfile) -> list[str]:
-    out = []
+def _check(p: SurgeryProfile) -> Iterator[str]:
     if p.genus < 0:
-        out.append(f"genus {p.genus} < 0")
-        return out
+        yield f"genus {p.genus} < 0"
+        return
     if not p.name or any(c.isspace() for c in p.name):
-        out.append(f"name {p.name!r} must be nonempty without whitespace")
+        yield f"name {p.name!r} must be nonempty without whitespace"
     g = p.genus
     for s in range(-g + 1, g):
         if s not in p.overrides:
-            out.append(f"missing override at s={s} (every |s| < genus is required)")
+            yield f"missing override at s={s} (every |s| < genus is required)"
     if g == 0 and 0 not in p.overrides:
-        out.append("genus 0 requires an override at s=0")
+        yield "genus 0 requires an override at s=0"
     for s, data in sorted(p.overrides.items()):
         if not isinstance(data, LocalData):
-            out.append(f"s={s}: override is not LocalData")
+            yield f"s={s}: override is not LocalData"
             continue
         if s > g and data != RIGHT_EDGE and data != LocalData(1, (-1,), (0,)):
-            out.append(f"s={s}: override beyond genus contradicts the edge pattern")
+            yield f"s={s}: override beyond genus contradicts the edge pattern"
         if s < -g and data != LEFT_EDGE and data != LocalData(1, (0,), (-1,)):
-            out.append(f"s={s}: override beyond genus contradicts the edge pattern")
+            yield f"s={s}: override beyond genus contradicts the edge pattern"
     # conjugation symmetry of ranks, on effective data across the window
     for s in range(0, g + 1):
         r_pos = _effective_rank(p, s)
         r_neg = _effective_rank(p, -s)
         if r_pos is not None and r_neg is not None and r_pos != r_neg:
-            out.append(f"rank symmetry violated: rank({s})={r_pos}, rank({-s})={r_neg}")
+            yield f"rank symmetry violated: rank({s})={r_pos}, rank({-s})={r_neg}"
     # unit conditions at the ends of the window
     if g >= 1:
         right = p.overrides.get(g, RIGHT_EDGE)
         if right.rank != 1 or not _is_unit_row(right.v):
-            out.append(f"s={g}: rank must be 1 with v = [+-1] (got {right})")
+            yield f"s={g}: rank must be 1 with v = [+-1] (got {right})"
         left = p.overrides.get(-g, LEFT_EDGE)
         if left.rank != 1 or not _is_unit_row(left.h):
-            out.append(f"s={-g}: rank must be 1 with h = [+-1] (got {left})")
+            yield f"s={-g}: rank must be 1 with h = [+-1] (got {left})"
     elif 0 in p.overrides:
         centre = p.overrides[0]
         if centre.rank != 1 or not _is_unit_row(centre.v) or not _is_unit_row(centre.h):
-            out.append(f"s=0: genus 0 needs rank 1 with v = [+-1] and h = [+-1]")
-    return out
+            yield f"s=0: genus 0 needs rank 1 with v = [+-1] and h = [+-1]"
 
 
 def _effective_rank(p: SurgeryProfile, s: int) -> int | None:
@@ -237,10 +246,10 @@ def serialize(p: SurgeryProfile) -> str:
 
 
 def _parse_int(tok: str, line_no: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ProfileParseError(line_no, f"{what}: expected integer, got {tok!r}") from None
+    # int() alone would also take '1_0' and non-ASCII digits
+    if not re.fullmatch(r"[+-]?[0-9]+", tok):
+        raise ProfileParseError(line_no, f"{what}: expected integer, got {tok!r}")
+    return int(tok)
 
 
 def _parse_row(tok: str, line_no: int, what: str) -> tuple[int, ...]:
@@ -277,9 +286,10 @@ def parse(text: str) -> SurgeryProfile:
         rank = _parse_int(toks[3], line_no, "rank")
         v = _parse_row(toks[5], line_no, "v row")
         h = _parse_row(toks[7], line_no, "h row")
-        if rank < 1 or len(v) != rank or len(h) != rank:
-            raise ProfileParseError(line_no, f"s={s}: v/h widths must equal rank >= 1")
-        overrides[s] = LocalData(rank, v, h)
+        try:
+            overrides[s] = LocalData(rank, v, h)
+        except ProfileError as e:
+            raise ProfileParseError(line_no, f"s={s}: {e}") from None
     if header is None:
         raise ProfileParseError(0, "empty profile text")
     return SurgeryProfile(header[0], header[1], overrides)

@@ -9,7 +9,8 @@ property (free rank odd) holds exactly for that class.
 import random
 from math import gcd
 
-from hfcone.cone import Framing
+from hfcone.cone import Framing, Window, phi, truncation_window
+from hfcone.exactla import AbelianGroup, IntMatrix, smith_normal_form
 from hfcone.profiles import LocalData, SurgeryProfile
 
 # genus drawn with weights favoring small windows
@@ -59,3 +60,42 @@ def random_lspace_alexander(rng: random.Random, gmax: int = 6) -> list[int]:
         coeffs[g - e] = sign
         sign = -sign
     return coeffs
+
+
+def dense_cone_matrix(
+    profile: SurgeryProfile, framing: Framing, i: int, window: Window
+) -> IntMatrix:
+    """The truncated cone of class i as one dense matrix: a row per B-slot,
+    a column per A-generator, v_s on row s and h_s on row s + 1."""
+    p, q = framing.p, framing.q
+    slots = list(range(window.a_lo, window.a_hi + 1))
+    local = [profile.local(phi(i, p, q, s)) for s in slots]
+    offsets = {}
+    width = 0
+    for s, data in zip(slots, local):
+        offsets[s] = width
+        width += data.rank
+    rows = []
+    for t in range(window.b_lo, window.b_hi + 1):
+        row = [0] * width
+        if window.a_lo <= t <= window.a_hi:
+            data = local[t - window.a_lo]
+            base = offsets[t]
+            for j, x in enumerate(data.v):
+                row[base + j] = x
+        if window.a_lo <= t - 1 <= window.a_hi:
+            data = local[t - 1 - window.a_lo]
+            base = offsets[t - 1]
+            for j, x in enumerate(data.h):
+                row[base + j] += x
+        rows.append(row)
+    return IntMatrix.from_rows(rows)
+
+
+def dense_spinc_group(
+    profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0
+) -> AbelianGroup:
+    """Reference for cone.spinc_group: dense Smith form of the whole cone."""
+    d = dense_cone_matrix(profile, framing, i, truncation_window(profile, framing, i, pad))
+    divisors, rank = smith_normal_form(d)
+    return AbelianGroup((d.cols - rank) + (d.rows - rank), tuple(x for x in divisors if x > 1))

@@ -14,6 +14,13 @@ local 0 rank 1 v 0 h 0
 local 1 rank 2 v 3,4611686018427387904 h 4611686018427387904,3
 """
 
+# at -1/1 the unit v = 1 of the first generator is the only pivot on its
+# row; clearing the second generator's 2^62 there writes -2^124 below it
+UNIT_PIVOT_OVERFLOW_PROFILE = """\
+profile big genus 1
+local 0 rank 2 v 1,4611686018427387904 h 4611686018427387904,0
+"""
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -226,7 +233,16 @@ def test_data_errors_exit_65(tmp_path, capsys):
     missing = tmp_path / "missing.profile"
     syntactically_bad = tmp_path / "syntax.profile"
     syntactically_bad.write_text("not a profile at all\n")
+    arabic_digit = tmp_path / "arabic.profile"
+    arabic_digit.write_text("profile x genus 1\nlocal 0 rank 1 v \u0661 h 0\n", encoding="utf-8")
+    underscore = tmp_path / "underscore.profile"
+    underscore.write_text("profile x genus 1\nlocal 0 rank 1 v 0 h 1_0\n")
+    huge_entry = tmp_path / "huge-entry.profile"
+    huge_entry.write_text(f"profile x genus 1\nlocal 0 rank 1 v {10**20} h 0\n")
     cases = [
+        ["profile", "--show", f"@{arabic_digit}"],
+        ["profile", "--show", f"@{underscore}"],
+        ["hf", "--profile", f"@{huge_entry}", "--framing", "-1/1"],
         ["hf", "--profile", f"@{missing}", "--framing", "1"],
         ["hf", "--profile", f"@{syntactically_bad}", "--framing", "1"],
         ["hf", "--profile", "lspace:g=0", "--framing", "1"],
@@ -242,7 +258,20 @@ def test_data_errors_exit_65(tmp_path, capsys):
 
 def test_overflow_exit_70(tmp_path, capsys):
     path = tmp_path / "huge.profile"
-    path.write_text(OVERFLOW_PROFILE)
-    code, out, err = run(capsys, "hf", "--profile", f"@{path}", "--framing", "-1/1")
-    assert code == 70
-    assert err.startswith("overflow: ")
+    for text in (OVERFLOW_PROFILE, UNIT_PIVOT_OVERFLOW_PROFILE):
+        path.write_text(text)
+        code, out, err = run(capsys, "hf", "--profile", f"@{path}", "--framing", "-1/1")
+        assert code == 70
+        assert out == ""
+        assert err.startswith("overflow: ")
+
+
+def test_violation_list_is_capped(tmp_path, capsys):
+    # one violation per missing slot would be a 37 MB line
+    path = tmp_path / "big.profile"
+    path.write_text("profile big genus 300000\n")
+    code, out, err = run(capsys, "profile", "--check", f"@{path}")
+    assert code == 65
+    assert out == ""
+    assert len(err.encode()) < 4096
+    assert err.rstrip().endswith("… and 599979 more")

@@ -4,10 +4,13 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import helpers
+from hfcone import cone
 from hfcone.cfk import mirror, staircase_from_alexander, to_profile
 from hfcone.cone import (
     Framing,
@@ -18,7 +21,7 @@ from hfcone.cone import (
     surgery_report,
     truncation_window,
 )
-from hfcone.exactla import AbelianGroup
+from hfcone.exactla import AbelianGroup, smith_normal_form
 from hfcone.obstruct import first_kind_closed_form, genus_inequality
 from hfcone.profiles import (
     LocalData,
@@ -201,6 +204,39 @@ def framings_st(draw, pmax=30, qmax=8):
     q = draw(st.integers(1, qmax))
     assume(gcd(p, q) == 1)
     return Framing(draw(st.sampled_from([1, -1])) * p, q)
+
+
+@given(profiles_st(), framings_st(), st.integers(0, 10**9), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_unit_cancellation_matches_dense_smith_form(profile, framing, i_raw, pad):
+    i = i_raw % abs(framing.p)
+    dense = helpers.dense_spinc_group(profile, framing, i, pad)
+    event("torsion" if dense.torsion else "torsion-free")
+    event(f"p {'positive' if framing.p > 0 else 'negative'}")
+    assert spinc_group(profile, framing, i, pad) == dense
+
+
+def test_non_unit_remainder_goes_to_smith_form(monkeypatch):
+    # v_0 = h_0 = [2]: the -1 surgery class keeps a 2 that no unit clears
+    profile = SurgeryProfile("two", 1, {0: LocalData(1, (2,), (2,))})
+    framing = Framing(-1)
+    remainders = []
+
+    def recording_snf(m):
+        remainders.append(m)
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(cone, "smith_normal_form", recording_snf)
+    group = spinc_group(profile, framing, 0)
+    assert group == AbelianGroup(1, (2,))
+    assert len(remainders) == 1
+    assert remainders[0].entries and all(abs(x) != 1 for x in remainders[0].entries)
+    d = helpers.dense_cone_matrix(profile, framing, 0, truncation_window(profile, framing, 0))
+    s = sympy_snf(Matrix(d.to_rows()))
+    diag = [abs(s[k, k]) for k in range(min(d.rows, d.cols))]
+    rank = sum(1 for x in diag if x)
+    assert group.free_rank == (d.cols - rank) + (d.rows - rank)
+    assert group.torsion == tuple(sorted(x for x in diag if x > 1))
 
 
 @given(profiles_st(), framings_st(), st.integers(0, 10**9), st.integers(1, 5))

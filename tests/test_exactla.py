@@ -10,8 +10,6 @@ from hfcone.exactla import (
     AbelianGroup,
     EliminationOverflow,
     IntMatrix,
-    cokernel_group,
-    kernel_rank,
     mat_vec,
     mul,
     smith_normal_form,
@@ -19,8 +17,12 @@ from hfcone.exactla import (
 )
 
 
+def _identity(n):
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_identity_smith():
-    assert smith_normal_form(IntMatrix.identity(2)) == ([1, 1], 2)
+    assert smith_normal_form(_identity(2)) == ([1, 1], 2)
 
 
 def test_zero_matrix_smith():
@@ -32,34 +34,43 @@ def test_small_nontrivial_smith():
     assert smith_normal_form(m) == ([2, 4], 2)
 
 
+def _kernel_rank(m):
+    return m.cols - smith_normal_form(m)[1]
+
+
+def _cokernel(m):
+    divisors, rank = smith_normal_form(m)
+    return AbelianGroup(m.rows - rank, tuple(d for d in divisors if d > 1))
+
+
 def test_kernel_rank_identity():
-    assert kernel_rank(IntMatrix.identity(2)) == 0
+    assert _kernel_rank(_identity(2)) == 0
 
 
 def test_kernel_rank_zero_matrix():
-    assert kernel_rank(IntMatrix.zero(3, 4)) == 4
+    assert _kernel_rank(IntMatrix.zero(3, 4)) == 4
 
 
 def test_kernel_rank_row_vector():
-    assert kernel_rank(IntMatrix.from_rows([[1, 0, 0]])) == 2
+    assert _kernel_rank(IntMatrix.from_rows([[1, 0, 0]])) == 2
 
 
 def test_cokernel_identity():
-    assert cokernel_group(IntMatrix.identity(2)) == AbelianGroup(0, ())
+    assert _cokernel(_identity(2)) == AbelianGroup(0, ())
 
 
 def test_cokernel_single_torsion():
-    assert cokernel_group(IntMatrix.from_rows([[3]])) == AbelianGroup(0, (3,))
+    assert _cokernel(IntMatrix.from_rows([[3]])) == AbelianGroup(0, (3,))
 
 
 def test_cokernel_surjective_projection():
     m = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
-    assert cokernel_group(m) == AbelianGroup(0, ())
+    assert _cokernel(m) == AbelianGroup(0, ())
 
 
 def test_cokernel_mixed():
     m = IntMatrix.from_rows([[2, 0], [0, 0]])
-    assert cokernel_group(m) == AbelianGroup(1, (2,))
+    assert _cokernel(m) == AbelianGroup(1, (2,))
 
 
 def test_group_describe():
@@ -83,9 +94,9 @@ def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
-        mul(IntMatrix.identity(2), IntMatrix.identity(3))
+        mul(_identity(2), _identity(3))
     with pytest.raises(ValueError):
-        mat_vec(IntMatrix.identity(2), [1, 2, 3])
+        mat_vec(_identity(2), [1, 2, 3])
 
 
 def test_overflow_is_detected():
@@ -133,8 +144,9 @@ def test_divisor_chain_and_rank_identities(rows):
     for a, b in zip(divisors, divisors[1:]):
         assert b % a == 0
     assert all(d > 0 for d in divisors)
-    assert kernel_rank(m) + rank == m.cols
-    assert cokernel_group(m).free_rank + rank == m.rows
+    # rank-nullity on both sides, against sympy's kernel and cokernel bases
+    assert len(Matrix(rows).nullspace()) + rank == m.cols
+    assert len(Matrix(rows).T.nullspace()) + rank == m.rows
 
 
 @given(matrices, st.randoms(use_true_random=False))
@@ -170,7 +182,7 @@ def test_transform_decomposition_identities(rows):
     m = IntMatrix.from_rows(rows)
     dec = snf_with_transforms(m)
     assert mul(mul(dec.u, m), dec.v).entries == dec.s.entries
-    assert mul(dec.u, dec.u_inv).entries == IntMatrix.identity(m.rows).entries
-    assert mul(dec.v, dec.v_inv).entries == IntMatrix.identity(m.cols).entries
+    assert mul(dec.u, dec.u_inv).entries == _identity(m.rows).entries
+    assert mul(dec.v, dec.v_inv).entries == _identity(m.cols).entries
     diag = [dec.s.at(i, i) for i in range(min(m.rows, m.cols))]
     assert [d for d in diag if d] == list(dec.divisors)
