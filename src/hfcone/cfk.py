@@ -18,11 +18,14 @@ The two maps to B are, on the chain level,
 * h_s(U^b x) = conj(x) when A(x) >= s (projection of the other arm of the
   hook, transported by U^-s and the conjugation), else 0.
 
-homology() returns the group together with an explicit cycle basis for
-the free part, so induced maps on homology can be expressed as integer
-matrices. Torsion never arises for the complexes shipped here; if a user
-complex produces torsion in some H(A_s) the computation refuses it
-explicitly rather than guessing a convention.
+homology() cancels every +-1 arrow by the Gaussian elimination lemma
+for based complexes, one ``exactla.schur_update`` per column it touches,
+the step the cone reduces with too. The generators that survive are a
+basis of the homology: each lifts to a cycle and every cycle projects
+onto them, so induced maps on homology are integer matrices. A slice
+with arrows left over (torsion, or only non-unit coefficients as in
+d x = 2y + 3z) has no such basis and is refused with TorsionError rather
+than guessing a convention; validate() reads only its group.
 """
 
 from __future__ import annotations
@@ -30,13 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactla import (
-    AbelianGroup,
-    IntMatrix,
-    mat_vec,
-    mul,
-    snf_with_transforms,
-)
+from .exactla import AbelianGroup, IntMatrix, _checked, schur_update, smith_normal_form
 from .profiles import LocalData, SurgeryProfile
 
 
@@ -187,69 +184,121 @@ def _slice(c: CfkComplex, shifts: Sequence[int]) -> SliceComplex:
 
 @dataclass(frozen=True)
 class SliceHomology:
-    """ker/im of a slice differential, with a chosen free-part cycle basis.
+    """Homology of a slice, reduced by cancelling its +-1 arrows.
 
-    basis_cycles[j] is a cycle (coordinates over the slice basis) whose
-    class is the j-th free generator. class_vector() expresses any cycle
-    in that basis.
+    The generators no cancellation removed (``_survivors``) form the free
+    basis. basis_cycles[j] lifts survivor j to a cycle (coordinates over
+    the slice basis); class_vector() projects any cycle onto the survivors.
     """
 
     group: AbelianGroup
     basis_cycles: tuple[tuple[int, ...], ...]
-    _v_inv: IntMatrix
-    _rank_d: int
-    _u_prime: IntMatrix
-    _rank_y: int
+    _cols: tuple[dict[int, int], ...]  # the differential, column by column
+    _steps: tuple[tuple[int, int, int, dict[int, int], dict[int, int]], ...]
+    _survivors: tuple[int, ...]
 
     def class_vector(self, cycle: Sequence[int]) -> tuple[int, ...]:
-        full = mat_vec(self._v_inv, list(cycle))
-        if any(full[: self._rank_d]):
+        c = {k: a for k, a in enumerate(cycle) if a}
+        if _image(self._cols, c):
             raise ValueError("vector is not a cycle")
-        z = mat_vec(self._u_prime, full[self._rank_d :])
-        # positions below rank_y carry the (trivial here) torsion coordinates
-        return tuple(z[self._rank_y :])
+        # the quotient by span{x, dx} sends x to 0 and y to y - u dx
+        for x, y, u, col, _ in self._steps:
+            c.pop(x, None)
+            a = c.pop(y, 0)
+            if a:
+                schur_update(c, a * u, col)
+        return tuple(c.get(k, 0) for k in self._survivors)
+
+
+def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for k, a in vec.items():
+        schur_update(out, -a, cols[k])
+    return out
+
+
+def _cancel_arrows(cols: list[dict[int, int]]) -> list[tuple]:
+    """Cancel +-1 arrows x -> y (x != y) of the {target: coeff} columns
+    until none is left; returns the cancellations in order.
+
+    Each is (x, y, u, column, row): the unit u, d(x) without x and y, and
+    the arrows z -> y, as they stood then. x and y leave the complex, and
+    each z -> y, x -> w pair adds -d(z->y) u d(x->w) to z -> w.
+    """
+    on_row: list[set[int]] = [set() for _ in cols]
+    for z, col in enumerate(cols):
+        for w in col:
+            on_row[w].add(z)
+    steps = []
+    work = list(range(len(cols)))
+    while work:
+        x = work.pop()
+        col = cols[x]
+        units = [w for w, a in col.items() if w != x and (a == 1 or a == -1)]
+        if not units:
+            continue  # cancelled already, or holds no unit (yet)
+        y = units[0]
+        u = col.pop(y)
+        col.pop(x, None)
+        row = {}
+        for z in on_row[y] - {x, y}:
+            a = cols[z].pop(y, 0)
+            if a:  # else stale: z has left row y
+                row[z] = a
+                schur_update(cols[z], a * u, col)
+                for w in col:
+                    on_row[w].add(z)
+                work.append(z)
+        for z in on_row[x]:
+            cols[z].pop(x, None)  # arrows into x leave with it
+        steps.append((x, y, u, dict(col), row))
+        col.clear()
+        cols[y].clear()
+    return steps
 
 
 def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
     """Homology of a slice with an explicit free-part cycle basis.
 
-    Torsion is refused (TorsionError) unless explicitly tolerated; the
-    surgery data derivation has no convention for torsion classes.
+    Unit arrows are cancelled first; arrows left over go to the Smith form
+    for the group. Such a slice has no basis here, so it is refused
+    (TorsionError) like torsion, unless tolerated by a group-only caller.
     """
-    d = s.differential
-    n = d.cols
-    dec = snf_with_transforms(d)
-    r = dec.rank
-    # kernel lattice basis: the last n - r columns of v
-    v_rows = dec.v.to_rows()
-    kernel = IntMatrix.from_rows([row[r:] for row in v_rows]) if n else IntMatrix.zero(0, 0)
-    # image of the differential in kernel coordinates; the top block being
-    # zero is exactly the statement that the differential squares to zero
-    vinv_d = mul(dec.v_inv, d)
-    vinv_d_rows = vinv_d.to_rows()
-    if any(x for row in vinv_d_rows[:r] for x in row):
+    n = s.differential.cols
+    cols = [{} for _ in range(n)]
+    for k, x in enumerate(s.differential.entries):
+        if x:
+            cols[k % n][k // n] = x
+    if any(_image(cols, col) for col in cols):
         raise ValueError("slice differential does not square to zero")
-    y = IntMatrix.from_rows(vinv_d_rows[r:]) if n - r else IntMatrix.zero(0, n)
-    ydec = snf_with_transforms(y)
-    torsion = tuple(e for e in ydec.divisors if e > 1)
-    if torsion and not _allow_torsion:
-        raise TorsionError(
-            f"homology has torsion {torsion}; only free homology is supported here"
-        )
-    free_rank = (n - r) - ydec.rank
-    reps = mul(kernel, ydec.u_inv)
-    rep_rows = reps.to_rows()
-    cycles = tuple(
-        tuple(rep_rows[i][j] for i in range(n)) for j in range(ydec.rank, n - r)
+    d = tuple(dict(col) for col in cols)
+    steps = _cancel_arrows(cols)
+    gone = {k for x, y, *_ in steps for k in (x, y)}
+    survivors = tuple(k for k in range(n) if k not in gone)
+    rest = [cols[k] for k in survivors if cols[k]]
+    rows = sorted({w for col in rest for w in col})
+    divisors, _ = smith_normal_form(
+        IntMatrix.from_rows([[col.get(w, 0) for col in rest] for w in rows])
     )
-    return SliceHomology(
-        group=AbelianGroup(free_rank, torsion),
-        basis_cycles=cycles,
-        _v_inv=dec.v_inv,
-        _rank_d=r,
-        _u_prime=ydec.u,
-        _rank_y=ydec.rank,
-    )
+    group = AbelianGroup(len(survivors) - 2 * len(divisors), tuple(e for e in divisors if e > 1))
+    if rest:
+        if _allow_torsion:
+            return SliceHomology(group, (), d, (), ())
+        if group.torsion:
+            raise TorsionError(
+                f"homology has torsion {group.torsion}; only free homology is supported here"
+            )
+        raise TorsionError("arrows without a unit coefficient survive cancellation")
+    cycles = []
+    for k in survivors:
+        z = {k: 1}
+        for x, y, u, _, row in reversed(steps):
+            # the multiple of x that clears the y-coordinate of d(z)
+            b = sum(a * z.get(w, 0) for w, a in row.items())
+            if b:
+                z[x] = _checked(-u * b)
+        cycles.append(tuple(z.get(i, 0) for i in range(n)))
+    return SliceHomology(group, tuple(cycles), d, tuple(steps), survivors)
 
 
 def _induced_row(
@@ -332,7 +381,9 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     """Derive the surgery profile: ranks of H(A_s) and induced maps for
     every |s| <= genus. Basis signs are chosen so that the first nonzero
     coordinate of each (v, h) column is positive, which makes staircase
-    complexes reproduce the built-in profiles on the nose."""
+    complexes reproduce the built-in profiles on the nose. On a slice of
+    rank > 1 the basis is the one the cancellation leaves; another basis
+    changes v and h, but not the surgery groups."""
     _require_valid(c)
     g = c.genus
     hb = homology(bhat(c))

@@ -19,7 +19,7 @@ import sys
 from . import cfk, obstruct, profiles
 from .cone import Framing, FramingError, surgery_report
 from .exactla import EliminationOverflow
-from .profiles import ProfileError, SurgeryProfile
+from .profiles import ProfileError, SurgeryProfile, ascii_int
 
 EXIT_OK = 0
 EXIT_VIOLATED = 2
@@ -70,7 +70,7 @@ def _resolve_profile(selector: str) -> SurgeryProfile:
             if not eq or not key:
                 raise UsageError(f"bad profile parameter {piece!r} in {selector!r}")
             try:
-                params[key] = int(value)
+                params[key] = ascii_int(value)
             except ValueError:
                 raise UsageError(f"bad profile parameter {piece!r} in {selector!r}") from None
     try:
@@ -108,8 +108,8 @@ def _iter_framings(range_spec: str) -> list[Framing]:
     skipping p = 0 and non-reduced slopes."""
     try:
         p_part, _, q_part = range_spec.partition("/")
-        p_lo, p_hi = (int(x) for x in p_part.split("..", 1))
-        q_lo, q_hi = (int(x) for x in q_part.split("..", 1)) if q_part else (1, 1)
+        p_lo, p_hi = (ascii_int(x) for x in p_part.split("..", 1))
+        q_lo, q_hi = (ascii_int(x) for x in q_part.split("..", 1)) if q_part else (1, 1)
     except ValueError:
         raise UsageError(
             f"cannot parse framing range {range_spec!r}; expected 'P1..P2/Q1..Q2'"
@@ -265,8 +265,8 @@ def _cmd_staircase(ns) -> int:
     text = ns.alexander.strip()
     coeff_part, _, top_part = text.partition(":")
     try:
-        coeffs = [int(x) for x in coeff_part.split(",")]
-        top = int(top_part) if top_part else None
+        coeffs = [ascii_int(x) for x in coeff_part.split(",")]
+        top = ascii_int(top_part) if top_part else None
     except ValueError:
         raise InputDataError(f"cannot parse alexander coefficients {text!r}") from None
     try:
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="grid P1..P2/Q1..Q2; iterates q outer, p inner, ascending",
         )
         if spinc:
-            p.add_argument("--spinc", type=int, help="restrict output to one class")
+            p.add_argument("--spinc", type=ascii_int, help="restrict output to one class")
 
     p_hf = sub.add_parser("hf", help="per-spin-c homology groups of a surgery")
     add_profile_framing(p_hf, spinc=True)
@@ -322,26 +322,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_ell.set_defaults(func=_cmd_ell)
 
     p_bound = sub.add_parser("bound", help="integer surgery genus lower bound")
-    p_bound.add_argument("--h1", type=int, required=True, help="|H1| of the manifold")
-    p_bound.add_argument("--ell", type=int, required=True, help="L-structure count")
+    p_bound.add_argument("--h1", type=ascii_int, required=True, help="|H1| of the manifold")
+    p_bound.add_argument("--ell", type=ascii_int, required=True, help="L-structure count")
     p_bound.set_defaults(func=_cmd_bound)
 
     p_spinc = sub.add_parser("spinc", help="first/second-kind spin-c classification")
-    p_spinc.add_argument("--genus", type=int, required=True)
+    p_spinc.add_argument("--genus", type=ascii_int, required=True)
     p_spinc.add_argument("--framing", required=True, help="slope; classification uses |p|/q")
     p_spinc.add_argument("--oracle", action="store_true", help="cross-check by brute force")
     p_spinc.set_defaults(func=_cmd_spinc)
 
     p_pair = sub.add_parser("pair", help="framed-pair surgery equivalence obstruction")
     for flag in ("--g1", "--q1", "--g2", "--q2", "--p"):
-        p_pair.add_argument(flag, type=int, required=True)
+        p_pair.add_argument(flag, type=ascii_int, required=True)
     p_pair.add_argument("--mode", choices=("first", "both"), default="first",
                         help="extremal tau known for the first knot or for both")
     p_pair.set_defaults(func=_cmd_pair)
 
     p_kfam = sub.add_parser("kfam", help="twisted-family surgery equivalence obstruction")
     for flag in ("--m", "--n", "--q1", "--q2", "--p"):
-        p_kfam.add_argument(flag, type=int, required=True)
+        p_kfam.add_argument(flag, type=ascii_int, required=True)
     p_kfam.set_defaults(func=_cmd_kfam)
 
     p_stair = sub.add_parser("staircase", help="staircase complex from an Alexander polynomial")

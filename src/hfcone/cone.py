@@ -33,19 +33,15 @@ matrix with unit rows.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from math import gcd
 
-from .exactla import AbelianGroup, IntMatrix, _checked, smith_normal_form
-from .profiles import SurgeryProfile
+from .exactla import AbelianGroup, IntMatrix, schur_update, smith_normal_form
+from .profiles import SurgeryProfile, ascii_int
 
 
 class FramingError(ValueError):
     """Not a valid surgery slope."""
-
-
-_FRAMING_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
 
 
 @dataclass(frozen=True)
@@ -68,12 +64,12 @@ class Framing:
 
     @staticmethod
     def parse(text: str) -> "Framing":
-        m = _FRAMING_RE.match(text.strip())
-        if not m:
-            raise FramingError(f"cannot parse framing {text!r}; expected 'p' or 'p/q'")
-        p = int(m.group(1))
-        q = int(m.group(2)) if m.group(2) is not None else 1
-        return Framing(p, q)
+        p, slash, q = text.strip().partition("/")
+        try:
+            slope = ascii_int(p), ascii_int(q) if slash else 1
+        except ValueError:
+            raise FramingError(f"cannot parse framing {text!r}; expected 'p' or 'p/q'") from None
+        return Framing(*slope)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -155,12 +151,9 @@ def _cancel_units(cols: list[dict[int, int]], nrows: int) -> tuple[int, list[dic
             a = col2.pop(r, 0)
             if not a:
                 continue  # c itself, or a stale entry: c2 has left row r
-            for r2, x in col.items():
-                y = col2[r2] = _checked(col2.get(r2, 0) - a * u * x)
-                if y:
-                    on_row[r2].add(c2)
-                else:
-                    del col2[r2]
+            schur_update(col2, a * u, col)
+            for r2 in col:
+                on_row[r2].add(c2)
             work.append(c2)
         col.clear()
         pivots += 1

@@ -245,11 +245,19 @@ def serialize(p: SurgeryProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def ascii_int(text: str) -> int:
+    """The integer spelled [+-]?[0-9]+; int() alone would also take '1_0',
+    surrounding spaces and non-ASCII digits. Raises ValueError."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"expected integer, got {text!r}")
+    return int(text)
+
+
 def _parse_int(tok: str, line_no: int, what: str) -> int:
-    # int() alone would also take '1_0' and non-ASCII digits
-    if not re.fullmatch(r"[+-]?[0-9]+", tok):
-        raise ProfileParseError(line_no, f"{what}: expected integer, got {tok!r}")
-    return int(tok)
+    try:
+        return ascii_int(tok)
+    except ValueError as e:
+        raise ProfileParseError(line_no, f"{what}: {e}") from None
 
 
 def _parse_row(tok: str, line_no: int, what: str) -> tuple[int, ...]:

@@ -6,9 +6,12 @@ relation d(b) = c + U a, conjugation swapping a and c. T(3,4) is the
 five-step staircase of t^3 - t^2 + 1 - t^-2 + t^-3.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 import helpers
 from hfcone.cfk import (
@@ -16,7 +19,9 @@ from hfcone.cfk import (
     CfkComplex,
     Generator,
     InvalidComplexError,
+    SliceComplex,
     StaircaseError,
+    TorsionError,
     _induced_row,
     ahat,
     bhat,
@@ -26,6 +31,7 @@ from hfcone.cfk import (
     to_profile,
     validate,
 )
+from hfcone.exactla import IntMatrix
 from hfcone.profiles import LocalData, lspace_knot, unknot
 
 TREFOIL_ALEX = [1, -1, 1]
@@ -160,12 +166,36 @@ def test_homology_of_t34_slices():
 
 
 def test_homology_rejects_non_square_zero_differential():
-    from hfcone.cfk import SliceComplex
-    from hfcone.exactla import IntMatrix
-
     bogus = SliceComplex(((0, 0), (1, 0)), IntMatrix.from_rows([[1, 0], [0, 1]]))
     with pytest.raises(ValueError):
         homology(bogus)
+
+
+def test_homology_refuses_torsion():
+    two = SliceComplex(((0, 0), (1, 0)), IntMatrix.from_rows([[0, 0], [2, 0]]))
+    with pytest.raises(TorsionError):
+        homology(two)
+
+
+def _flat(arrows, names="uxyz"):
+    """A complex with every generator at grading 0 and conj the identity."""
+    n = 1 + max(max(a.source, a.target) for a in arrows)
+    return CfkComplex(tuple(Generator(names[i], 0) for i in range(n)), arrows, tuple(range(n)))
+
+
+def test_torsion_in_bhat_is_reported():
+    c = _flat((Arrow(1, 2, 0, 2),))  # u alone, and d x = 2 y
+    assert validate(c) == ["H(B) is Z^1 + Z/2, expected Z"]
+    with pytest.raises(InvalidComplexError):
+        to_profile(c)
+
+
+def test_non_unit_remainder_is_refused():
+    # d x = 2 y + 3 z: H(B) = Z, but no +-1 arrow to cancel, so no basis
+    c = _flat((Arrow(0, 1, 0, 2), Arrow(0, 2, 0, 3)), names="xyz")
+    assert validate(c) == []
+    with pytest.raises(TorsionError):
+        to_profile(c)
 
 
 def induced_v(c, s):
@@ -249,3 +279,35 @@ def test_random_staircases_give_lspace_profiles(rng):
     g = (len(coeffs) - 1) // 2
     assert c.genus == g
     assert to_profile(c) == lspace_knot(g)
+
+
+def _dense_apply(d, vec):
+    return [sum(x * y for x, y in zip(row, vec)) for row in d.to_rows()]
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_cancellation_gives_homology_and_basis(rng, mirrored):
+    c = staircase_from_alexander(helpers.random_lspace_alexander(rng))
+    if mirrored:
+        c = mirror(c)
+    n = len(c.generators)
+    for sl in [bhat(c)] + [ahat(c, s) for s in range(-c.genus - 1, c.genus + 2)]:
+        d = sl.differential
+        h = homology(sl)
+        assert h.group.free_rank == n - 2 * Matrix(d.to_rows()).rank()
+        assert h.group.torsion == ()
+        r = h.group.free_rank
+        assert len(h.basis_cycles) == r
+        for j, w in enumerate(h.basis_cycles):
+            assert not any(_dense_apply(d, w))
+            assert h.class_vector(w) == tuple(int(i == j) for i in range(r))
+        for k in range(n):
+            assert h.class_vector(_dense_apply(d, [int(i == k) for i in range(n)])) == (0,) * r
+
+
+def test_to_profile_scales_to_t_2_121():
+    c = staircase_from_alexander([(-1) ** k for k in range(121)])
+    start = time.perf_counter()
+    assert to_profile(c) == lspace_knot(60)
+    assert time.perf_counter() - start < 10

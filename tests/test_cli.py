@@ -221,6 +221,15 @@ def test_usage_errors_exit_64(capsys):
         ["hf", "--profile", "fig8", "--framing", "5", "--spinc", "9"],
         ["ell", "--profile", "unknot", "--framing-range", "5..1"],
         ["ell", "--profile", "unknot", "--framing-range", "1..4/0..2"],
+        # integers on the command line are ASCII [+-]?[0-9]+ only
+        ["hf", "--profile", "fig8", "--framing", "-\u0665"],
+        ["hf", "--profile", "fig8", "--framing", "5/\u0663"],
+        ["ell", "--profile", "fig8", "--framing-range", "-\u0665..-1"],
+        ["ell", "--profile", "fig8", "--framing-range", "-5..-1/1..1_0"],
+        ["hf", "--profile", "lspace:g=1_0", "--framing", "1"],
+        ["hf", "--profile", "fig8", "--framing", "5", "--spinc", "\u0661"],
+        ["bound", "--h1", "\u0665", "--ell", "1"],
+        ["pair", "--g1", "1", "--q1", "1", "--g2", "1", "--q2", "1", "--p", "1_0"],
         ["not-a-command"],
     ]
     for argv in cases:
@@ -248,6 +257,8 @@ def test_data_errors_exit_65(tmp_path, capsys):
         ["hf", "--profile", "lspace:g=0", "--framing", "1"],
         ["staircase", "--alexander", "1,1,1"],
         ["staircase", "--alexander", "1,-1,nope,-1,1"],
+        ["staircase", "--alexander", "\u0661,-1,1"],
+        ["staircase", "--alexander", "1,-1,1:\u0661"],
         ["bound", "--h1", "4", "--ell", "5"],
     ]
     for argv in cases:

@@ -10,10 +10,7 @@ from hfcone.exactla import (
     AbelianGroup,
     EliminationOverflow,
     IntMatrix,
-    mat_vec,
-    mul,
     smith_normal_form,
-    snf_with_transforms,
 )
 
 
@@ -21,12 +18,16 @@ def _identity(n):
     return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def _zero(rows, cols):
+    return IntMatrix.from_rows([[0] * cols for _ in range(rows)])
+
+
 def test_identity_smith():
     assert smith_normal_form(_identity(2)) == ([1, 1], 2)
 
 
 def test_zero_matrix_smith():
-    assert smith_normal_form(IntMatrix.zero(3, 4)) == ([], 0)
+    assert smith_normal_form(_zero(3, 4)) == ([], 0)
 
 
 def test_small_nontrivial_smith():
@@ -48,7 +49,7 @@ def test_kernel_rank_identity():
 
 
 def test_kernel_rank_zero_matrix():
-    assert _kernel_rank(IntMatrix.zero(3, 4)) == 4
+    assert _kernel_rank(_zero(3, 4)) == 4
 
 
 def test_kernel_rank_row_vector():
@@ -93,10 +94,6 @@ def test_group_validation():
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        mul(_identity(2), _identity(3))
-    with pytest.raises(ValueError):
-        mat_vec(_identity(2), [1, 2, 3])
 
 
 def test_overflow_is_detected():
@@ -174,15 +171,3 @@ def test_smith_invariant_under_unimodular_ops(rows, rng):
             for row in work:
                 row[i] += k * row[j]
     assert smith_normal_form(IntMatrix.from_rows(work)) == base
-
-
-@given(matrices)
-@settings(max_examples=100, deadline=None)
-def test_transform_decomposition_identities(rows):
-    m = IntMatrix.from_rows(rows)
-    dec = snf_with_transforms(m)
-    assert mul(mul(dec.u, m), dec.v).entries == dec.s.entries
-    assert mul(dec.u, dec.u_inv).entries == _identity(m.rows).entries
-    assert mul(dec.v, dec.v_inv).entries == _identity(m.cols).entries
-    diag = [dec.s.at(i, i) for i in range(min(m.rows, m.cols))]
-    assert [d for d in diag if d] == list(dec.divisors)
