@@ -39,6 +39,7 @@ from .cone import (
     Window,
     phi,
     spinc_group,
+    spinc_runs,
     surgery_report,
     truncation_window,
 )
@@ -126,6 +127,7 @@ __all__ = [
     "serialize",
     "smith_normal_form",
     "spinc_group",
+    "spinc_runs",
     "staircase_from_alexander",
     "surgery_report",
     "tau_extremal",

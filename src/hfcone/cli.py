@@ -13,11 +13,12 @@ fig8, kfam:m=2,k=1, tau:g=2) or @path to a profile file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import cfk, obstruct, profiles
-from .cone import Framing, FramingError, surgery_report
+from .cone import Framing, FramingError, run_counts, spinc_runs, surgery_report
 from .exactla import EliminationOverflow
 from .profiles import ProfileError, SurgeryProfile, ascii_int
 
@@ -158,27 +159,28 @@ def _framings_from_args(ns) -> list[Framing]:
 def _cmd_hf(ns) -> int:
     profile = _resolve_profile(ns.profile)
     framings = _framings_from_args(ns)
-    reports = [surgery_report(profile, f) for f in framings]
     if ns.spinc is not None:
-        for report in reports:
-            if not 0 <= ns.spinc < abs(report.framing.p):
+        for framing in framings:
+            if not 0 <= ns.spinc < abs(framing.p):
                 raise UsageError(
-                    f"--spinc {ns.spinc} outside [0, {abs(report.framing.p)}) for {report.framing}"
+                    f"--spinc {ns.spinc} outside [0, {abs(framing.p)}) for {framing}"
                 )
     if ns.format == "json":
         payload = []
-        for report in reports:
-            doc = _report_json(report)
+        for framing in framings:
+            doc = _report_json(surgery_report(profile, framing))
             if ns.spinc is not None:
                 doc["spinc"] = [e for e in doc["spinc"] if e["i"] == ns.spinc]
             payload.append(doc)
         out = payload[0] if ns.framing_range is None else payload
         print(json.dumps(out, indent=2))
         return EXIT_OK
-    for idx, report in enumerate(reports):
+    # text streams: each framing is printed before the next one is computed
+    for idx, framing in enumerate(framings):
+        report = surgery_report(profile, framing)
         if idx:
             print()
-        print(f"framing {report.framing}")
+        print(f"framing {framing}")
         for e in report.spinc:
             if ns.spinc is not None and e.i != ns.spinc:
                 continue
@@ -193,9 +195,9 @@ def _cmd_ell(ns) -> int:
     profile = _resolve_profile(ns.profile)
     framings = _framings_from_args(ns)
     for framing in framings:
-        report = surgery_report(profile, framing)
+        ell, total_rank = run_counts(spinc_runs(profile, framing))
         prefix = f"{framing} " if ns.framing_range is not None else ""
-        print(f"{prefix}ell={report.ell} total_rank={report.total_rank}")
+        print(f"{prefix}ell={ell} total_rank={total_rank}")
     return EXIT_OK
 
 
@@ -298,6 +300,8 @@ def _cmd_profile(ns) -> int:
     return EXIT_OK
 
 
+# one parser per process: main() parses into a fresh namespace each call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hfcone", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

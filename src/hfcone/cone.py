@@ -29,6 +29,16 @@ retracts onto a finite window. For p > 0 the window keeps one more
 A-slot than B-slots; for p < 0 one more B-slot than A-slots. Enlarging
 the window never changes the answer (property-tested), it only pads the
 matrix with unit rows.
+
+Runs of classes (the standard argument, Ozsvath-Szabo math/0504404):
+when i becomes i + 1, every point i + p s moves up by one, so phi(s)
+changes only where i + 1 + p s = t q, from t - 1 to t. Slots with
+phi >= G + 1 hold the right edge data and slots with phi <= -G - 1 the
+left edge data (overrides there may only flip a sign, which leaves the
+group alone), and the window ends sit on the thresholds t = G, 1 - G.
+So class i + 1 has the cone of class i, shifted in s, unless
+i + 1 = t q mod |p| for some -G <= t <= G + 1: at most 2G + 2 cuts
+(t = 0 gives 0), whatever |p| is. ``spinc_runs`` builds one cone per run.
 """
 
 from __future__ import annotations
@@ -205,16 +215,36 @@ class SurgeryReport:
     total_rank: int
 
 
+def spinc_runs(profile: SurgeryProfile, framing: Framing) -> list[tuple[range, AbelianGroup]]:
+    """The classes [0, |p|) in ascending runs that share one group, with
+    one spinc_group call per run, at its first class.
+
+    Class i + 1 has the cone of class i unless some point i + 1 + p s
+    crosses a threshold t q with -G <= t <= G + 1, G = max(genus, 1),
+    where slot data or a window end can change (module docstring). So the
+    runs are cut at the residues t q mod |p|: at most 2G + 2 of them.
+    """
+    n = abs(framing.p)
+    g_bound = max(profile.genus, 1)
+    cuts = sorted({t * framing.q % n for t in range(-g_bound, g_bound + 2)})
+    return [
+        (range(lo, hi), spinc_group(profile, framing, lo))
+        for lo, hi in zip(cuts, cuts[1:] + [n])
+    ]
+
+
+def run_counts(runs: list[tuple[range, AbelianGroup]]) -> tuple[int, int]:
+    """(ell, total_rank) of spinc_runs output: the number of classes whose
+    group is exactly Z, and the free rank summed over all classes."""
+    # run.stop - run.start, not len(run): len overflows past 2^63 classes
+    ell = sum(run.stop - run.start for run, group in runs if group.is_z)
+    return ell, sum((run.stop - run.start) * group.free_rank for run, group in runs)
+
+
 def surgery_report(profile: SurgeryProfile, framing: Framing) -> SurgeryReport:
-    """spinc_group for every class i in ascending order; ell counts the
-    classes whose group is exactly Z."""
-    entries = []
-    for i in range(abs(framing.p)):
-        group = spinc_group(profile, framing, i)
-        entries.append(SpincEntry(i, group, group.is_z))
-    return SurgeryReport(
-        framing=framing,
-        spinc=tuple(entries),
-        ell=sum(1 for e in entries if e.is_l_structure),
-        total_rank=sum(e.group.free_rank for e in entries),
-    )
+    """The group of every class i in ascending order, from one spinc_group
+    call per run of spinc_runs; ell counts the classes whose group is Z."""
+    runs = spinc_runs(profile, framing)
+    ell, total_rank = run_counts(runs)
+    entries = tuple(SpincEntry(i, group, group.is_z) for run, group in runs for i in run)
+    return SurgeryReport(framing=framing, spinc=entries, ell=ell, total_rank=total_rank)

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through main(argv), no subprocesses."""
 
 import json
+import time
 
 import pytest
 
@@ -85,6 +86,68 @@ def test_identical_invocations_identical_output(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_repeated_main_calls_match_fresh_runs(capsys):
+    # the parser is built once per process; no namespace default may leak
+    # from one call into the next
+    sequence = [
+        ["hf", "--profile", "fig8", "--framing", "-5/1", "--spinc", "0"],
+        ["hf", "--profile", "fig8", "--framing", "-5/1"],
+        ["ell", "--profile", "fig8", "--framing", "-5/1"],
+        ["hf", "--profile", "fig8", "--framing", "5", "--spinc", "9"],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli.build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in sequence * 2] == fresh * 2
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 64]
+
+
+def test_ell_cost_does_not_grow_with_p(capsys):
+    cases = [
+        (["--profile", "fig8", "--framing", "1000000000000"],
+         "ell=999999999999 total_rank=1000000000002\n"),
+        # ell = |p| - m q for this family
+        (["--profile", "kfam:m=5,k=3", "--framing", "-1000000000001/7"],
+         "ell=999999999966 total_rank=1000000000211\n"),
+    ]
+    for argv, expected in cases:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "ell", *argv)
+        assert time.perf_counter() - t0 < 5.0, argv
+        assert (code, out, err) == (0, expected, "")
+
+
+def test_hf_text_range_streams_until_a_failure(tmp_path, capsys):
+    # OVERFLOW_PROFILE computes at 1/1 and overflows at 1/2
+    path = tmp_path / "huge.profile"
+    path.write_text(OVERFLOW_PROFILE)
+    selector = f"@{path}"
+    _, single, _ = run(capsys, "hf", "--profile", selector, "--framing", "1/1")
+    code, out, err = run(capsys, "hf", "--profile", selector, "--framing-range", "1..1/1..2")
+    assert (code, out) == (70, single)
+    assert err.startswith("overflow: ")
+    # JSON stays one document, so nothing is printed
+    code, out, _ = run(
+        capsys, "hf", "--profile", selector, "--framing-range", "1..1/1..2", "--format", "json"
+    )
+    assert (code, out) == (70, "")
+
+
+def test_hf_spinc_checked_before_any_report(tmp_path, capsys):
+    path = tmp_path / "huge.profile"
+    path.write_text(OVERFLOW_PROFILE)
+    for fmt in ("text", "json"):
+        code, out, err = run(
+            capsys, "hf", "--profile", f"@{path}", "--framing-range", "1..3/1..2",
+            "--spinc", "2", "--format", fmt,
+        )
+        assert (code, out) == (64, "")
+        assert err == "usage error: --spinc 2 outside [0, 1) for 1/1\n"
 
 
 def test_framing_range_order(capsys):

@@ -18,6 +18,7 @@ from hfcone.cone import (
     Window,
     phi,
     spinc_group,
+    spinc_runs,
     surgery_report,
     truncation_window,
 )
@@ -214,6 +215,43 @@ def test_unit_cancellation_matches_dense_smith_form(profile, framing, i_raw, pad
     event("torsion" if dense.torsion else "torsion-free")
     event(f"p {'positive' if framing.p > 0 else 'negative'}")
     assert spinc_group(profile, framing, i, pad) == dense
+
+
+def _assert_runs_match_dense(profile, framing):
+    runs = spinc_runs(profile, framing)
+    assert len(runs) <= 2 * max(profile.genus, 1) + 2
+    assert [i for run, _ in runs for i in run] == list(range(abs(framing.p)))
+    assert all(len(run) for run, _ in runs)
+    for run, group in runs:
+        for i in run:
+            assert group == helpers.dense_spinc_group(profile, framing, i), i
+
+
+@given(profiles_st(), framings_st(qmax=12))
+@settings(max_examples=150, deadline=None)
+def test_spinc_runs_match_dense_per_class(profile, framing):
+    event(f"p {'positive' if framing.p > 0 else 'negative'}")
+    _assert_runs_match_dense(profile, framing)
+
+
+def test_spinc_runs_with_edge_overrides():
+    # a nonzero h at s = g and sign-flipped edge data beyond the genus
+    profile = SurgeryProfile(
+        "edges",
+        2,
+        {
+            -4: LocalData(1, (0,), (-1,)),
+            -2: LocalData(1, (3,), (1,)),
+            -1: LocalData(3, (1, 2, 0), (0, 1, 1)),
+            0: LocalData(1, (2,), (1,)),
+            1: LocalData(3, (1, 0, 2), (2, 0, 1)),
+            2: LocalData(1, (-1,), (2,)),
+            3: LocalData(1, (-1,), (0,)),
+        },
+    )
+    for framing in (Framing(37, 3), Framing(-37, 3), Framing(29, 1), Framing(-31, 11)):
+        _assert_runs_match_dense(profile, framing)
+    assert len(spinc_runs(profile, Framing(10**30 + 1, 7))) <= 6
 
 
 def test_non_unit_remainder_goes_to_smith_form(monkeypatch):
