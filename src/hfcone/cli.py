@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import cfk, obstruct, profiles
-from .cone import Framing, FramingError, run_counts, spinc_runs, surgery_report
+from .cone import Framing, FramingError, run_counts, spinc_runs
 from .exactla import EliminationOverflow
 from .profiles import ProfileError, SurgeryProfile, ascii_int
 
@@ -131,23 +131,6 @@ def _iter_framings(range_spec: str) -> list[Framing]:
     return out
 
 
-def _report_json(report) -> dict:
-    return {
-        "framing": str(report.framing),
-        "spinc": [
-            {
-                "i": e.i,
-                "free_rank": e.group.free_rank,
-                "torsion": list(e.group.torsion),
-                "l_structure": e.is_l_structure,
-            }
-            for e in report.spinc
-        ],
-        "ell": report.ell,
-        "total_rank": report.total_rank,
-    }
-
-
 def _framings_from_args(ns) -> list[Framing]:
     if ns.framing_range is not None:
         return _iter_framings(ns.framing_range)
@@ -156,7 +139,32 @@ def _framings_from_args(ns) -> list[Framing]:
     return [_parse_framing(ns.framing)]
 
 
+def _clip(runs, spinc):
+    """The runs of spinc_runs, or only class spinc when it is given."""
+    if spinc is None:
+        return runs
+    return [(range(spinc, spinc + 1), group) for run, group in runs if spinc in run]
+
+
+def _json_spinc(runs, indent: str):
+    """The text of a "spinc" list as json.dumps(indent=2) writes it, with
+    its entries at the given indent: each run's entry is encoded once, and
+    each class is stamped into that text."""
+    sep = "["
+    for run, group in runs:
+        entry = {"i": 0, "free_rank": group.free_rank, "torsion": list(group.torsion),
+                 "l_structure": group.is_z}
+        head, _, tail = json.dumps(entry, indent=2).replace("\n", "\n" + indent).partition(" 0,")
+        for i in run:
+            yield f"{sep}\n{indent}{head} {i},{tail}"
+            sep = ","
+    yield f"\n{indent[2:]}]"
+
+
 def _cmd_hf(ns) -> int:
+    # renders from the runs of spinc_runs: the cones cost O(genus) per
+    # framing, each run is described or encoded once, and the output is
+    # linear in the classes printed, so --spinc costs O(genus) at any |p|
     profile = _resolve_profile(ns.profile)
     framings = _framings_from_args(ns)
     if ns.spinc is not None:
@@ -165,29 +173,35 @@ def _cmd_hf(ns) -> int:
                 raise UsageError(
                     f"--spinc {ns.spinc} outside [0, {abs(framing.p)}) for {framing}"
                 )
+    out = sys.stdout
     if ns.format == "json":
-        payload = []
+        docs, shown = [], []
         for framing in framings:
-            doc = _report_json(surgery_report(profile, framing))
-            if ns.spinc is not None:
-                doc["spinc"] = [e for e in doc["spinc"] if e["i"] == ns.spinc]
-            payload.append(doc)
-        out = payload[0] if ns.framing_range is None else payload
-        print(json.dumps(out, indent=2))
+            runs = spinc_runs(profile, framing)
+            ell, total_rank = run_counts(runs)
+            docs.append(dict(framing=str(framing), spinc=None, ell=ell, total_rank=total_rank))
+            shown.append(_clip(runs, ns.spinc))
+        single = ns.framing_range is None
+        # "spinc": null is the only null in the skeleton; each list goes there
+        head, *tails = json.dumps(docs[0] if single else docs, indent=2).split("null")
+        out.write(head)
+        for runs, tail in zip(shown, tails):
+            out.writelines(_json_spinc(runs, "    " if single else "      "))
+            out.write(tail)
+        out.write("\n")
         return EXIT_OK
     # text streams: each framing is printed before the next one is computed
     for idx, framing in enumerate(framings):
-        report = surgery_report(profile, framing)
+        runs = spinc_runs(profile, framing)
         if idx:
             print()
         print(f"framing {framing}")
-        for e in report.spinc:
-            if ns.spinc is not None and e.i != ns.spinc:
-                continue
-            mark = " (L)" if e.is_l_structure else ""
-            print(f"i={e.i}: {e.group.describe()}{mark}")
+        for run, group in _clip(runs, ns.spinc):
+            line = f": {group.describe()}{' (L)' if group.is_z else ''}\n"
+            out.writelines(f"i={i}{line}" for i in run)
         if ns.spinc is None:
-            print(f"ell={report.ell} total_rank={report.total_rank}")
+            ell, total_rank = run_counts(runs)
+            print(f"ell={ell} total_rank={total_rank}")
     return EXIT_OK
 
 

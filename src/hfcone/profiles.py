@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 from .exactla import _LIMIT
@@ -33,12 +32,17 @@ from .exactla import _LIMIT
 
 class ProfileError(ValueError):
     """A profile violates its structural invariants. Only the first 20
-    violations are kept, then a count of the rest."""
+    violations are kept, then a count of the rest; an int among the
+    violations stands for that many more that are not spelled out."""
 
-    def __init__(self, violations: Iterable[str]):
-        rest = iter(violations)
-        self.violations = list(islice(rest, 20))
-        hidden = sum(1 for _ in rest)
+    def __init__(self, violations: Iterable[str | int]):
+        self.violations = []
+        hidden = 0
+        for v in violations:
+            if isinstance(v, str) and len(self.violations) < 20:
+                self.violations.append(v)
+            else:
+                hidden += 1 if isinstance(v, str) else v
         if hidden:
             self.violations.append(f"… and {hidden} more")
         super().__init__("; ".join(self.violations))
@@ -112,16 +116,22 @@ class SurgeryProfile:
         raise AssertionError(f"validated profile lacks data at s={s}")
 
 
-def _check(p: SurgeryProfile) -> Iterator[str]:
+def _check(p: SurgeryProfile) -> Iterator[str | int]:
     if p.genus < 0:
         yield f"genus {p.genus} < 0"
         return
     if not p.name or any(c.isspace() for c in p.name):
         yield f"name {p.name!r} must be nonempty without whitespace"
     g = p.genus
-    for s in range(-g + 1, g):
-        if s not in p.overrides:
-            yield f"missing override at s={s} (every |s| < genus is required)"
+    # the missing slots are the gaps between the overrides inside the
+    # window; past the first 20 of a gap, all ProfileError shows, count them
+    inside = sorted(s for s in p.overrides if -g < s < g)
+    if len(inside) < 2 * g - 1:
+        for lo, hi in zip([-g, *inside], [*inside, g]):
+            for s in range(lo + 1, hi)[:20]:
+                yield f"missing override at s={s} (every |s| < genus is required)"
+            if hi - lo > 21:
+                yield hi - lo - 21
     if g == 0 and 0 not in p.overrides:
         yield "genus 0 requires an override at s=0"
     for s, data in sorted(p.overrides.items()):
@@ -132,8 +142,9 @@ def _check(p: SurgeryProfile) -> Iterator[str]:
             yield f"s={s}: override beyond genus contradicts the edge pattern"
         if s < -g and data != LEFT_EDGE and data != LocalData(1, (0,), (-1,)):
             yield f"s={s}: override beyond genus contradicts the edge pattern"
-    # conjugation symmetry of ranks, on effective data across the window
-    for s in range(0, g + 1):
+    # conjugation symmetry of ranks, on effective data across the window;
+    # a slot with no override on either side has rank 1 or none on both
+    for s in sorted({abs(s) for s in p.overrides if abs(s) <= g}):
         r_pos = _effective_rank(p, s)
         r_neg = _effective_rank(p, -s)
         if r_pos is not None and r_neg is not None and r_pos != r_neg:

@@ -4,12 +4,16 @@ Kept separate from hypothesis strategies so the timed acceptance loops
 can draw a fixed number of deterministic samples from random.Random.
 All generated profiles use odd slot ranks; the cone's rank-parity
 property (free rank odd) holds exactly for that class.
+
+Also the slow references the fast paths are checked against: the dense
+cone matrix and its Smith form, and hf output rendered class by class.
 """
 
+import json
 import random
 from math import gcd
 
-from hfcone.cone import Framing, Window, phi, truncation_window
+from hfcone.cone import Framing, Window, phi, surgery_report, truncation_window
 from hfcone.exactla import AbelianGroup, IntMatrix, smith_normal_form
 from hfcone.profiles import LocalData, SurgeryProfile
 
@@ -99,3 +103,50 @@ def dense_spinc_group(
     d = dense_cone_matrix(profile, framing, i, truncation_window(profile, framing, i, pad))
     divisors, rank = smith_normal_form(d)
     return AbelianGroup((d.cols - rank) + (d.rows - rank), tuple(x for x in divisors if x > 1))
+
+
+def report_json(report) -> dict:
+    """The hf --format json document of one report, one entry per class."""
+    return {
+        "framing": str(report.framing),
+        "spinc": [
+            {
+                "i": e.i,
+                "free_rank": e.group.free_rank,
+                "torsion": list(e.group.torsion),
+                "l_structure": e.is_l_structure,
+            }
+            for e in report.spinc
+        ],
+        "ell": report.ell,
+        "total_rank": report.total_rank,
+    }
+
+
+def reference_hf_stdout(
+    profile: SurgeryProfile, framings: list[Framing], spinc=None, fmt="text", is_range=False
+) -> str:
+    """Reference for the stdout of hf: every class of surgery_report rendered
+    on its own, and JSON through one json.dumps(indent=2) of the document."""
+    if fmt == "json":
+        payload = []
+        for framing in framings:
+            doc = report_json(surgery_report(profile, framing))
+            if spinc is not None:
+                doc["spinc"] = [e for e in doc["spinc"] if e["i"] == spinc]
+            payload.append(doc)
+        return json.dumps(payload if is_range else payload[0], indent=2) + "\n"
+    lines = []
+    for idx, framing in enumerate(framings):
+        report = surgery_report(profile, framing)
+        if idx:
+            lines.append("")
+        lines.append(f"framing {framing}")
+        for e in report.spinc:
+            if spinc is not None and e.i != spinc:
+                continue
+            mark = " (L)" if e.is_l_structure else ""
+            lines.append(f"i={e.i}: {e.group.describe()}{mark}")
+        if spinc is None:
+            lines.append(f"ell={report.ell} total_rank={report.total_rank}")
+    return "\n".join(lines) + "\n"

@@ -1,12 +1,20 @@
 """End-to-end command-line behavior through main(argv), no subprocesses."""
 
+import contextlib
+import io
 import json
 import time
+from math import gcd
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import helpers
 from hfcone import cli
-from hfcone.profiles import lspace_knot, parse
+from hfcone.cone import Framing
+from hfcone.profiles import LocalData, SurgeryProfile, lspace_knot, parse, serialize
+from test_cone import framings_st, profiles_st
 
 OVERFLOW_PROFILE = """\
 profile big genus 2
@@ -120,6 +128,101 @@ def test_ell_cost_does_not_grow_with_p(capsys):
         code, out, err = run(capsys, "ell", *argv)
         assert time.perf_counter() - t0 < 5.0, argv
         assert (code, out, err) == (0, expected, "")
+
+
+def test_hf_spinc_cost_does_not_grow_with_p(capsys):
+    cases = [
+        (["--profile", "fig8", "--framing", "1000000000000", "--spinc", "5"],
+         "framing 1000000000000/1\ni=5: Z^1 (L)\n"),
+        (["--profile", "kfam:m=5,k=3", "--framing", "-1000000000001/7", "--spinc", "3"],
+         "framing -1000000000001/7\ni=3: Z^7\n"),
+    ]
+    for argv, expected in cases:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "hf", *argv)
+        assert time.perf_counter() - t0 < 5.0, argv
+        assert (code, out, err) == (0, expected, "")
+    t0 = time.perf_counter()
+    code, out, err = run(
+        capsys, "hf", "--profile", "fig8", "--framing", "1000000000000",
+        "--spinc", "999999999999", "--format", "json",
+    )
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "framing": "1000000000000/1",
+        "spinc": [{"i": 999999999999, "free_rank": 1, "torsion": [], "l_structure": True}],
+        "ell": 999999999999,
+        "total_rank": 1000000000002,
+    }
+
+
+def _main_stdout(argv):
+    # capsys is function-scoped, which hypothesis refuses; capture by hand
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
+@st.composite
+def hf_requests_st(draw):
+    """(framings, the --framing or --framing-range argv that selects them)."""
+    if draw(st.booleans()):
+        framing = draw(framings_st())
+        return [framing], ["--framing", str(framing)]
+    p_lo = draw(st.integers(-12, 11))
+    p_hi = draw(st.integers(p_lo, 12))
+    q_lo = draw(st.integers(1, 4))
+    q_hi = draw(st.integers(q_lo, 4))
+    framings = [
+        Framing(p, q)
+        for q in range(q_lo, q_hi + 1)
+        for p in range(p_lo, p_hi + 1)
+        if p and gcd(abs(p), q) == 1
+    ]
+    if not framings:
+        framings, spec = [Framing(p_lo or 1)], f"{p_lo or 1}..{p_lo or 1}"
+    else:
+        spec = f"{p_lo}..{p_hi}/{q_lo}..{q_hi}"
+    return framings, ["--framing-range", spec]
+
+
+@given(profiles_st(), hf_requests_st(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_hf_output_matches_per_class_reference(tmp_path_factory, profile, hf_request, data):
+    framings, framing_argv = hf_request
+    spinc = data.draw(
+        st.none() | st.integers(0, min(abs(f.p) for f in framings) - 1), label="spinc"
+    )
+    fmt = data.draw(st.sampled_from(["text", "json"]), label="format")
+    path = tmp_path_factory.mktemp("hf") / "drawn.profile"
+    path.write_text(serialize(profile))
+    argv = ["hf", "--profile", f"@{path}", *framing_argv, "--format", fmt]
+    if spinc is not None:
+        argv += ["--spinc", str(spinc)]
+    is_range = framing_argv[0] == "--framing-range"
+    expected = helpers.reference_hf_stdout(profile, framings, spinc, fmt, is_range)
+    event("torsion" if '"torsion": [\n' in expected or " + Z/" in expected else "torsion-free")
+    event(f"{fmt}, {'range' if is_range else 'single'}, spinc {spinc is not None}")
+    assert _main_stdout(argv) == expected
+
+
+def test_hf_json_with_torsion_matches_reference(tmp_path):
+    # the Z + Z/2 class of test_non_unit_remainder_goes_to_smith_form
+    profile = SurgeryProfile("two", 1, {0: LocalData(1, (2,), (2,))})
+    path = tmp_path / "two.profile"
+    path.write_text(serialize(profile))
+    out = _main_stdout(["hf", "--profile", f"@{path}", "--framing", "-1", "--format", "json"])
+    assert '"torsion": [\n        2\n      ]' in out
+    assert out == helpers.reference_hf_stdout(profile, [Framing(-1)], fmt="json")
+    framings = [Framing(p) for p in (-3, -2, -1)]
+    out = _main_stdout(
+        ["hf", "--profile", f"@{path}", "--framing-range", "-3..-1", "--format", "json"]
+    )
+    assert '"torsion": [\n          2\n        ]' in out
+    assert out == helpers.reference_hf_stdout(profile, framings, fmt="json", is_range=True)
 
 
 def test_hf_text_range_streams_until_a_failure(tmp_path, capsys):
@@ -349,3 +452,15 @@ def test_violation_list_is_capped(tmp_path, capsys):
     assert out == ""
     assert len(err.encode()) < 4096
     assert err.rstrip().endswith("… and 599979 more")
+
+
+def test_huge_genus_check_fails_fast(tmp_path, capsys):
+    # the missing slots are counted, not walked one by one
+    path = tmp_path / "big.profile"
+    path.write_text("profile big genus 300000000\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "profile", "--check", f"@{path}")
+    assert time.perf_counter() - t0 < 2.0
+    assert (code, out) == (65, "")
+    assert len(err.encode()) < 4096
+    assert err.rstrip().endswith("… and 599999979 more")
