@@ -43,12 +43,7 @@ from .cone import (
     surgery_report,
     truncation_window,
 )
-from .exactla import (
-    AbelianGroup,
-    EliminationOverflow,
-    IntMatrix,
-    smith_normal_form,
-)
+from .exactla import AbelianGroup, EliminationOverflow, smith_normal_form
 from .obstruct import (
     CONSISTENT,
     NOT_APPLICABLE,
@@ -89,7 +84,6 @@ __all__ = [
     "Framing",
     "FramingError",
     "Generator",
-    "IntMatrix",
     "InvalidComplexError",
     "LocalData",
     "NOT_APPLICABLE",

@@ -18,11 +18,12 @@ The two maps to B are, on the chain level,
 * h_s(U^b x) = conj(x) when A(x) >= s (projection of the other arm of the
   hook, transported by U^-s and the conjugation), else 0.
 
-homology() cancels every +-1 arrow by the Gaussian elimination lemma
-for based complexes, one ``exactla.schur_update`` per column it touches,
-the step the cone reduces with too. The generators that survive are a
-basis of the homology: each lifts to a cycle and every cycle projects
-onto them, so induced maps on homology are integer matrices. A slice
+A slice holds one sparse {target: coeff} column per generator, built
+straight from the arrows that survive on it. homology() cancels every
++-1 arrow by the Gaussian elimination lemma for based complexes, one
+``exactla.schur_update`` per column it touches, the step the cone reduces
+with too. The generators that survive are a basis of the homology: each
+lifts to a cycle and every cycle projects onto them, so induced maps on homology are integer matrices. A slice
 with arrows left over (torsion, or only non-unit coefficients as in
 d x = 2y + 3z) has no such basis and is refused with TorsionError rather
 than guessing a convention; validate() reads only its group.
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactla import AbelianGroup, IntMatrix, _checked, schur_update, smith_normal_form
+from .exactla import AbelianGroup, _checked, schur_update, smith_normal_form
 from .profiles import LocalData, SurgeryProfile
 
 
@@ -152,10 +153,14 @@ def _require_valid(c: CfkComplex) -> None:
 
 @dataclass(frozen=True)
 class SliceComplex:
-    """Finite complex on basis U^b x, one element per generator."""
+    """Finite complex on basis U^b x, one element per generator.
+
+    differential[k] is d(basis[k]) as a sparse {target: coeff} column over
+    the basis indices, with no zero entries.
+    """
 
     basis: tuple[tuple[int, int], ...]  # (generator index, u power b)
-    differential: IntMatrix  # entry [target][source]
+    differential: tuple[dict[int, int], ...]
 
 
 def ahat(c: CfkComplex, s: int) -> SliceComplex:
@@ -170,15 +175,15 @@ def bhat(c: CfkComplex) -> SliceComplex:
 
 
 def _slice(c: CfkComplex, shifts: Sequence[int]) -> SliceComplex:
-    n = len(c.generators)
-    rows = [[0] * n for _ in range(n)]
+    cols: list[dict[int, int]] = [{} for _ in c.generators]
     for a in c.arrows:
         # the arrow U^{b_x} x -> U^{b_x + a} y survives iff it lands on the slice
         if shifts[a.source] + a.u_power == shifts[a.target]:
-            rows[a.target][a.source] += a.coeff
+            col = cols[a.source]
+            col[a.target] = col.get(a.target, 0) + a.coeff
     return SliceComplex(
-        basis=tuple((i, shifts[i]) for i in range(n)),
-        differential=IntMatrix.from_rows(rows),
+        basis=tuple(enumerate(shifts)),
+        differential=tuple({y: _checked(x) for y, x in col.items() if x} for col in cols),
     )
 
 
@@ -260,26 +265,21 @@ def _cancel_arrows(cols: list[dict[int, int]]) -> list[tuple]:
 def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
     """Homology of a slice with an explicit free-part cycle basis.
 
-    Unit arrows are cancelled first; arrows left over go to the Smith form
-    for the group. Such a slice has no basis here, so it is refused
-    (TorsionError) like torsion, unless tolerated by a group-only caller.
+    Unit arrows are cancelled first, on a copy of the columns; the columns
+    left over go to the Smith form for the group. Such a slice has no basis
+    here, so it is refused (TorsionError) like torsion, unless tolerated by
+    a group-only caller.
     """
-    n = s.differential.cols
-    cols = [{} for _ in range(n)]
-    for k, x in enumerate(s.differential.entries):
-        if x:
-            cols[k % n][k // n] = x
-    if any(_image(cols, col) for col in cols):
+    d = s.differential
+    if any(_image(d, col) for col in d):
         raise ValueError("slice differential does not square to zero")
-    d = tuple(dict(col) for col in cols)
+    n = len(d)
+    cols = [dict(col) for col in d]
     steps = _cancel_arrows(cols)
     gone = {k for x, y, *_ in steps for k in (x, y)}
     survivors = tuple(k for k in range(n) if k not in gone)
     rest = [cols[k] for k in survivors if cols[k]]
-    rows = sorted({w for col in rest for w in col})
-    divisors, _ = smith_normal_form(
-        IntMatrix.from_rows([[col.get(w, 0) for col in rest] for w in rows])
-    )
+    divisors = smith_normal_form(rest)
     group = AbelianGroup(len(survivors) - 2 * len(divisors), tuple(e for e in divisors if e > 1))
     if rest:
         if _allow_torsion:

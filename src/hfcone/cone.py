@@ -15,7 +15,8 @@ D is never built dense. Each A-generator is a column with at most two
 nonzeros, mostly +-1; unit cancellation pivots on them one by one, each
 pivot an elementary divisor 1 that removes its row and column, so the
 cost per class is linear in the window. Only the unit-free remainder
-goes to the dense Smith form of ``exactla``, under the same 2^63 check.
+goes to the Smith form of ``exactla``, as the same sparse columns and
+under the same 2^63 check.
 
 Slot direction convention: h raises the B-slot index by one. The
 opposite choice swaps the roles of +p and -p (it computes the mirror
@@ -46,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exactla import AbelianGroup, IntMatrix, schur_update, smith_normal_form
+from .exactla import AbelianGroup, schur_update, smith_normal_form
 from .profiles import SurgeryProfile, ascii_int
 
 
@@ -189,11 +190,7 @@ def spinc_group(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0)
                 col[r + 1] = y
             cols.append(col)
     pivots, rest = _cancel_units(cols, nrows)
-    divisors: list[int] = []
-    if rest:
-        rows = sorted({r for col in rest for r in col})
-        remainder = IntMatrix.from_rows([[col.get(r, 0) for col in rest] for r in rows])
-        divisors, _ = smith_normal_form(remainder)
+    divisors = smith_normal_form(rest) if rest else []
     rank = pivots + len(divisors)
     return AbelianGroup((len(cols) - rank) + (nrows - rank), tuple(d for d in divisors if d > 1))
 

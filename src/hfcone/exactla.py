@@ -1,19 +1,20 @@
-"""Exact integer linear algebra: the sparse elimination step and the
-dense Smith form.
+"""Exact integer linear algebra on sparse {row: entry} columns, the one
+matrix format of the package: the elimination step and the Smith form.
 
-``cone`` and ``cfk`` reduce sparse {row: entry} columns by cancelling
-their +-1 entries, each cancellation a :func:`schur_update` on the columns
-that meet the pivot row, and pass only the unit-free remainder to
+``cone`` and ``cfk`` reduce their columns by cancelling +-1 entries, each
+cancellation a :func:`schur_update` on the columns that meet the pivot
+row, and pass only the unit-free remainder, still as columns, to
 :func:`smith_normal_form`. That remainder is small, so the Smith form
-favours simplicity and auditability over asymptotics: fraction-free
+favours simplicity and auditability over asymptotics: dense fraction-free
 integer elimination, pivoting on the entry of smallest nonzero absolute
 value, and only the elementary divisors come out.
 
 Entries are Python ints but are *checked*: any value whose magnitude
 leaves a fixed 64-bit-style window raises :class:`EliminationOverflow`
-instead of silently growing. All inputs arising in this package stay far
-below the limit; the check exists so that a pathological input fails
-loudly rather than degrading into bignum crawl.
+instead of silently growing. Columns come in inside that window (profile
+data is bounded, slices check their summed entries). All inputs arising
+in this package stay far below the limit; the check exists so that a
+pathological input fails loudly rather than degrading into bignum crawl.
 """
 
 from __future__ import annotations
@@ -32,42 +33,6 @@ def _checked(x: int) -> int:
     if x > _LIMIT or x < -_LIMIT:
         raise EliminationOverflow(f"integer magnitude exceeded 2^63 during elimination")
     return x
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable dense integer matrix, entries in row-major order."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for x in self.entries:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"non-integer entry {x!r}")
-            _checked(x)
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[int] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(int(x) for x in r)
-        return IntMatrix(nrows, ncols, tuple(flat))
-
-    def to_rows(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
 
 def schur_update(dst: dict[int, int], k: int, src: dict[int, int]) -> None:
@@ -117,12 +82,20 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[list[int], int]:
-    """Nonzero elementary divisors of m in divisibility order, and their count.
+def smith_normal_form(cols: Sequence[dict[int, int]]) -> list[int]:
+    """Nonzero elementary divisors, in divisibility order, of the matrix
+    whose columns are the sparse {row: entry} dicts cols; their count is
+    its rank over the rationals.
 
-    The count equals the rank of m over the rationals.
+    The rows that occur, in ascending order, become the dense working rows
+    of the elimination; rows and columns that are all zero change nothing.
     """
-    a, nrows, ncols = m.to_rows(), m.rows, m.cols
+    index = {r: k for k, r in enumerate(sorted({r for col in cols for r in col}))}
+    nrows, ncols = len(index), len(cols)
+    a = [[0] * ncols for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for r, x in col.items():
+            a[index[r]][j] = x
 
     def row_add(i: int, j: int, k: int) -> None:
         # row i += k * row j
@@ -188,4 +161,4 @@ def smith_normal_form(m: IntMatrix) -> tuple[list[int], int]:
             # fold the non-divisible row into the pivot row and re-reduce
             row_add(t, offender, 1)
         t += 1
-    return [a[k][k] for k in range(t)], t
+    return [a[k][k] for k in range(t)]

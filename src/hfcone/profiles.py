@@ -149,16 +149,16 @@ def _check(p: SurgeryProfile) -> Iterator[str | int]:
         r_neg = _effective_rank(p, -s)
         if r_pos is not None and r_neg is not None and r_pos != r_neg:
             yield f"rank symmetry violated: rank({s})={r_pos}, rank({-s})={r_neg}"
-    # unit conditions at the ends of the window
+    # unit conditions at the ends of the window (data that is not
+    # LocalData was reported above)
     if g >= 1:
         right = p.overrides.get(g, RIGHT_EDGE)
-        if right.rank != 1 or not _is_unit_row(right.v):
+        if isinstance(right, LocalData) and (right.rank != 1 or not _is_unit_row(right.v)):
             yield f"s={g}: rank must be 1 with v = [+-1] (got {right})"
         left = p.overrides.get(-g, LEFT_EDGE)
-        if left.rank != 1 or not _is_unit_row(left.h):
+        if isinstance(left, LocalData) and (left.rank != 1 or not _is_unit_row(left.h)):
             yield f"s={-g}: rank must be 1 with h = [+-1] (got {left})"
-    elif 0 in p.overrides:
-        centre = p.overrides[0]
+    elif isinstance(centre := p.overrides.get(0), LocalData):
         if centre.rank != 1 or not _is_unit_row(centre.v) or not _is_unit_row(centre.h):
             yield f"s=0: genus 0 needs rank 1 with v = [+-1] and h = [+-1]"
 

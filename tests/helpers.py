@@ -7,6 +7,8 @@ property (free rank odd) holds exactly for that class.
 
 Also the slow references the fast paths are checked against: the dense
 cone matrix and its Smith form, and hf output rendered class by class.
+Dense matrices here are plain lists of rows; columns() turns them into
+the sparse {row: entry} columns the library takes.
 """
 
 import json
@@ -14,7 +16,7 @@ import random
 from math import gcd
 
 from hfcone.cone import Framing, Window, phi, surgery_report, truncation_window
-from hfcone.exactla import AbelianGroup, IntMatrix, smith_normal_form
+from hfcone.exactla import AbelianGroup, smith_normal_form
 from hfcone.profiles import LocalData, SurgeryProfile
 
 # genus drawn with weights favoring small windows
@@ -66,9 +68,14 @@ def random_lspace_alexander(rng: random.Random, gmax: int = 6) -> list[int]:
     return coeffs
 
 
+def columns(rows: list[list[int]]) -> list[dict[int, int]]:
+    """The sparse {row: entry} columns of a dense matrix given by its rows."""
+    return [{r: x for r, x in enumerate(col) if x} for col in zip(*rows)]
+
+
 def dense_cone_matrix(
     profile: SurgeryProfile, framing: Framing, i: int, window: Window
-) -> IntMatrix:
+) -> list[list[int]]:
     """The truncated cone of class i as one dense matrix: a row per B-slot,
     a column per A-generator, v_s on row s and h_s on row s + 1."""
     p, q = framing.p, framing.q
@@ -93,7 +100,7 @@ def dense_cone_matrix(
             for j, x in enumerate(data.h):
                 row[base + j] += x
         rows.append(row)
-    return IntMatrix.from_rows(rows)
+    return rows
 
 
 def dense_spinc_group(
@@ -101,8 +108,9 @@ def dense_spinc_group(
 ) -> AbelianGroup:
     """Reference for cone.spinc_group: dense Smith form of the whole cone."""
     d = dense_cone_matrix(profile, framing, i, truncation_window(profile, framing, i, pad))
-    divisors, rank = smith_normal_form(d)
-    return AbelianGroup((d.cols - rank) + (d.rows - rank), tuple(x for x in divisors if x > 1))
+    divisors = smith_normal_form(columns(d))
+    rank = len(divisors)
+    return AbelianGroup((len(d[0]) - rank) + (len(d) - rank), tuple(x for x in divisors if x > 1))
 
 
 def report_json(report) -> dict:

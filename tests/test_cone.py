@@ -260,20 +260,22 @@ def test_non_unit_remainder_goes_to_smith_form(monkeypatch):
     framing = Framing(-1)
     remainders = []
 
-    def recording_snf(m):
-        remainders.append(m)
-        return smith_normal_form(m)
+    def recording_snf(cols):
+        remainders.append(cols)
+        return smith_normal_form(cols)
 
     monkeypatch.setattr(cone, "smith_normal_form", recording_snf)
     group = spinc_group(profile, framing, 0)
     assert group == AbelianGroup(1, (2,))
     assert len(remainders) == 1
-    assert remainders[0].entries and all(abs(x) != 1 for x in remainders[0].entries)
+    entries = [x for col in remainders[0] for x in col.values()]
+    assert entries and all(abs(x) != 1 for x in entries)
     d = helpers.dense_cone_matrix(profile, framing, 0, truncation_window(profile, framing, 0))
-    s = sympy_snf(Matrix(d.to_rows()))
-    diag = [abs(s[k, k]) for k in range(min(d.rows, d.cols))]
+    s = sympy_snf(Matrix(d))
+    nrows, ncols = len(d), len(d[0])
+    diag = [abs(s[k, k]) for k in range(min(nrows, ncols))]
     rank = sum(1 for x in diag if x)
-    assert group.free_rank == (d.cols - rank) + (d.rows - rank)
+    assert group.free_rank == (ncols - rank) + (nrows - rank)
     assert group.torsion == tuple(sorted(x for x in diag if x > 1))
 
 

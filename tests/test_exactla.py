@@ -1,4 +1,8 @@
-"""Smith form, kernel and cokernel over Z, checked against sympy."""
+"""Smith form, kernel and cokernel over Z, checked against sympy.
+
+Matrices are written as plain lists of rows and handed to the library as
+sparse {row: entry} columns through helpers.columns.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -6,42 +10,48 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from hfcone.exactla import (
-    AbelianGroup,
-    EliminationOverflow,
-    IntMatrix,
-    smith_normal_form,
-)
+from helpers import columns
+from hfcone.cfk import Arrow, CfkComplex, Generator, bhat
+from hfcone.exactla import AbelianGroup, EliminationOverflow, smith_normal_form
 
 
 def _identity(n):
-    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _zero(rows, cols):
-    return IntMatrix.from_rows([[0] * cols for _ in range(rows)])
+    return [[0] * cols for _ in range(rows)]
+
+
+def _snf(rows):
+    return smith_normal_form(columns(rows))
 
 
 def test_identity_smith():
-    assert smith_normal_form(_identity(2)) == ([1, 1], 2)
+    assert _snf(_identity(2)) == [1, 1]
 
 
 def test_zero_matrix_smith():
-    assert smith_normal_form(_zero(3, 4)) == ([], 0)
+    assert _snf(_zero(3, 4)) == []
 
 
 def test_small_nontrivial_smith():
-    m = IntMatrix.from_rows([[2, 4], [6, 8]])
-    assert smith_normal_form(m) == ([2, 4], 2)
+    assert _snf([[2, 4], [6, 8]]) == [2, 4]
+
+
+def test_sparse_rows_are_compacted():
+    # row labels need not be 0..n-1; empty columns add nothing
+    assert smith_normal_form([{7: 2}, {}, {-3: 1, 7: 4}]) == [1, 2]
+    assert smith_normal_form([]) == []
 
 
 def _kernel_rank(m):
-    return m.cols - smith_normal_form(m)[1]
+    return len(m[0]) - len(_snf(m))
 
 
 def _cokernel(m):
-    divisors, rank = smith_normal_form(m)
-    return AbelianGroup(m.rows - rank, tuple(d for d in divisors if d > 1))
+    divisors = _snf(m)
+    return AbelianGroup(len(m) - len(divisors), tuple(d for d in divisors if d > 1))
 
 
 def test_kernel_rank_identity():
@@ -53,7 +63,7 @@ def test_kernel_rank_zero_matrix():
 
 
 def test_kernel_rank_row_vector():
-    assert _kernel_rank(IntMatrix.from_rows([[1, 0, 0]])) == 2
+    assert _kernel_rank([[1, 0, 0]]) == 2
 
 
 def test_cokernel_identity():
@@ -61,17 +71,15 @@ def test_cokernel_identity():
 
 
 def test_cokernel_single_torsion():
-    assert _cokernel(IntMatrix.from_rows([[3]])) == AbelianGroup(0, (3,))
+    assert _cokernel([[3]]) == AbelianGroup(0, (3,))
 
 
 def test_cokernel_surjective_projection():
-    m = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
-    assert _cokernel(m) == AbelianGroup(0, ())
+    assert _cokernel([[1, 0, 0], [0, 1, 0]]) == AbelianGroup(0, ())
 
 
 def test_cokernel_mixed():
-    m = IntMatrix.from_rows([[2, 0], [0, 0]])
-    assert _cokernel(m) == AbelianGroup(1, (2,))
+    assert _cokernel([[2, 0], [0, 0]]) == AbelianGroup(1, (2,))
 
 
 def test_group_describe():
@@ -91,21 +99,23 @@ def test_group_validation():
     assert AbelianGroup(0, (2, 6)).torsion == (2, 6)
 
 
-def test_matrix_shape_validation():
-    with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 2], [3]])
-
-
 def test_overflow_is_detected():
     big = 2**62
-    m = IntMatrix.from_rows([[3, big], [big, 3]])
     with pytest.raises(EliminationOverflow):
-        smith_normal_form(m)
+        _snf([[3, big], [big, 3]])
+
+
+def _two_generators(*arrows):
+    return CfkComplex((Generator("x", 0), Generator("y", 0)), arrows, (0, 1))
 
 
 def test_entry_magnitude_checked_on_construction():
+    # a slice sums its arrows into entries, and each sum is checked
     with pytest.raises(EliminationOverflow):
-        IntMatrix.from_rows([[2**63 + 1]])
+        bhat(_two_generators(Arrow(0, 1, 0, 2**63 + 1)))
+    assert bhat(_two_generators(Arrow(0, 1, 0, 2**63))).differential == ({1: 2**63}, {})
+    # arrows that cancel leave no entry, not a stored zero
+    assert bhat(_two_generators(Arrow(0, 1, 0, 1), Arrow(0, 1, 0, -1))).differential == ({}, {})
 
 
 matrices = st.integers(1, 5).flatmap(
@@ -128,28 +138,26 @@ def _sympy_divisors(rows):
 @given(matrices)
 @settings(max_examples=150, deadline=None)
 def test_smith_matches_sympy(rows):
-    divisors, rank = smith_normal_form(IntMatrix.from_rows(rows))
-    assert divisors == _sympy_divisors(rows)
-    assert rank == len(divisors)
+    assert _snf(rows) == _sympy_divisors(rows)
 
 
 @given(matrices)
 @settings(max_examples=150, deadline=None)
 def test_divisor_chain_and_rank_identities(rows):
-    m = IntMatrix.from_rows(rows)
-    divisors, rank = smith_normal_form(m)
+    divisors = _snf(rows)
+    rank = len(divisors)
     for a, b in zip(divisors, divisors[1:]):
         assert b % a == 0
     assert all(d > 0 for d in divisors)
     # rank-nullity on both sides, against sympy's kernel and cokernel bases
-    assert len(Matrix(rows).nullspace()) + rank == m.cols
-    assert len(Matrix(rows).T.nullspace()) + rank == m.rows
+    assert len(Matrix(rows).nullspace()) + rank == len(rows[0])
+    assert len(Matrix(rows).T.nullspace()) + rank == len(rows)
 
 
 @given(matrices, st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
 def test_smith_invariant_under_unimodular_ops(rows, rng):
-    base = smith_normal_form(IntMatrix.from_rows(rows))
+    base = _snf(rows)
     work = [list(r) for r in rows]
     nrows, ncols = len(work), len(work[0])
     for _ in range(8):
@@ -170,4 +178,4 @@ def test_smith_invariant_under_unimodular_ops(rows, rng):
             k = rng.randint(-3, 3)
             for row in work:
                 row[i] += k * row[j]
-    assert smith_normal_form(IntMatrix.from_rows(work)) == base
+    assert _snf(work) == base

@@ -171,6 +171,22 @@ def test_window_end_unit_conditions():
         )
 
 
+@pytest.mark.parametrize("genus, s", [(1, 1), (1, -1), (0, 0)])
+def test_non_local_data_at_window_end_is_reported(genus, s):
+    with pytest.raises(ProfileError) as err:
+        SurgeryProfile("x", genus, {s: "junk"})
+    assert f"s={s}: override is not LocalData" in err.value.violations
+
+
+def test_junk_at_one_end_still_checks_the_other():
+    with pytest.raises(ProfileError) as err:
+        SurgeryProfile("x", 1, {0: LocalData(1, (0,), (0,)), 1: "junk", -1: LocalData(1, (1,), (0,))})
+    assert err.value.violations == [
+        "s=1: override is not LocalData",
+        "s=-1: rank must be 1 with h = [+-1] (got LocalData(rank=1, v=(1,), h=(0,)))",
+    ]
+
+
 def test_genus_zero_needs_two_units():
     with pytest.raises(ProfileError):
         SurgeryProfile("half-unit", 0, {0: LocalData(1, (1,), (0,))})
