@@ -32,6 +32,7 @@ from .cfk import (
     validate,
 )
 from .cone import (
+    ConeTooLarge,
     Framing,
     FramingError,
     SpincEntry,
@@ -81,6 +82,7 @@ __all__ = [
     "CONSISTENT",
     "CfkComplex",
     "EliminationOverflow",
+    "ConeTooLarge",
     "Framing",
     "FramingError",
     "Generator",

@@ -3,8 +3,8 @@
 Subcommands: hf, ell, bound, spinc, pair, kfam, staircase, profile.
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 spinc --oracle disagreement, 2 obstruction violated (pair/kfam, for
-scripting), 64 usage error, 65 input data error, 70 internal arithmetic
-overflow.
+scripting), 64 usage error, 65 input data error (also a cone over
+cone.COLUMN_BUDGET columns), 70 internal arithmetic overflow.
 
 Profile selectors: built-in names with parameters (unknot, lspace:g=3,
 fig8, kfam:m=2,k=1, tau:g=2) or @path to a profile file.
@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import cfk, obstruct, profiles
-from .cone import Framing, FramingError, run_counts, spinc_runs
+from .cone import ConeTooLarge, Framing, FramingError, run_counts, spinc_runs
 from .exactla import EliminationOverflow
 from .profiles import ProfileError, SurgeryProfile, ascii_int
 
@@ -411,7 +411,9 @@ def main(argv=None) -> int:
     except InputDataError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (ProfileError, FramingError, cfk.StaircaseError, cfk.TorsionError) as e:
+    except (
+        ProfileError, FramingError, ConeTooLarge, cfk.StaircaseError, cfk.TorsionError
+    ) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_DATA
     except EliminationOverflow as e:

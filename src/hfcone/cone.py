@@ -31,28 +31,66 @@ A-slot than B-slots; for p < 0 one more B-slot than A-slots. Enlarging
 the window never changes the answer (property-tested), it only pads the
 matrix with unit rows.
 
+Stretches: phi is monotone in s, so the A-slots with phi(s) = t form
+one stretch of consecutive slots, of length about q/|p|, all carrying
+the data d = local(t); only its two end rows meet other slots. A stretch
+of k >= 3 copies of collapsible data keeps its first and last copy, the
+rows between them are compacted, and (k - 2) gain(d) is added to the
+free rank, so the cone costs O(genus) slots for collapsible data at any
+q. Removing one interior copy, with one of the rows only the stretch
+touches, changes the group by exactly Z^gain(d) when d (rank r, rows v
+and h over the copy's two rows) is
+  * zero, v = h = 0: gain r + 1, the copy's r columns are kernel and
+    the removed row is hit by nothing;
+  * of full rank, with the 2x2 minors of [v; h] of gcd 1: gain r - 1.
+    Column operations bring each copy to (e_top, e_bottom, 0, ...). The
+    interior copy's two units clear its two rows and turn one unit of
+    each neighbour into a zero column; without the copy the neighbours
+    share one row, where one unit pivots and the other becomes zero;
+  * of rank 1 with unit direction, every column a multiple of one
+    (x, y) in {0, +-1}^2 and the multiples of gcd 1: gain r - 1. Column
+    operations leave one column x e_top + y e_bottom and r - 1 zeros. A
+    zero x or y makes the column a unit alone on its row; otherwise its
+    unit pivot merges the two rows up to a sign, and since the
+    stretch's interior rows meet nothing else the cone is a path there,
+    so negating every row and column on one side absorbs the sign.
+Any other stretch keeps every copy: after a unit alone on a stretch's
+first row, k copies of the column (2, 3) leave Z/3^k. The collapsed
+columns go to the same unit cancellation and Smith form. The emitted
+columns are counted stretch by stretch first, and a cone of more than
+COLUMN_BUDGET is refused with ConeTooLarge before any column is built.
+
 Runs of classes (the standard argument, Ozsvath-Szabo math/0504404):
 when i becomes i + 1, every point i + p s moves up by one, so phi(s)
-changes only where i + 1 + p s = t q, from t - 1 to t. Slots with
-phi >= G + 1 hold the right edge data and slots with phi <= -G - 1 the
-left edge data (overrides there may only flip a sign, which leaves the
-group alone), and the window ends sit on the thresholds t = G, 1 - G.
-So class i + 1 has the cone of class i, shifted in s, unless
-i + 1 = t q mod |p| for some -G <= t <= G + 1: at most 2G + 2 cuts
-(t = 0 gives 0), whatever |p| is. ``spinc_runs`` builds one cone per run.
+changes only where i + 1 + p s = t q, from t - 1 to t. The window ends
+sit on the thresholds t = G and t = 1 - G, and a crossing at any other
+t touches at most an end A-slot (proof in ``spinc_runs``). So class
+i + 1 has the cone of class i unless i + 1 = t q mod |p| for some
+1 - G <= t <= G: at most 2G cuts (t = 0 gives 0), whatever |p| is.
+``spinc_runs`` builds one cone per run.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 
 from .exactla import AbelianGroup, schur_update, smith_normal_form
-from .profiles import SurgeryProfile, ascii_int
+from .profiles import LocalData, SurgeryProfile, ascii_int
+
+# columns (A-generators) one cone may emit after collapsing stretches:
+# about 500 times the largest cone of the tests and the benchmark, and
+# about 0.6 GB of peak memory at the budget
+COLUMN_BUDGET = 10**6
 
 
 class FramingError(ValueError):
     """Not a valid surgery slope."""
+
+
+class ConeTooLarge(ValueError):
+    """The cone of a class would emit more than COLUMN_BUDGET columns."""
 
 
 @dataclass(frozen=True)
@@ -171,28 +209,85 @@ def _cancel_units(cols: list[dict[int, int]], nrows: int) -> tuple[int, list[dic
     return pivots, [col for col in cols if col]
 
 
+@functools.lru_cache(maxsize=4096)
+def _stretch_gain(data: LocalData) -> int | None:
+    """Free rank that one more interior copy of data adds to a stretch,
+    or None when copies of data do not collapse (module docstring)."""
+    r, v, h = data.rank, data.v, data.h
+    if not any(v) and not any(h):
+        return r + 1
+    minors = 0
+    for a in range(r):
+        for b in range(a + 1, r):
+            minors = gcd(minors, v[a] * h[b] - v[b] * h[a])
+            if minors == 1:
+                return r - 1
+    if minors:
+        return None  # rank 2, but [v; h] spans a proper sublattice
+    # rank 1: every column is an integer multiple of (x, y) / gcd(x, y),
+    # the primitive direction of the first nonzero column
+    x, y = next((x, y) for x, y in zip(v, h) if x or y)
+    g = gcd(x, y)
+    if abs(x) > g or abs(y) > g or gcd(*v, *h) != 1:
+        return None
+    return r - 1
+
+
+def _stretches(profile: SurgeryProfile, framing: Framing, i: int, w: Window):
+    """(data, k) for each stretch of the window's A-slots, left to right:
+    k consecutive slots s with one phi(s) = t, data = local(t)."""
+    p, q = framing.p, framing.q
+    s = w.a_lo
+    while s <= w.a_hi:
+        t = (i + p * s) // q
+        last = _ceil_div((t + 1) * q - i, p) - 1 if p > 0 else (i - t * q) // -p
+        last = min(last, w.a_hi)
+        yield profile.local(t), last - s + 1
+        s = last + 1
+
+
 def spinc_group(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0) -> AbelianGroup:
     """HF-hat of the surgered manifold in the spin-c class i, as
-    ker + coker of the truncated cone matrix."""
+    ker + coker of the truncated cone matrix with its stretches collapsed.
+    Raises ConeTooLarge past COLUMN_BUDGET emitted columns."""
     if not 0 <= i < abs(framing.p):
         raise ValueError(f"spin-c class {i} outside [0, {abs(framing.p)})")
     w = truncation_window(profile, framing, i, pad)
-    nrows = w.b_hi - w.b_lo + 1
+    plan = []
+    slots = width = free = 0
+    for data, k in _stretches(profile, framing, i, w):
+        if k >= 3 and (gain := _stretch_gain(data)) is not None:
+            free += (k - 2) * gain
+            k = 2
+        slots += k
+        width += k * data.rank
+        if width > COLUMN_BUDGET:
+            raise ConeTooLarge(
+                f"framing {framing}, class i={i}: the cone needs more than "
+                f"{COLUMN_BUDGET} columns"
+            )
+        plan.append((data, k))
+    # p > 0: one B-slot fewer than A-slots, the first v outside the B-range;
+    # p < 0: one B-slot more
+    nrows = slots - 1 if framing.p > 0 else slots + 1
+    r = -1 if framing.p > 0 else 0  # row of the next slot's v; h lands on r + 1
     cols = []
-    for s in range(w.a_lo, w.a_hi + 1):
-        data = profile.local(phi(i, framing.p, framing.q, s))
-        r = s - w.b_lo  # row of v_s; h_s lands on row r + 1
-        for x, y in zip(data.v, data.h):
-            col = {}
-            if x and r >= 0:
-                col[r] = x
-            if y and r + 1 < nrows:
-                col[r + 1] = y
-            cols.append(col)
+    for data, k in plan:
+        for _ in range(k):
+            for x, y in zip(data.v, data.h):
+                col = {}
+                if x and r >= 0:
+                    col[r] = x
+                if y and r + 1 < nrows:
+                    col[r + 1] = y
+                cols.append(col)
+            r += 1
     pivots, rest = _cancel_units(cols, nrows)
     divisors = smith_normal_form(rest) if rest else []
     rank = pivots + len(divisors)
-    return AbelianGroup((len(cols) - rank) + (nrows - rank), tuple(d for d in divisors if d > 1))
+    return AbelianGroup(
+        free + (len(cols) - rank) + (nrows - rank), tuple(d for d in divisors if d > 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -216,14 +311,26 @@ def spinc_runs(profile: SurgeryProfile, framing: Framing) -> list[tuple[range, A
     """The classes [0, |p|) in ascending runs that share one group, with
     one spinc_group call per run, at its first class.
 
-    Class i + 1 has the cone of class i unless some point i + 1 + p s
-    crosses a threshold t q with -G <= t <= G + 1, G = max(genus, 1),
-    where slot data or a window end can change (module docstring). So the
-    runs are cut at the residues t q mod |p|: at most 2G + 2 of them.
+    Class i + 1 differs from class i only at the slots s where the point
+    i + 1 + p s reaches a threshold t q; there phi(s) goes from t - 1 to t.
+    The window ends are where phi passes G and 1 - G, so they move only
+    at t = G or t = 1 - G, and the slots between them hold 1 - G <= phi
+    <= G - 1. A crossing at any other t changes only an end A-slot e,
+    between data of slots s >= G (or s <= -G): rank 1 with the outward
+    unit, v (or h), up to sign, and the other entry 0 past the genus but
+    free at s = +-G. A sign never changes the group, and neither does
+    that other entry. For p > 0 it lies outside the B-range: the first
+    A-slot's v row is below b_lo and the last A-slot's h row above b_hi.
+    For p < 0 the unit of e is alone on its row (b_lo, or b_hi, which no
+    other A-slot meets), and the row operation that clears e's other
+    entry with it touches no other column.
+
+    So the runs are cut at the residues t q mod |p|, 1 - G <= t <= G,
+    G = max(genus, 1): at most 2G of them.
     """
     n = abs(framing.p)
     g_bound = max(profile.genus, 1)
-    cuts = sorted({t * framing.q % n for t in range(-g_bound, g_bound + 2)})
+    cuts = sorted({t * framing.q % n for t in range(1 - g_bound, g_bound + 1)})
     return [
         (range(lo, hi), spinc_group(profile, framing, lo))
         for lo, hi in zip(cuts, cuts[1:] + [n])

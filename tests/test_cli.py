@@ -1,16 +1,22 @@
-"""End-to-end command-line behavior through main(argv), no subprocesses."""
+"""End-to-end command-line behavior through main(argv); the scaling and
+budget tests run a fresh interpreter, to read its peak RSS."""
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import hfcone
 from hfcone import cli
 from hfcone.cone import Framing
 from hfcone.profiles import LocalData, SurgeryProfile, lspace_knot, parse, serialize
@@ -155,6 +161,63 @@ def test_hf_spinc_cost_does_not_grow_with_p(capsys):
         "ell": 999999999999,
         "total_rank": 1000000000002,
     }
+
+
+# runs the CLI, then saves its own /proc/self/status: the child's
+# ru_maxrss would also count the pages of this process it was forked from,
+# while VmHWM belongs to the image that exec started
+_CHILD = """\
+import sys
+from hfcone.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status") as src, open(sys.argv[1], "w") as dst:
+    dst.write(src.read())
+sys.exit(code)
+"""
+
+
+def run_child(tmp_path, *argv):
+    """(exit code, stdout, stderr, seconds, peak RSS in MB) of one CLI run
+    in a fresh interpreter."""
+    path = [str(Path(hfcone.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    status = tmp_path / "status"
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(status), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    seconds = time.perf_counter() - t0
+    hwm = next(line for line in status.read_text().splitlines() if line.startswith("VmHWM:"))
+    return proc.returncode, proc.stdout, proc.stderr, seconds, int(hwm.split()[1]) / 1024
+
+
+def test_cost_does_not_grow_with_q(tmp_path):
+    # fig8's middle slot fills one stretch of q copies, collapsed to two
+    cases = [
+        (["ell", "--profile", "fig8", "--framing", "-1/1000000000"],
+         "ell=0 total_rank=2000000001\n"),
+        (["hf", "--profile", "fig8", "--framing", "-1/1000000000", "--spinc", "0"],
+         "framing -1/1000000000\ni=0: Z^2000000001\n"),
+    ]
+    for argv, expected in cases:
+        code, out, err, seconds, rss_mb = run_child(tmp_path, *argv)
+        assert (code, out, err) == (0, expected, ""), argv
+        assert seconds < 1.0, argv
+        assert rss_mb < 100, argv
+
+
+def test_cone_over_column_budget_exits_65(tmp_path):
+    # (2, 1) does not collapse: 10^12 copies of the middle slot would be emitted
+    path = tmp_path / "two.profile"
+    path.write_text("profile two genus 1\nlocal 0 rank 1 v 2 h 1\n")
+    code, out, err, seconds, rss_mb = run_child(
+        tmp_path, "hf", "--profile", f"@{path}", "--framing", "1/1000000000000"
+    )
+    assert (code, out) == (65, "")
+    assert err.startswith("input error: framing 1/1000000000000, class i=0: ")
+    assert seconds < 2.0
+    assert rss_mb < 100
 
 
 def _main_stdout(argv):

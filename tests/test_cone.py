@@ -4,7 +4,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, given, reject, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -13,6 +13,7 @@ import helpers
 from hfcone import cone
 from hfcone.cfk import mirror, staircase_from_alexander, to_profile
 from hfcone.cone import (
+    ConeTooLarge,
     Framing,
     FramingError,
     Window,
@@ -22,7 +23,7 @@ from hfcone.cone import (
     surgery_report,
     truncation_window,
 )
-from hfcone.exactla import AbelianGroup, smith_normal_form
+from hfcone.exactla import AbelianGroup, EliminationOverflow, smith_normal_form
 from hfcone.obstruct import first_kind_closed_form, genus_inequality
 from hfcone.profiles import (
     LocalData,
@@ -127,6 +128,64 @@ def test_spinc_class_range_checked():
         spinc_group(unknot(), Framing(5, 2), -1)
 
 
+# --- stretches ----------------------------------------------------------
+
+# a unit alone on the first row of the slot-0 stretch at framing -1/q
+PIN = LocalData(1, (0,), (1,))
+
+
+@pytest.mark.parametrize(
+    "data, gain",
+    [
+        (LocalData(3, (0, 0, 0), (0, 0, 0)), 4),  # zero
+        (LocalData(2, (1, 0), (0, 1)), 1),  # full rank
+        (LocalData(3, (2, 1, 0), (3, 2, 5)), 2),  # full rank, no unit entry needed
+        (LocalData(3, (1, 0, 0), (1, 0, 0)), 2),  # rank 1, direction (1, 1)
+        (LocalData(2, (2, 3), (0, 0)), 1),  # rank 1, direction (1, 0), content 1
+        (LocalData(1, (-1,), (1,)), 0),  # rank 1, direction (-1, 1)
+        (LocalData(1, (2,), (3,)), None),  # direction (2, 3)
+        (LocalData(1, (1,), (2,)), None),  # direction (1, 2)
+        (LocalData(1, (2,), (2,)), None),  # content 2
+        (LocalData(2, (1, 1), (1, -1)), None),  # minors of gcd 2
+    ],
+)
+def test_stretch_collapse_rule(data, gain):
+    assert cone._stretch_gain(data) == gain
+    profile = SurgeryProfile("stretch", 2, {-1: PIN, 0: data, 1: PIN})
+    groups = []
+    for q in range(3, 7):  # the slot-0 stretch has q copies
+        framing = Framing(-1, q)
+        groups.append(spinc_group(profile, framing, 0))
+        assert groups[-1] == helpers.dense_spinc_group(profile, framing, 0), q
+    if gain is not None:
+        assert [g.free_rank - groups[0].free_rank for g in groups] == [0, gain, 2 * gain, 3 * gain]
+        assert len({g.torsion for g in groups}) == 1
+
+
+def test_non_unit_direction_keeps_every_copy():
+    profile = SurgeryProfile("stretch", 2, {-1: PIN, 0: LocalData(1, (2,), (3,)), 1: PIN})
+    for q in range(1, 9):
+        assert spinc_group(profile, Framing(-1, q), 0) == AbelianGroup(1, (3**q,))
+
+
+def test_column_budget_counts_emitted_columns(monkeypatch):
+    # fig8 at -1/q: stretches of 1, q and 1 slots of ranks 1, 3 and 1,
+    # the middle one collapsed to two copies
+    monkeypatch.setattr(cone, "COLUMN_BUDGET", 8)
+    assert spinc_group(figure_eight(), Framing(-1, 10**9), 0) == AbelianGroup(2 * 10**9 + 1)
+    monkeypatch.setattr(cone, "COLUMN_BUDGET", 7)
+    with pytest.raises(ConeTooLarge, match=r"framing -1/1000000000, class i=0"):
+        spinc_group(figure_eight(), Framing(-1, 10**9), 0)
+    # stretches of 1, 20, 20, 20 and 1 slots of rank 1, the (2, 3) data
+    # emitted copy by copy in the middle, PIN collapsed on either side
+    profile = SurgeryProfile("stretch", 2, {-1: PIN, 0: LocalData(1, (2,), (3,)), 1: PIN})
+    monkeypatch.setattr(cone, "COLUMN_BUDGET", 26)
+    assert spinc_group(profile, Framing(-1, 20), 0) == AbelianGroup(1, (3**20,))
+    monkeypatch.setattr(cone, "COLUMN_BUDGET", 25)
+    with pytest.raises(ConeTooLarge):
+        spinc_group(profile, Framing(-1, 20), 0)
+
+
 # --- full reports -------------------------------------------------------
 
 
@@ -219,7 +278,7 @@ def test_unit_cancellation_matches_dense_smith_form(profile, framing, i_raw, pad
 
 def _assert_runs_match_dense(profile, framing):
     runs = spinc_runs(profile, framing)
-    assert len(runs) <= 2 * max(profile.genus, 1) + 2
+    assert len(runs) <= 2 * max(profile.genus, 1)
     assert [i for run, _ in runs for i in run] == list(range(abs(framing.p)))
     assert all(len(run) for run, _ in runs)
     for run, group in runs:
@@ -324,6 +383,25 @@ BUILTINS_POSITIVE_GENUS = [
     k_family(2, 2),
     tau_extremal(2, {1: 3}),
 ]
+
+
+@given(
+    profiles_st() | st.sampled_from([unknot(), *BUILTINS_POSITIVE_GENUS]),
+    framings_st(pmax=12, qmax=60),
+    st.integers(0, 10**9),
+    st.integers(0, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_collapsed_stretches_match_per_slot_oracle(profile, framing, i_raw, pad):
+    i = i_raw % abs(framing.p)
+    try:
+        dense = helpers.dense_spinc_group(profile, framing, i, pad)
+    except EliminationOverflow:
+        reject()  # the oracle's own 2^63 check
+    event("torsion" if dense.torsion else "torsion-free")
+    event(f"p {'positive' if framing.p > 0 else 'negative'}")
+    event("stretch of 3 or more" if framing.q >= 3 * abs(framing.p) else "short stretches")
+    assert spinc_group(profile, framing, i, pad) == dense
 
 
 @given(st.sampled_from(BUILTINS_POSITIVE_GENUS), framings_st(pmax=25, qmax=5))
