@@ -104,9 +104,31 @@ def _expect_params(selector: str, params: dict[str, int], required: set[str]) ->
         raise UsageError(f"profile {selector!r} takes parameters: {wanted}")
 
 
-def _iter_framings(range_spec: str) -> list[Framing]:
-    """Grid 'P1..P2/Q1..Q2': q outer ascending, p inner ascending,
-    skipping p = 0 and non-reduced slopes."""
+def _grid(ps: range, qs: range):
+    """The reduced slopes p/q, q in qs outer, p in ps inner, both ascending,
+    skipping p = 0; lazy, so a long range is never held in memory."""
+    if not any(ps):
+        # p in {0} or no p at all: no slope at any q, so do not walk q
+        return
+    for q in qs:
+        for p in ps:
+            if p == 0:
+                continue
+            try:
+                yield Framing(p, q)
+            except FramingError:
+                continue
+
+
+def _check_spinc(spinc: int, framing) -> None:
+    if framing is not None and not 0 <= spinc < abs(framing.p):
+        raise UsageError(f"--spinc {spinc} outside [0, {abs(framing.p)}) for {framing}")
+
+
+def _iter_framings(range_spec: str, spinc=None):
+    """Grid 'P1..P2/Q1..Q2' as _grid walks it. An empty grid, and a --spinc
+    outside [0, |p|) for some framing, are usage errors raised here, before
+    any framing is computed; the error names the first such framing."""
     try:
         p_part, _, q_part = range_spec.partition("/")
         p_lo, p_hi = (ascii_int(x) for x in p_part.split("..", 1))
@@ -117,26 +139,28 @@ def _iter_framings(range_spec: str) -> list[Framing]:
         ) from None
     if q_lo < 1:
         raise UsageError("framing range requires q >= 1")
-    out = []
-    for q in range(q_lo, q_hi + 1):
-        for p in range(p_lo, p_hi + 1):
-            if p == 0:
-                continue
-            try:
-                out.append(Framing(p, q))
-            except FramingError:
-                continue
-    if not out:
+    ps, qs = range(p_lo, p_hi + 1), range(q_lo, q_hi + 1)
+    if next(_grid(ps, qs), None) is None:
         raise UsageError(f"framing range {range_spec!r} contains no reduced slopes")
-    return out
+    if spinc is not None:
+        # the framings that fail have |p| <= spinc: a sub-grid in the same order
+        failing = ps if spinc < 0 else range(max(p_lo, -spinc), min(p_hi, spinc) + 1)
+        _check_spinc(spinc, next(_grid(failing, qs), None))
+    return _grid(ps, qs)
 
 
-def _framings_from_args(ns) -> list[Framing]:
+def _framings_from_args(ns, spinc=None):
+    """The requested framings, lazy for --framing-range: ell and text hf
+    print each framing before the next is computed, while a JSON range is
+    one document, held in memory until its last framing."""
     if ns.framing_range is not None:
-        return _iter_framings(ns.framing_range)
+        return _iter_framings(ns.framing_range, spinc)
     if ns.framing is None:
         raise UsageError("one of --framing or --framing-range is required")
-    return [_parse_framing(ns.framing)]
+    framing = _parse_framing(ns.framing)
+    if spinc is not None:
+        _check_spinc(spinc, framing)
+    return [framing]
 
 
 def _clip(runs, spinc):
@@ -146,17 +170,28 @@ def _clip(runs, spinc):
     return [(range(spinc, spinc + 1), group) for run, group in runs if spinc in run]
 
 
+# classes per write: one string per chunk of a run, not one per class,
+# and memory that does not grow with the run
+_CHUNK = 1024
+
+
+def _chunks(run: range):
+    for lo in range(run.start, run.stop, _CHUNK):
+        yield map(str, range(lo, min(lo + _CHUNK, run.stop)))
+
+
 def _json_spinc(runs, indent: str):
     """The text of a "spinc" list as json.dumps(indent=2) writes it, with
     its entries at the given indent: each run's entry is encoded once, and
-    each class is stamped into that text."""
+    the classes of each chunk are joined into that text."""
     sep = "["
     for run, group in runs:
         entry = {"i": 0, "free_rank": group.free_rank, "torsion": list(group.torsion),
                  "l_structure": group.is_z}
         head, _, tail = json.dumps(entry, indent=2).replace("\n", "\n" + indent).partition(" 0,")
-        for i in run:
-            yield f"{sep}\n{indent}{head} {i},{tail}"
+        glue = f",{tail},\n{indent}{head} "
+        for chunk in _chunks(run):
+            yield f"{sep}\n{indent}{head} {glue.join(chunk)},{tail}"
             sep = ","
     yield f"\n{indent[2:]}]"
 
@@ -164,15 +199,12 @@ def _json_spinc(runs, indent: str):
 def _cmd_hf(ns) -> int:
     # renders from the runs of spinc_runs: the cones cost O(genus) per
     # framing, each run is described or encoded once, and the output is
-    # linear in the classes printed, so --spinc costs O(genus) at any |p|
+    # linear in the classes printed with one write per chunk of _CHUNK
+    # classes, so --spinc costs O(genus) at any |p|. Text streams framing
+    # by framing; a JSON range is one document, held in memory until the
+    # last framing is computed.
     profile = _resolve_profile(ns.profile)
-    framings = _framings_from_args(ns)
-    if ns.spinc is not None:
-        for framing in framings:
-            if not 0 <= ns.spinc < abs(framing.p):
-                raise UsageError(
-                    f"--spinc {ns.spinc} outside [0, {abs(framing.p)}) for {framing}"
-                )
+    framings = _framings_from_args(ns, ns.spinc)
     out = sys.stdout
     if ns.format == "json":
         docs, shown = [], []
@@ -198,7 +230,8 @@ def _cmd_hf(ns) -> int:
         print(f"framing {framing}")
         for run, group in _clip(runs, ns.spinc):
             line = f": {group.describe()}{' (L)' if group.is_z else ''}\n"
-            out.writelines(f"i={i}{line}" for i in run)
+            for chunk in _chunks(run):
+                out.write("i=" + (line + "i=").join(chunk) + line)
         if ns.spinc is None:
             ell, total_rank = run_counts(runs)
             print(f"ell={ell} total_rank={total_rank}")

@@ -178,14 +178,27 @@ def _cancel_units(cols: list[dict[int, int]], nrows: int) -> tuple[int, list[dic
     Pivoting on the unit u at (r, c) clears row r from every other column
     c2 by c2 -= c2[r] * u * c, which touches only the one other row of c:
     columns keep at most two entries and a pivot costs the degree of r.
+    That update multiplies c2[r] by c's other entry, so a pivot whose other
+    entry is not a unit, on a row that other columns share, waits until no
+    other pivot is left. A chain of such columns (v = 1, h = 2 down a
+    stretch) is then cancelled from its free end, and its entries never
+    grow; taken from the other end, they would double at every step.
     """
     on_row: list[set[int]] = [set() for _ in range(nrows)]
     for c, col in enumerate(cols):
         for r in col:
             on_row[r].add(c)
     work = list(range(len(cols)))
+    waiting: list[int] = []
     pivots = 0
-    while work:
+    retried_at = -1
+    force = False
+    while work or waiting:
+        if not work:
+            # a retry of the waiting columns that pivoted nothing: take one anyway
+            force = pivots == retried_at
+            retried_at = pivots
+            work, waiting = waiting, []
         c = work.pop()
         col = cols[c]
         units = [r for r, x in col.items() if x == 1 or x == -1]
@@ -194,6 +207,14 @@ def _cancel_units(cols: list[dict[int, int]], nrows: int) -> tuple[int, list[dic
         r = units[0]
         if len(units) == 2 and len(on_row[units[1]]) < len(on_row[r]):
             r = units[1]  # fold the sparser row into the denser one
+        if (
+            not force
+            and len(units) < len(col)
+            and any(c2 != c and r in cols[c2] for c2 in on_row[r])
+        ):
+            waiting.append(c)
+            continue
+        force = False
         u = col.pop(r)
         for c2 in on_row[r]:
             col2 = cols[c2]
@@ -204,6 +225,9 @@ def _cancel_units(cols: list[dict[int, int]], nrows: int) -> tuple[int, list[dic
             for r2 in col:
                 on_row[r2].add(c2)
             work.append(c2)
+        if waiting:
+            for r2 in col:
+                work.extend(on_row[r2])  # r2 lost c: a pivot there may wait no more
         col.clear()
         pivots += 1
     return pivots, [col for col in cols if col]

@@ -1,10 +1,12 @@
-"""End-to-end command-line behavior through main(argv); the scaling and
-budget tests run a fresh interpreter, to read its peak RSS."""
+"""End-to-end command-line behavior through main(argv); the scaling,
+budget and memory tests run a fresh interpreter, to read its peak RSS."""
 
 import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,7 +21,9 @@ import helpers
 import hfcone
 from hfcone import cli
 from hfcone.cone import Framing
-from hfcone.profiles import LocalData, SurgeryProfile, lspace_knot, parse, serialize
+from hfcone.profiles import (
+    LocalData, SurgeryProfile, figure_eight, lspace_knot, parse, serialize,
+)
 from test_cone import framings_st, profiles_st
 
 OVERFLOW_PROFILE = """\
@@ -35,6 +39,11 @@ UNIT_PIVOT_OVERFLOW_PROFILE = """\
 profile big genus 1
 local 0 rank 2 v 1,4611686018427387904 h 4611686018427387904,0
 """
+
+
+# v = h = 2 on the middle slot: Z + Z/2 at -1, and classes with torsion
+# at other framings
+TWO = SurgeryProfile("two", 1, {0: LocalData(1, (2,), (2,))})
 
 
 def run(capsys, *argv):
@@ -176,20 +185,30 @@ sys.exit(code)
 """
 
 
-def run_child(tmp_path, *argv):
-    """(exit code, stdout, stderr, seconds, peak RSS in MB) of one CLI run
-    in a fresh interpreter."""
+def _child_command(tmp_path, argv):
+    """The command and environment of one CLI run in a fresh interpreter
+    that saves its /proc/self/status under tmp_path."""
     path = [str(Path(hfcone.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    status = tmp_path / "status"
+    return [sys.executable, "-c", _CHILD, str(tmp_path / "status"), *argv], env
+
+
+def _child_hwm_mb(tmp_path) -> float:
+    status = (tmp_path / "status").read_text().splitlines()
+    hwm = next(line for line in status if line.startswith("VmHWM:"))
+    return int(hwm.split()[1]) / 1024
+
+
+def run_child(tmp_path, *argv, timeout=60, stdout=subprocess.PIPE):
+    """(exit code, stdout, stderr, seconds, peak RSS in MB) of one CLI run
+    in a fresh interpreter; stdout is None when it goes to a given file."""
+    command, env = _child_command(tmp_path, argv)
     t0 = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(status), *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout
     )
     seconds = time.perf_counter() - t0
-    hwm = next(line for line in status.read_text().splitlines() if line.startswith("VmHWM:"))
-    return proc.returncode, proc.stdout, proc.stderr, seconds, int(hwm.split()[1]) / 1024
+    return proc.returncode, proc.stdout, proc.stderr, seconds, _child_hwm_mb(tmp_path)
 
 
 def test_cost_does_not_grow_with_q(tmp_path):
@@ -229,6 +248,16 @@ def _main_stdout(argv):
     return out.getvalue()
 
 
+def _slopes(p_lo, p_hi, q_lo, q_hi):
+    """The framings of --framing-range P_LO..P_HI/Q_LO..Q_HI, in its order."""
+    return [
+        Framing(p, q)
+        for q in range(q_lo, q_hi + 1)
+        for p in range(p_lo, p_hi + 1)
+        if p and gcd(abs(p), q) == 1
+    ]
+
+
 @st.composite
 def hf_requests_st(draw):
     """(framings, the --framing or --framing-range argv that selects them)."""
@@ -239,12 +268,7 @@ def hf_requests_st(draw):
     p_hi = draw(st.integers(p_lo, 12))
     q_lo = draw(st.integers(1, 4))
     q_hi = draw(st.integers(q_lo, 4))
-    framings = [
-        Framing(p, q)
-        for q in range(q_lo, q_hi + 1)
-        for p in range(p_lo, p_hi + 1)
-        if p and gcd(abs(p), q) == 1
-    ]
+    framings = _slopes(p_lo, p_hi, q_lo, q_hi)
     if not framings:
         framings, spec = [Framing(p_lo or 1)], f"{p_lo or 1}..{p_lo or 1}"
     else:
@@ -272,20 +296,72 @@ def test_hf_output_matches_per_class_reference(tmp_path_factory, profile, hf_req
     assert _main_stdout(argv) == expected
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_hf_runs_across_chunks_match_reference(tmp_path, fmt):
+    # fig8 at n/q has one run of n - 1 classes of Z; v = h = 2 at -n/(n-1)
+    # has one of n - 1 classes of Z + Z/2: both cross every chunk boundary
+    chunk = cli._CHUNK
+    path = tmp_path / "two.profile"
+    path.write_text(serialize(TWO))
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        for profile, selector, single, grid in (
+            (figure_eight(), "fig8", Framing(-n), (n, n, 1, 2)),
+            (TWO, f"@{path}", Framing(-n, n - 1), (-n, -n, n - 2, n - 1)),
+        ):
+            requests = [
+                ([single], ["--framing", str(single)], False),
+                (_slopes(*grid), ["--framing-range", "{}..{}/{}..{}".format(*grid)], True),
+            ]
+            for (framings, framing_argv, is_range), spinc in itertools.product(
+                requests, (None, n - 2)
+            ):
+                argv = ["hf", "--profile", selector, *framing_argv, "--format", fmt]
+                if spinc is not None:
+                    argv += ["--spinc", str(spinc)]
+                expected = helpers.reference_hf_stdout(profile, framings, spinc, fmt, is_range)
+                assert _main_stdout(argv) == expected, argv
+
+
+_CLASS_LINE = re.compile(r' *(?:i=|"i": )([0-9]+)')
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_large_hf_output_keeps_memory_flat(tmp_path, fmt):
+    # 10^6 classes, all but one in one run: one string for the whole run
+    # would peak near 105 MB as text and 215 MB as JSON. stdout goes to a
+    # file that is read line by line, so this process never holds it.
+    path = tmp_path / "stdout"
+    with open(path, "w") as out:
+        code, _, err, _, rss_mb = run_child(
+            tmp_path, "hf", "--profile", "fig8", "--framing", "-1000000", "--format", fmt,
+            stdout=out,
+        )
+    assert (code, err) == (0, "")
+    assert rss_mb < 40
+    classes = 0
+    with open(path) as out:
+        for line in out:
+            match = _CLASS_LINE.match(line)
+            if match:
+                assert int(match[1]) == classes
+                classes += 1
+    path.unlink()
+    assert classes == 10**6
+
+
 def test_hf_json_with_torsion_matches_reference(tmp_path):
     # the Z + Z/2 class of test_non_unit_remainder_goes_to_smith_form
-    profile = SurgeryProfile("two", 1, {0: LocalData(1, (2,), (2,))})
     path = tmp_path / "two.profile"
-    path.write_text(serialize(profile))
+    path.write_text(serialize(TWO))
     out = _main_stdout(["hf", "--profile", f"@{path}", "--framing", "-1", "--format", "json"])
     assert '"torsion": [\n        2\n      ]' in out
-    assert out == helpers.reference_hf_stdout(profile, [Framing(-1)], fmt="json")
+    assert out == helpers.reference_hf_stdout(TWO, [Framing(-1)], fmt="json")
     framings = [Framing(p) for p in (-3, -2, -1)]
     out = _main_stdout(
         ["hf", "--profile", f"@{path}", "--framing-range", "-3..-1", "--format", "json"]
     )
     assert '"torsion": [\n          2\n        ]' in out
-    assert out == helpers.reference_hf_stdout(profile, framings, fmt="json", is_range=True)
+    assert out == helpers.reference_hf_stdout(TWO, framings, fmt="json", is_range=True)
 
 
 def test_hf_text_range_streams_until_a_failure(tmp_path, capsys):
@@ -314,6 +390,35 @@ def test_hf_spinc_checked_before_any_report(tmp_path, capsys):
         )
         assert (code, out) == (64, "")
         assert err == "usage error: --spinc 2 outside [0, 1) for 1/1\n"
+
+
+def test_framing_range_is_lazy(tmp_path):
+    # an endless grid: ell prints its first framings at once, then is stopped
+    command, env = _child_command(
+        tmp_path, ["ell", "--profile", "unknot", "--framing-range", "1..1000000000000"]
+    )
+    with pytest.raises(subprocess.TimeoutExpired) as stopped:
+        subprocess.run(command, capture_output=True, env=env, timeout=2)
+    assert stopped.value.stdout.decode().splitlines()[:3] == [
+        f"{p}/1 ell={p} total_rank={p}" for p in (1, 2, 3)
+    ]
+    # the checks made before any output look at the first framings only
+    huge = 10**12
+    cases = [
+        (["ell", "--profile", "unknot", "--framing-range", f"0..0/1..{huge}"],
+         f"usage error: framing range '0..0/1..{huge}' contains no reduced slopes\n"),
+    ]
+    for lo, spinc, first in ((-5, 3, Framing(-3)), (3, 3, Framing(3)), (-5, -1, Framing(-5))):
+        cases.append((
+            ["hf", "--profile", "fig8", "--framing-range", f"{lo}..{huge}/1..{huge}",
+             "--spinc", str(spinc)],
+            f"usage error: --spinc {spinc} outside [0, {abs(first.p)}) for {first}\n",
+        ))
+    for argv, expected in cases:
+        code, out, err, seconds, rss_mb = run_child(tmp_path, *argv, timeout=5)
+        assert (code, out, err) == (64, "", expected), argv
+        assert seconds < 2.0, argv
+        assert rss_mb < 100, argv
 
 
 def test_framing_range_order(capsys):

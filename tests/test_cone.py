@@ -313,6 +313,22 @@ def test_spinc_runs_with_edge_overrides():
     assert len(spinc_runs(profile, Framing(10**30 + 1, 7))) <= 6
 
 
+def test_unit_chains_with_non_unit_entries_do_not_overflow():
+    # v = 1 with h = 2 or 3 does not collapse, so a stretch is a chain of
+    # columns; cancelled from the wrong end, its entries doubled per column
+    # and passed 2^63 at -1/32 (exit 70 where the dense oracle answers)
+    chains = [
+        {-1: LocalData(1, (0,), (0,)), 0: LocalData(1, (1,), (2,)), 1: LocalData(1, (1,), (2,))},
+        {-1: LocalData(1, (2,), (1,)), 0: LocalData(1, (1,), (3,)), 1: LocalData(1, (1,), (2,))},
+    ]
+    for overrides in chains:
+        profile = SurgeryProfile("chain", 2, overrides)
+        for framing in (Framing(-1, 32), Framing(-3, 100)):
+            for i in range(abs(framing.p)):
+                dense = helpers.dense_spinc_group(profile, framing, i)
+                assert spinc_group(profile, framing, i) == dense, (framing, i)
+
+
 def test_non_unit_remainder_goes_to_smith_form(monkeypatch):
     # v_0 = h_0 = [2]: the -1 surgery class keeps a 2 that no unit clears
     profile = SurgeryProfile("two", 1, {0: LocalData(1, (2,), (2,))})
