@@ -20,10 +20,10 @@ The two maps to B are, on the chain level,
 
 A slice holds one sparse {target: coeff} column per generator, built
 straight from the arrows that survive on it. homology() cancels every
-+-1 arrow by the Gaussian elimination lemma for based complexes, one
-``exactla.schur_update`` per column it touches, the step the cone reduces
-with too. The generators that survive are a basis of the homology: each
-lifts to a cycle and every cycle projects onto them, so induced maps on homology are integer matrices. A slice
++-1 arrow with ``exactla.cancel_units``, the reduction of the surgery
+cone too, and keeps its cancellations. The generators that survive are a
+basis of the homology: each lifts to a cycle and every cycle projects
+onto them, so induced maps on homology are integer matrices. A slice
 with arrows left over (torsion, or only non-unit coefficients as in
 d x = 2y + 3z) has no such basis and is refused with TorsionError rather
 than guessing a convention; validate() reads only its group.
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactla import AbelianGroup, _checked, schur_update, smith_normal_form
+from .exactla import AbelianGroup, _checked, cancel_units, schur_update, smith_normal_form
 from .profiles import LocalData, SurgeryProfile
 
 
@@ -222,46 +222,6 @@ def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int
     return out
 
 
-def _cancel_arrows(cols: list[dict[int, int]]) -> list[tuple]:
-    """Cancel +-1 arrows x -> y (x != y) of the {target: coeff} columns
-    until none is left; returns the cancellations in order.
-
-    Each is (x, y, u, column, row): the unit u, d(x) without x and y, and
-    the arrows z -> y, as they stood then. x and y leave the complex, and
-    each z -> y, x -> w pair adds -d(z->y) u d(x->w) to z -> w.
-    """
-    on_row: list[set[int]] = [set() for _ in cols]
-    for z, col in enumerate(cols):
-        for w in col:
-            on_row[w].add(z)
-    steps = []
-    work = list(range(len(cols)))
-    while work:
-        x = work.pop()
-        col = cols[x]
-        units = [w for w, a in col.items() if w != x and (a == 1 or a == -1)]
-        if not units:
-            continue  # cancelled already, or holds no unit (yet)
-        y = units[0]
-        u = col.pop(y)
-        col.pop(x, None)
-        row = {}
-        for z in on_row[y] - {x, y}:
-            a = cols[z].pop(y, 0)
-            if a:  # else stale: z has left row y
-                row[z] = a
-                schur_update(cols[z], a * u, col)
-                for w in col:
-                    on_row[w].add(z)
-                work.append(z)
-        for z in on_row[x]:
-            cols[z].pop(x, None)  # arrows into x leave with it
-        steps.append((x, y, u, dict(col), row))
-        col.clear()
-        cols[y].clear()
-    return steps
-
-
 def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
     """Homology of a slice with an explicit free-part cycle basis.
 
@@ -275,12 +235,12 @@ def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
         raise ValueError("slice differential does not square to zero")
     n = len(d)
     cols = [dict(col) for col in d]
-    steps = _cancel_arrows(cols)
+    steps = cancel_units(cols)
     gone = {k for x, y, *_ in steps for k in (x, y)}
     survivors = tuple(k for k in range(n) if k not in gone)
     rest = [cols[k] for k in survivors if cols[k]]
     divisors = smith_normal_form(rest)
-    group = AbelianGroup(len(survivors) - 2 * len(divisors), tuple(e for e in divisors if e > 1))
+    group = AbelianGroup(n - 2 * (len(steps) + len(divisors)), tuple(e for e in divisors if e > 1))
     if rest:
         if _allow_torsion:
             return SliceHomology(group, (), d, (), ())

@@ -264,23 +264,36 @@ def _cmd_spinc(ns) -> int:
     framing = _parse_framing(ns.framing)
     p, q = abs(framing.p), framing.q
     try:
-        first = obstruct.first_kind_closed_form(ns.genus, p, q)
+        first = obstruct.first_kind_range(ns.genus, p, q)
     except ValueError as e:
         raise InputDataError(str(e)) from None
-    second = sorted(set(range(p)) - first)
-    print(f"first_kind: {_render_set(sorted(first))} (count {len(first)})")
-    print(f"second_kind: {_render_set(second)} (count {len(second)})")
+    # the second kind is the rest of range(p), below and above the first
+    second = (range(first.start), range(first.stop, p)) if first else (range(p),)
+    _write_set("first_kind", (first,))
+    _write_set("second_kind", second)
     if ns.oracle:
         brute = obstruct.first_kind_brute(ns.genus, p, q)
-        agree = brute == first
+        agree = brute == frozenset(first)
         print(f"oracle: {'agree' if agree else 'DISAGREE'}")
         if not agree:
             return 1
     return EXIT_OK
 
 
-def _render_set(values) -> str:
-    return ",".join(str(v) for v in values) if values else "-"
+def _write_set(label: str, runs) -> None:
+    """'label: ', the values of the ascending ranges runs joined by commas,
+    or '-' when they are all empty, and their count; one write per _CHUNK
+    values, so memory does not grow with p."""
+    runs = [run for run in runs if run]
+    out = sys.stdout
+    out.write(f"{label}: ")
+    sep = ""
+    for run in runs:
+        for chunk in _chunks(run):
+            out.write(sep + ",".join(chunk))
+            sep = ","
+    count = sum(run.stop - run.start for run in runs)
+    out.write(f"{'' if count else '-'} (count {count})\n")
 
 
 def _verdict_exit(verdict) -> int:

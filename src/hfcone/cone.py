@@ -11,12 +11,14 @@ homology of the cone is ker(D) + coker(D) for the cone matrix D, which
 splits because integer kernels are free; torsion can only enter through
 the cokernel and is reported as-is.
 
-D is never built dense. Each A-generator is a column with at most two
-nonzeros, mostly +-1; unit cancellation pivots on them one by one, each
-pivot an elementary divisor 1 that removes its row and column, so the
-cost per class is linear in the window. Only the unit-free remainder
-goes to the Smith form of ``exactla``, as the same sparse columns and
-under the same 2^63 check.
+D is never built dense. The cone is a based complex: each A-generator
+is a column with at most two nonzeros, mostly +-1, on the B-generators,
+which have zero differential. ``exactla.cancel_units``, the reduction
+``cfk`` uses for its slices, pivots on the units one by one, each pivot
+an elementary divisor 1 that removes its row and column, so the cost per
+class is linear in the window. Only the unit-free remainder goes to the
+Smith form of ``exactla``, as the same sparse columns and under the same
+2^63 check.
 
 Slot direction convention: h raises the B-slot index by one. The
 opposite choice swaps the roles of +p and -p (it computes the mirror
@@ -76,7 +78,7 @@ import functools
 from dataclasses import dataclass
 from math import gcd
 
-from .exactla import AbelianGroup, schur_update, smith_normal_form
+from .exactla import AbelianGroup, cancel_units, smith_normal_form
 from .profiles import LocalData, SurgeryProfile, ascii_int
 
 # columns (A-generators) one cone may emit after collapsing stretches:
@@ -171,68 +173,6 @@ def truncation_window(profile: SurgeryProfile, framing: Framing, i: int, pad: in
     return Window(a_lo, a_hi, a_lo, a_hi + 1)
 
 
-def _cancel_units(cols: list[dict[int, int]], nrows: int) -> tuple[int, list[dict[int, int]]]:
-    """Pivot on +-1 entries of the {row: entry} columns until none is left;
-    returns the pivot count and the nonzero columns left over.
-
-    Pivoting on the unit u at (r, c) clears row r from every other column
-    c2 by c2 -= c2[r] * u * c, which touches only the one other row of c:
-    columns keep at most two entries and a pivot costs the degree of r.
-    That update multiplies c2[r] by c's other entry, so a pivot whose other
-    entry is not a unit, on a row that other columns share, waits until no
-    other pivot is left. A chain of such columns (v = 1, h = 2 down a
-    stretch) is then cancelled from its free end, and its entries never
-    grow; taken from the other end, they would double at every step.
-    """
-    on_row: list[set[int]] = [set() for _ in range(nrows)]
-    for c, col in enumerate(cols):
-        for r in col:
-            on_row[r].add(c)
-    work = list(range(len(cols)))
-    waiting: list[int] = []
-    pivots = 0
-    retried_at = -1
-    force = False
-    while work or waiting:
-        if not work:
-            # a retry of the waiting columns that pivoted nothing: take one anyway
-            force = pivots == retried_at
-            retried_at = pivots
-            work, waiting = waiting, []
-        c = work.pop()
-        col = cols[c]
-        units = [r for r, x in col.items() if x == 1 or x == -1]
-        if not units:
-            continue  # pivoted already, or holds no unit (yet)
-        r = units[0]
-        if len(units) == 2 and len(on_row[units[1]]) < len(on_row[r]):
-            r = units[1]  # fold the sparser row into the denser one
-        if (
-            not force
-            and len(units) < len(col)
-            and any(c2 != c and r in cols[c2] for c2 in on_row[r])
-        ):
-            waiting.append(c)
-            continue
-        force = False
-        u = col.pop(r)
-        for c2 in on_row[r]:
-            col2 = cols[c2]
-            a = col2.pop(r, 0)
-            if not a:
-                continue  # c itself, or a stale entry: c2 has left row r
-            schur_update(col2, a * u, col)
-            for r2 in col:
-                on_row[r2].add(c2)
-            work.append(c2)
-        if waiting:
-            for r2 in col:
-                work.extend(on_row[r2])  # r2 lost c: a pivot there may wait no more
-        col.clear()
-        pivots += 1
-    return pivots, [col for col in cols if col]
-
-
 @functools.lru_cache(maxsize=4096)
 def _stretch_gain(data: LocalData) -> int | None:
     """Free rank that one more interior copy of data adds to a stretch,
@@ -291,26 +231,28 @@ def spinc_group(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0)
                 f"{COLUMN_BUDGET} columns"
             )
         plan.append((data, k))
-    # p > 0: one B-slot fewer than A-slots, the first v outside the B-range;
-    # p < 0: one B-slot more
-    nrows = slots - 1 if framing.p > 0 else slots + 1
-    r = -1 if framing.p > 0 else 0  # row of the next slot's v; h lands on r + 1
+    # the cone as a based complex: the A-generators are the columns
+    # 0..width-1, the B-slot rows the generators width..end-1, with zero
+    # differential. p > 0: one B-slot fewer than A-slots, the first v
+    # outside the B-range; p < 0: one B-slot more
+    end = width + slots - 1 if framing.p > 0 else width + slots + 1
+    r = width - 1 if framing.p > 0 else width  # row of the next slot's v; h lands on r + 1
     cols = []
     for data, k in plan:
         for _ in range(k):
             for x, y in zip(data.v, data.h):
                 col = {}
-                if x and r >= 0:
+                if x and r >= width:
                     col[r] = x
-                if y and r + 1 < nrows:
+                if y and r + 1 < end:
                     col[r + 1] = y
                 cols.append(col)
             r += 1
-    pivots, rest = _cancel_units(cols, nrows)
+    steps = cancel_units(cols)
+    rest = [col for col in cols if col]
     divisors = smith_normal_form(rest) if rest else []
-    rank = pivots + len(divisors)
     return AbelianGroup(
-        free + (len(cols) - rank) + (nrows - rank), tuple(d for d in divisors if d > 1)
+        free + end - 2 * (len(steps) + len(divisors)), tuple(d for d in divisors if d > 1)
     )
 
 

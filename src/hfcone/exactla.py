@@ -1,9 +1,13 @@
 """Exact integer linear algebra on sparse {row: entry} columns, the one
-matrix format of the package: the elimination step and the Smith form.
+matrix format of the package: unit cancellation and the Smith form.
 
-``cone`` and ``cfk`` reduce their columns by cancelling +-1 entries, each
-cancellation a :func:`schur_update` on the columns that meet the pivot
-row, and pass only the unit-free remainder, still as columns, to
+The mapping cone of ``cone`` and the slices of ``cfk`` are both based
+complexes, and :func:`cancel_units` is the one reduction of both: it
+cancels +-1 arrows by the Gaussian elimination lemma, each cancellation a
+:func:`schur_update` on the columns that meet the pivot row. A complex on
+n generators with k cancellations and a unit-free remainder of elementary
+divisors d_1, ..., d_m has homology Z^(n - 2(k + m)) + sum Z/d_i. Each
+caller passes the remainder, still as columns, to
 :func:`smith_normal_form`. That remainder is small, so the Smith form
 favours simplicity and auditability over asymptotics: dense fraction-free
 integer elimination, pivoting on the entry of smallest nonzero absolute
@@ -45,6 +49,85 @@ def schur_update(dst: dict[int, int], k: int, src: dict[int, int]) -> None:
             dst[r] = y
         else:
             dst.pop(r, None)
+
+
+def cancel_units(cols: list[dict[int, int]]) -> list[tuple[int, int, int, dict, dict]]:
+    """Cancel +-1 arrows x -> y (x != y) of a based complex until none is
+    left, by the Gaussian elimination lemma; returns the cancellations in
+    order and leaves in cols the differential of what survives.
+
+    cols[x] is d(x) as {y: coeff}; generators past len(cols) have zero
+    differential (the B-generators of the cone). Each step is (x, y, u,
+    column, row): the unit u, d(x) without x and y, and the arrows z -> y,
+    as they stood then. x and y leave the complex, and each z -> y, x -> w
+    pair adds -d(z->y) u d(x->w) to z -> w, a schur_update of z by x.
+
+    That update multiplies the other entries of x by the entry of z on y.
+    So a pivot whose column has a non-unit entry, on a row that another
+    column shares, waits until no other pivot is left; when a retry of the
+    waiting ones pivots nothing, one is taken anyway. A chain of such
+    columns (d x_j = y_j + 2 y_{j+1}) is then cancelled from its free end,
+    and its entries never grow; taken from the other end, they would
+    double at every step. Of several unit rows the one on the fewest
+    columns is taken, so the fewest columns are updated.
+    """
+    on_row: dict[int, set[int]] = {}  # the columns that have had an entry on each row
+    for z, col in enumerate(cols):
+        for w in col:
+            if w in on_row:
+                on_row[w].add(z)
+            else:
+                on_row[w] = {z}
+    n = len(cols)
+    steps = []
+    work = list(range(n))
+    waiting: list[int] = []
+    retried_at = -1
+    force = False
+    while work or waiting:
+        if not work:
+            # a retry of the waiting columns that pivoted nothing: take one anyway
+            force = len(steps) == retried_at
+            retried_at = len(steps)
+            work, waiting = waiting, []
+        x = work.pop()
+        col = cols[x]
+        units = [w for w, a in col.items() if w != x and (a == 1 or a == -1)]
+        if not units:
+            continue  # cancelled already, or holds no unit (yet)
+        y = units[0]
+        for w in units[1:]:
+            if len(on_row[w]) < len(on_row[y]):
+                y = w
+        if (
+            not force
+            and len(units) < len(col)
+            and any(z != x and y in cols[z] for z in on_row[y])
+        ):
+            waiting.append(x)
+            continue
+        force = False
+        u = col.pop(y)
+        col.pop(x, None)
+        if y < n:
+            cols[y].clear()
+        row = {}
+        for z in on_row[y]:
+            a = cols[z].pop(y, 0)
+            if a:  # else x, y, or stale: z has left row y
+                row[z] = a
+                schur_update(cols[z], a * u, col)
+                for w in col:
+                    on_row[w].add(z)
+                work.append(z)
+        for z in on_row.get(x, ()):
+            cols[z].pop(x, None)  # arrows into x leave with it
+        if waiting:
+            for w in col:
+                work.extend(on_row[w])  # w lost x: a pivot there may wait no more
+        steps.append((x, y, u, col, row))
+        cols[x] = {}
+    return steps
 
 
 @dataclass(frozen=True)

@@ -80,12 +80,17 @@ def gz_lower_bound(h1_order: int, ell: int) -> Fraction | None:
     return Fraction(h1_order - ell + 1, 2)
 
 
-def first_kind_closed_form(g: int, p: int, q: int) -> frozenset[int]:
-    """Residues mod p of {gq, ..., p + q - gq - 1}; empty iff p <= (2g-1)q."""
+def first_kind_range(g: int, p: int, q: int) -> range:
+    """The first-kind classes {gq, ..., p + q - gq - 1}, ascending; g >= 1
+    keeps them inside [0, p), so each is its own residue. Empty iff
+    p <= (2g-1)q."""
     _check_classification_args(g, p, q)
-    if p <= (2 * g - 1) * q:
-        return frozenset()
-    return frozenset(x % p for x in range(g * q, p + q - g * q))
+    return range(g * q, p + q - g * q)
+
+
+def first_kind_closed_form(g: int, p: int, q: int) -> frozenset[int]:
+    """The classes of first_kind_range as a set."""
+    return frozenset(first_kind_range(g, p, q))
 
 
 def first_kind_brute(g: int, p: int, q: int) -> frozenset[int]:

@@ -197,6 +197,23 @@ def test_non_unit_remainder_is_refused():
         to_profile(c)
 
 
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 1), (1, -2), (-2, 1)])
+def test_chain_with_non_unit_links_has_homology_z(a, b):
+    # d x_j = a y_j + b y_{j+1}: cancelled from the end whose unit row is
+    # shared, the other entry would double per link and pass 2^63
+    links = 70
+    n = 2 * links + 1  # x_j is generator j, y_j is generator links + j
+    d = tuple({links + j: a, links + j + 1: b} for j in range(links)) + ({},) * (links + 1)
+    sl = SliceComplex(tuple((k, 0) for k in range(n)), d)
+    h = homology(sl)
+    assert h.group.is_z
+    (w,) = h.basis_cycles
+    assert not any(_dense_apply(_rows(sl), w))
+    assert h.class_vector(w) == (1,)
+    for col in d:
+        assert h.class_vector([col.get(k, 0) for k in range(n)]) == (0,)
+
+
 def induced_v(c, s):
     a = ahat(c, s)
     return list(_induced_row(c, s, homology(a), a.basis, homology(bhat(c)), use_conj=False))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import helpers
 import hfcone
-from hfcone import cli
+from hfcone import cli, obstruct
 from hfcone.cone import Framing
 from hfcone.profiles import (
     LocalData, SurgeryProfile, figure_eight, lspace_knot, parse, serialize,
@@ -487,6 +487,35 @@ def test_spinc_classification(capsys):
         "second_kind: 0,1 (count 2)",
         "oracle: agree",
     ]
+
+
+def test_spinc_lists_match_sorted_set_rendering():
+    # the lists as sorted sets, the first kind from the brute-force scan
+    def render(label, values):
+        return f"{label}: {','.join(map(str, values)) or '-'} (count {len(values)})\n"
+
+    for g, p, q in itertools.product(range(1, 5), range(1, 61), range(1, 9)):
+        if gcd(p, q) != 1:
+            continue
+        first = obstruct.first_kind_brute(g, p, q)
+        expected = render("first_kind", sorted(first)) + render(
+            "second_kind", sorted(set(range(p)) - first)
+        )
+        assert _main_stdout(["spinc", "--genus", str(g), "--framing", f"{p}/{q}"]) == expected
+
+
+def test_spinc_memory_stays_flat(tmp_path):
+    # sorting set(range(p)) peaked at 172 MB here; the lists are streamed
+    path = tmp_path / "stdout"
+    with open(path, "w") as out:
+        code, _, err, _, rss_mb = run_child(
+            tmp_path, "spinc", "--genus", "1", "--framing", "1000000", stdout=out
+        )
+    assert (code, err) == (0, "")
+    assert rss_mb < 40
+    first, second = path.read_text().splitlines()
+    assert first.startswith("first_kind: 1,2,3,") and first.endswith(",999999 (count 999999)")
+    assert second == "second_kind: 0 (count 1)"
 
 
 def test_bound_values(capsys):
