@@ -22,11 +22,14 @@ A slice holds one sparse {target: coeff} column per generator, built
 straight from the arrows that survive on it. homology() cancels every
 +-1 arrow with ``exactla.cancel_units``, the reduction of the surgery
 cone too, and keeps its cancellations. The generators that survive are a
-basis of the homology: each lifts to a cycle and every cycle projects
-onto them, so induced maps on homology are integer matrices. A slice
-with arrows left over (torsion, or only non-unit coefficients as in
-d x = 2y + 3z) has no such basis and is refused with TorsionError rather
-than guessing a convention; validate() reads only its group.
+basis of the homology. H(B) is Z, so v_s and h_s are each one cochain
+read on cycles of A_s: the cochain of B that reads a cycle's class
+(B's cancellations replayed backwards), pulled back along the chain map
+and carried forward through A_s's cancellations, the transpose of
+lifting each survivor to a cycle. A slice with arrows left over
+(torsion, or only non-unit coefficients as in d x = 2y + 3z) has no
+such basis and is refused with TorsionError rather than guessing a
+convention; validate() reads only its group.
 """
 
 from __future__ import annotations
@@ -104,12 +107,14 @@ def validate(c: CfkComplex) -> list[str]:
     if out:
         return out
     # d^2 = 0 over Z[U]: group compositions by (source, target, total U power)
+    leaving: dict[int, list[Arrow]] = {}
+    for a in c.arrows:
+        leaving.setdefault(a.source, []).append(a)
     square: dict[tuple[int, int, int], int] = {}
     for a1 in c.arrows:
-        for a2 in c.arrows:
-            if a1.target == a2.source:
-                key = (a1.source, a2.target, a1.u_power + a2.u_power)
-                square[key] = square.get(key, 0) + a1.coeff * a2.coeff
+        for a2 in leaving.get(a1.target, ()):
+            key = (a1.source, a2.target, a1.u_power + a2.u_power)
+            square[key] = square.get(key, 0) + a1.coeff * a2.coeff
     for (src, tgt, power), total in sorted(square.items()):
         if total:
             out.append(
@@ -192,27 +197,13 @@ class SliceHomology:
     """Homology of a slice, reduced by cancelling its +-1 arrows.
 
     The generators no cancellation removed (``_survivors``) form the free
-    basis. basis_cycles[j] lifts survivor j to a cycle (coordinates over
-    the slice basis); class_vector() projects any cycle onto the survivors.
+    basis; ``_steps`` are the cancellations, in order, that :func:`_reader`
+    and :func:`_carry` replay.
     """
 
     group: AbelianGroup
-    basis_cycles: tuple[tuple[int, ...], ...]
-    _cols: tuple[dict[int, int], ...]  # the differential, column by column
     _steps: tuple[tuple[int, int, int, dict[int, int], dict[int, int]], ...]
     _survivors: tuple[int, ...]
-
-    def class_vector(self, cycle: Sequence[int]) -> tuple[int, ...]:
-        c = {k: a for k, a in enumerate(cycle) if a}
-        if _image(self._cols, c):
-            raise ValueError("vector is not a cycle")
-        # the quotient by span{x, dx} sends x to 0 and y to y - u dx
-        for x, y, u, col, _ in self._steps:
-            c.pop(x, None)
-            a = c.pop(y, 0)
-            if a:
-                schur_update(c, a * u, col)
-        return tuple(c.get(k, 0) for k in self._survivors)
 
 
 def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
@@ -223,7 +214,7 @@ def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int
 
 
 def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
-    """Homology of a slice with an explicit free-part cycle basis.
+    """Homology of a slice, with the cancellations that give its free basis.
 
     Unit arrows are cancelled first, on a copy of the columns; the columns
     left over go to the Smith form for the group. Such a slice has no basis
@@ -239,52 +230,56 @@ def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
     gone = {k for x, y, *_ in steps for k in (x, y)}
     survivors = tuple(k for k in range(n) if k not in gone)
     rest = [cols[k] for k in survivors if cols[k]]
-    divisors = smith_normal_form(rest)
+    divisors = smith_normal_form(rest) if rest else []
     group = AbelianGroup(n - 2 * (len(steps) + len(divisors)), tuple(e for e in divisors if e > 1))
     if rest:
         if _allow_torsion:
-            return SliceHomology(group, (), d, (), ())
+            return SliceHomology(group, (), ())
         if group.torsion:
             raise TorsionError(
                 f"homology has torsion {group.torsion}; only free homology is supported here"
             )
         raise TorsionError("arrows without a unit coefficient survive cancellation")
-    cycles = []
-    for k in survivors:
-        z = {k: 1}
-        for x, y, u, _, row in reversed(steps):
-            # the multiple of x that clears the y-coordinate of d(z)
-            b = sum(a * z.get(w, 0) for w, a in row.items())
-            if b:
-                z[x] = _checked(-u * b)
-        cycles.append(tuple(z.get(i, 0) for i in range(n)))
-    return SliceHomology(group, tuple(cycles), d, tuple(steps), survivors)
+    return SliceHomology(group, tuple(steps), survivors)
 
 
-def _induced_row(
-    c: CfkComplex,
-    s: int,
-    source: SliceHomology,
-    source_basis: tuple[tuple[int, int], ...],
-    target: SliceHomology,
-    use_conj: bool,
-) -> tuple[int, ...]:
-    n = len(c.generators)
-    coords = []
-    for w in source.basis_cycles:
-        image = [0] * n
-        for k, (gi, b) in enumerate(source_basis):
-            if not w[k]:
-                continue
-            if use_conj:
-                if c.generators[gi].alexander >= s:
-                    image[c.conj[gi]] += w[k]
-            else:
-                if b == 0:
-                    image[gi] += w[k]
-        cls = target.class_vector(image)
-        coords.append(cls[0] if cls else 0)
-    return tuple(coords)
+def _reader(h: SliceHomology, j: int) -> dict[int, int]:
+    """The cochain that reads coordinate j of a cycle's class.
+
+    The quotient by span{x, dx} sends x to 0 and y to -u col; replayed
+    backwards from survivor j, its transpose gives y the value phi(-u col).
+    """
+    phi = {h._survivors[j]: 1}
+    for _, y, u, col, _ in reversed(h._steps):
+        b = sum(a * phi.get(w, 0) for w, a in col.items())
+        if b:
+            phi[y] = _checked(-u * b)
+    return phi
+
+
+def _carry(h: SliceHomology, psi: dict[int, int]) -> list[int]:
+    """psi on the cycles that lift each survivor; psi is used up.
+
+    A lift gives x the multiple -u b that clears b, its coefficient on y
+    in d; the transpose of that, in the order of the cancellations, moves
+    psi's value on x onto the arrows z -> y.
+    """
+    for x, _, u, _, row in h._steps:
+        a = psi.get(x)
+        if a:
+            schur_update(psi, u * a, row)
+    return [psi.get(k, 0) for k in h._survivors]
+
+
+def _maps(
+    c: CfkComplex, s: int, phi: dict[int, int]
+) -> tuple[SliceHomology, list[int], list[int]]:
+    """H(A_s) and the rows of v_s and h_s on its basis, phi reading H(B)."""
+    a = ahat(c, s)
+    ha = homology(a)
+    v = {w: x for w, x in phi.items() if a.basis[w][1] == 0}
+    h = {c.conj[w]: x for w, x in phi.items() if c.generators[c.conj[w]].alexander >= s}
+    return ha, _carry(ha, v), _carry(ha, h)
 
 
 def mirror(c: CfkComplex) -> CfkComplex:
@@ -346,13 +341,10 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     changes v and h, but not the surgery groups."""
     _require_valid(c)
     g = c.genus
-    hb = homology(bhat(c))
+    phi = _reader(homology(bhat(c)), 0)
     overrides = {}
     for s in range(-g, g + 1):
-        a = ahat(c, s)
-        ha = homology(a)
-        v = list(_induced_row(c, s, ha, a.basis, hb, use_conj=False))
-        h = list(_induced_row(c, s, ha, a.basis, hb, use_conj=True))
+        ha, v, h = _maps(c, s, phi)
         for j in range(len(v)):
             lead = v[j] if v[j] else h[j]
             if lead < 0:

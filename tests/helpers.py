@@ -6,7 +6,8 @@ All generated profiles use odd slot ranks; the cone's rank-parity
 property (free rank odd) holds exactly for that class.
 
 Also the slow references the fast paths are checked against: the dense
-cone matrix and its Smith form, and hf output rendered class by class.
+cone matrix and its Smith form, hf output rendered class by class, and
+the induced maps of a knot complex read through dense cycle lifts.
 Dense matrices here are plain lists of rows; columns() turns them into
 the sparse {row: entry} columns the library takes.
 """
@@ -15,6 +16,7 @@ import json
 import random
 from math import gcd
 
+from hfcone.cfk import CfkComplex, SliceComplex, SliceHomology, ahat, bhat, homology
 from hfcone.cone import Framing, Window, phi, surgery_report, truncation_window
 from hfcone.exactla import AbelianGroup, smith_normal_form
 from hfcone.profiles import LocalData, SurgeryProfile
@@ -158,3 +160,55 @@ def reference_hf_stdout(
         if spinc is None:
             lines.append(f"ell={report.ell} total_rank={report.total_rank}")
     return "\n".join(lines) + "\n"
+
+
+def cycle_lifts(sl: SliceComplex, h: SliceHomology) -> list[tuple[int, ...]]:
+    """Each survivor of h lifted to a cycle of sl, as a dense tuple."""
+    n = len(sl.differential)
+    cycles = []
+    for k in h._survivors:
+        z = {k: 1}
+        for x, y, u, _, row in reversed(h._steps):
+            # the multiple of x that clears the y-coordinate of d(z)
+            b = sum(a * z.get(w, 0) for w, a in row.items())
+            if b:
+                z[x] = -u * b
+        cycles.append(tuple(z.get(i, 0) for i in range(n)))
+    return cycles
+
+
+def class_vector(sl: SliceComplex, h: SliceHomology, cycle) -> tuple[int, ...]:
+    """The class of a cycle of sl, in the survivor basis of h."""
+    c = {k: a for k, a in enumerate(cycle) if a}
+    boundary = {}
+    for k, a in c.items():
+        for r, x in sl.differential[k].items():
+            boundary[r] = boundary.get(r, 0) + a * x
+    if any(boundary.values()):
+        raise ValueError("vector is not a cycle")
+    # the quotient by span{x, dx} sends x to 0 and y to y - u dx
+    for x, y, u, col, _ in h._steps:
+        c.pop(x, None)
+        a = c.pop(y, 0)
+        for r, e in col.items():
+            c[r] = c.get(r, 0) - a * u * e
+    return tuple(c.get(k, 0) for k in h._survivors)
+
+
+def induced_row(c: CfkComplex, s: int, use_conj: bool) -> list[int]:
+    """v_s (or h_s with use_conj) of H(A_s) -> H(B) through dense cycle
+    lifts, in the basis homology() leaves, before any sign choice."""
+    a, b = ahat(c, s), bhat(c)
+    ha, hb = homology(a), homology(b)
+    coords = []
+    for w in cycle_lifts(a, ha):
+        image = [0] * len(c.generators)
+        for k, (gi, shift) in enumerate(a.basis):
+            if use_conj:
+                if c.generators[gi].alexander >= s:
+                    image[c.conj[gi]] += w[k]
+            elif shift == 0:
+                image[gi] += w[k]
+        (coord,) = class_vector(b, hb, image)
+        coords.append(coord)
+    return coords

@@ -22,7 +22,9 @@ from hfcone.cfk import (
     SliceComplex,
     StaircaseError,
     TorsionError,
-    _induced_row,
+    _carry,
+    _maps,
+    _reader,
     ahat,
     bhat,
     homology,
@@ -31,6 +33,7 @@ from hfcone.cfk import (
     to_profile,
     validate,
 )
+from hfcone.exactla import EliminationOverflow
 from hfcone.profiles import LocalData, lspace_knot, unknot
 
 TREFOIL_ALEX = [1, -1, 1]
@@ -201,27 +204,50 @@ def test_non_unit_remainder_is_refused():
 def test_chain_with_non_unit_links_has_homology_z(a, b):
     # d x_j = a y_j + b y_{j+1}: cancelled from the end whose unit row is
     # shared, the other entry would double per link and pass 2^63
-    links = 70
-    n = 2 * links + 1  # x_j is generator j, y_j is generator links + j
-    d = tuple({links + j: a, links + j + 1: b} for j in range(links)) + ({},) * (links + 1)
-    sl = SliceComplex(tuple((k, 0) for k in range(n)), d)
+    sl = _chain(a, b, 70)
     h = homology(sl)
     assert h.group.is_z
-    (w,) = h.basis_cycles
-    assert not any(_dense_apply(_rows(sl), w))
-    assert h.class_vector(w) == (1,)
-    for col in d:
-        assert h.class_vector([col.get(k, 0) for k in range(n)]) == (0,)
+    # the y at the unit end is 2^70 times the generator in homology, so
+    # the cochain that reads H = Z leaves the checked window there
+    with pytest.raises(EliminationOverflow):
+        _reader(h, 0)
+    short = _chain(a, b, 20)
+    _assert_dual_bases(short, homology(short))
+
+
+def _chain(a, b, links):
+    n = 2 * links + 1  # x_j is generator j, y_j is generator links + j
+    d = tuple({links + j: a, links + j + 1: b} for j in range(links)) + ({},) * (links + 1)
+    return SliceComplex(tuple((k, 0) for k in range(n)), d)
+
+
+def _assert_dual_bases(sl, h):
+    """The class readers are cocycles, dual to the lifts of the survivors,
+    and _carry evaluates a cochain on those lifts."""
+    lifts = helpers.cycle_lifts(sl, h)
+    r = h.group.free_rank
+    assert len(lifts) == r
+    d = _rows(sl)
+    for w in lifts:
+        assert not any(_dense_apply(d, w))
+    for j in range(r):
+        phi = _reader(h, j)
+        for col in sl.differential:
+            assert sum(phi.get(k, 0) * a for k, a in col.items()) == 0
+        assert [sum(phi.get(k, 0) * a for k, a in enumerate(w)) for w in lifts] == [
+            int(i == j) for i in range(r)
+        ]
+    # any cochain, carried through the cancellations, reads the lifts
+    psi = {k: k % 5 - 2 for k in range(len(sl.differential))}
+    assert _carry(h, dict(psi)) == [sum(psi[k] * a for k, a in enumerate(w)) for w in lifts]
 
 
 def induced_v(c, s):
-    a = ahat(c, s)
-    return list(_induced_row(c, s, homology(a), a.basis, homology(bhat(c)), use_conj=False))
+    return _maps(c, s, _reader(homology(bhat(c)), 0))[1]
 
 
 def induced_h(c, s):
-    a = ahat(c, s)
-    return list(_induced_row(c, s, homology(a), a.basis, homology(bhat(c)), use_conj=True))
+    return _maps(c, s, _reader(homology(bhat(c)), 0))[2]
 
 
 def test_induced_maps_trefoil():
@@ -319,13 +345,54 @@ def test_cancellation_gives_homology_and_basis(rng, mirrored):
         assert _rows(sl) == d  # homology cancels on a copy
         assert h.group.free_rank == n - 2 * Matrix(d).rank()
         assert h.group.torsion == ()
-        r = h.group.free_rank
-        assert len(h.basis_cycles) == r
-        for j, w in enumerate(h.basis_cycles):
-            assert not any(_dense_apply(d, w))
-            assert h.class_vector(w) == tuple(int(i == j) for i in range(r))
-        for k in range(n):
-            assert h.class_vector(_dense_apply(d, [int(i == k) for i in range(n)])) == (0,) * r
+        _assert_dual_bases(sl, h)
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_profile_maps_match_dense_cycle_lifts(rng, mirrored):
+    # mirrored staircases have rank-3 middle slices, where the rows
+    # depend on the basis the cancellation leaves
+    c = staircase_from_alexander(helpers.random_lspace_alexander(rng))
+    if mirrored:
+        c = mirror(c)
+    profile = to_profile(c)
+    for s in range(-c.genus, c.genus + 1):
+        v = helpers.induced_row(c, s, use_conj=False)
+        h = helpers.induced_row(c, s, use_conj=True)
+        assert induced_v(c, s) == v
+        assert induced_h(c, s) == h
+        signs = [-1 if (x or y) < 0 else 1 for x, y in zip(v, h)]
+        data = profile.local(s)
+        assert data.v == tuple(e * x for e, x in zip(signs, v))
+        assert data.h == tuple(e * y for e, y in zip(signs, h))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_cochains_on_random_based_complexes(rng):
+    # d = P D P^-1 with D a sum of unit pairs and P a product of
+    # elementary operations: cancellations whose rows meet later pivots
+    n = rng.randint(2, 9)
+    d = [[0] * n for _ in range(n)]
+    order = rng.sample(range(n), n)
+    pairs = rng.randint(1, n // 2)
+    for x, y in zip(order[:pairs], order[pairs : 2 * pairs]):
+        d[y][x] = rng.choice((1, -1))  # d x = +-y
+    for _ in range(rng.randint(0, 2 * n)):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((1, -1, 2))
+        # conjugate by I + k e_ij: row i += k row j, column j -= k column i
+        d[i] = [a + k * b for a, b in zip(d[i], d[j])]
+        for row in d:
+            row[j] -= k * row[i]
+    sl = SliceComplex(tuple((k, 0) for k in range(n)), tuple(helpers.columns(d)))
+    try:
+        h = homology(sl)
+    except TorsionError:
+        return  # no unit left to cancel
+    assert h.group.free_rank == n - 2 * Matrix(d).rank()
+    _assert_dual_bases(sl, h)
 
 
 def test_to_profile_scales_to_t_2_121():
@@ -340,3 +407,12 @@ def test_to_profile_scales_to_t_2_481():
     start = time.perf_counter()
     assert to_profile(c) == lspace_knot(240)
     assert time.perf_counter() - start < 10
+
+
+def test_validate_scales_to_t_2_10001():
+    # the d^2 check pairs each arrow only with the arrows leaving its target
+    coeffs = [(-1) ** k for k in range(10001)]
+    start = time.perf_counter()
+    c = staircase_from_alexander(coeffs)
+    assert time.perf_counter() - start < 1
+    assert c.genus == 5000
