@@ -26,7 +26,8 @@ basis of the homology. H(B) is Z, so v_s and h_s are each one cochain
 read on cycles of A_s: the cochain of B that reads a cycle's class
 (B's cancellations replayed backwards), pulled back along the chain map
 and carried forward through A_s's cancellations, the transpose of
-lifting each survivor to a cycle. A slice with arrows left over
+lifting each survivor to a cycle. The reader of B is evaluated only on
+the generators that carry reads. A slice with arrows left over
 (torsion, or only non-unit coefficients as in d x = 2y + 3z) has no
 such basis and is refused with TorsionError rather than guessing a
 convention; validate() reads only its group.
@@ -197,7 +198,7 @@ class SliceHomology:
     """Homology of a slice, reduced by cancelling its +-1 arrows.
 
     The generators no cancellation removed (``_survivors``) form the free
-    basis; ``_steps`` are the cancellations, in order, that :func:`_reader`
+    basis; ``_steps`` are the cancellations, in order, that :class:`_Reader`
     and :func:`_carry` replay.
     """
 
@@ -243,43 +244,58 @@ def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
     return SliceHomology(group, tuple(steps), survivors)
 
 
-def _reader(h: SliceHomology, j: int) -> dict[int, int]:
-    """The cochain that reads coordinate j of a cycle's class.
+class _Reader(dict):
+    """The cochain that reads coordinate j of a cycle's class, as a dict
+    that works out each generator's value when it is first looked up.
 
-    The quotient by span{x, dx} sends x to 0 and y to -u col; replayed
-    backwards from survivor j, its transpose gives y the value phi(-u col).
+    The quotient by span{x, dx} sends x to 0 and y to -u col, so y reads
+    phi(-u col). In the chain d x_j = y_j + 2 y_{j+1} the far y is
+    2^links times the generator, past the checked window, but no lift of
+    a survivor reaches it. None, the zero of a chain map, reads 0.
     """
-    phi = {h._survivors[j]: 1}
-    for _, y, u, col, _ in reversed(h._steps):
-        b = sum(a * phi.get(w, 0) for w, a in col.items())
-        if b:
-            phi[y] = _checked(-u * b)
-    return phi
+
+    def __init__(self, h: SliceHomology, j: int):
+        super().__init__((k, int(i == j)) for i, k in enumerate(h._survivors))
+        self._steps = {y: (u, col) for _, y, u, col, _ in h._steps}
+
+    def __missing__(self, g: int | None) -> int:
+        todo = [g]
+        while todo:
+            y = todo.pop()
+            if y in self:
+                continue
+            u, col = self._steps.get(y, (0, {}))  # an x, or None
+            unread = [w for w in col if w not in self]
+            if unread:
+                todo += [y, *unread]
+            else:
+                self[y] = _checked(-u * sum(a * self[w] for w, a in col.items()))
+        return self[g]
 
 
-def _carry(h: SliceHomology, psi: dict[int, int]) -> list[int]:
-    """psi on the cycles that lift each survivor; psi is used up.
+def _carry(h: SliceHomology, phi: _Reader, at: Sequence[int | None]) -> list[int]:
+    """phi pulled back along the chain map w -> at[w], on the cycles that
+    lift each survivor.
 
     A lift gives x the multiple -u b that clears b, its coefficient on y
     in d; the transpose of that, in the order of the cancellations, moves
-    psi's value on x onto the arrows z -> y.
+    the value on x onto the arrows z -> y.
     """
+    moved: dict[int, int] = {}
     for x, _, u, _, row in h._steps:
-        a = psi.get(x)
+        a = _checked(moved.get(x, 0) + phi[at[x]])
         if a:
-            schur_update(psi, u * a, row)
-    return [psi.get(k, 0) for k in h._survivors]
+            schur_update(moved, u * a, row)
+    return [_checked(moved.get(k, 0) + phi[at[k]]) for k in h._survivors]
 
 
-def _maps(
-    c: CfkComplex, s: int, phi: dict[int, int]
-) -> tuple[SliceHomology, list[int], list[int]]:
+def _maps(c: CfkComplex, s: int, phi: _Reader) -> tuple[SliceHomology, list[int], list[int]]:
     """H(A_s) and the rows of v_s and h_s on its basis, phi reading H(B)."""
     a = ahat(c, s)
     ha = homology(a)
-    v = {w: x for w, x in phi.items() if a.basis[w][1] == 0}
-    h = {c.conj[w]: x for w, x in phi.items() if c.generators[c.conj[w]].alexander >= s}
-    return ha, _carry(ha, v), _carry(ha, h)
+    v = [w if b == 0 else None for w, b in a.basis]
+    h = [c.conj[w] if g.alexander >= s else None for w, g in enumerate(c.generators)]
+    return ha, _carry(ha, phi, v), _carry(ha, phi, h)
 
 
 def mirror(c: CfkComplex) -> CfkComplex:
@@ -290,9 +306,7 @@ def mirror(c: CfkComplex) -> CfkComplex:
     return CfkComplex(gens, arrows, c.conj)
 
 
-def staircase_from_alexander(
-    coeffs: Sequence[int], top: int | None = None
-) -> CfkComplex:
+def staircase_from_alexander(coeffs: Sequence[int], top: int | None = None) -> CfkComplex:
     """Staircase complex of an L-space knot from its Alexander polynomial.
 
     coeffs lists the coefficients from t^top down to t^-top (every exponent,
@@ -313,21 +327,15 @@ def staircase_from_alexander(
     if coeffs[0] == 0:
         raise StaircaseError("leading coefficient is zero")
     nz = [(span - idx, c) for idx, c in enumerate(coeffs) if c]
-    expected = 1
-    for _, c in nz:
-        if c != expected:
-            raise StaircaseError(
-                "nonzero coefficients must alternate +1, -1, ... from the top"
-            )
-        expected = -expected
+    if any(c != (-1) ** k for k, (_, c) in enumerate(nz)):
+        raise StaircaseError("nonzero coefficients must alternate +1, -1, ... from the top")
     exps = [e for e, _ in nz]
     gens = tuple(Generator(f"x{i}", e) for i, e in enumerate(exps))
     arrows: list[Arrow] = []
     for i in range(1, len(exps), 2):
         arrows.append(Arrow(i, i + 1, 0, 1))
         arrows.append(Arrow(i, i - 1, exps[i - 1] - exps[i], 1))
-    n = len(exps)
-    c = CfkComplex(gens, tuple(arrows), tuple(n - 1 - i for i in range(n)))
+    c = CfkComplex(gens, tuple(arrows), tuple(reversed(range(len(exps)))))
     _require_valid(c)
     return c
 
@@ -341,14 +349,12 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     changes v and h, but not the surgery groups."""
     _require_valid(c)
     g = c.genus
-    phi = _reader(homology(bhat(c)), 0)
+    phi = _Reader(homology(bhat(c)), 0)
     overrides = {}
     for s in range(-g, g + 1):
         ha, v, h = _maps(c, s, phi)
         for j in range(len(v)):
-            lead = v[j] if v[j] else h[j]
-            if lead < 0:
-                v[j] = -v[j]
-                h[j] = -h[j]
+            if (v[j] or h[j]) < 0:
+                v[j], h[j] = -v[j], -h[j]
         overrides[s] = LocalData(ha.group.free_rank, tuple(v), tuple(h))
     return SurgeryProfile(name or f"derived:g={g}", g, overrides)
