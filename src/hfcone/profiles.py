@@ -3,19 +3,32 @@
 A profile describes a knot-like object of genus g by, for every integer s,
 the free rank r_s of H(A_s) together with two induced maps to H(B) = Z,
 stored as 1 x r_s integer rows v_s and h_s. Outside [-g, g] this data is
-forced (v_s is a unit for s > g, h_s is a unit for s < -g), so a profile
-only stores per-s overrides inside the window; lookups for any other s
-fall back to the edge pattern.
+forced (v_s is a unit for s > g, h_s is a unit for s < -g), the edge
+pattern RIGHT_EDGE above the window and LEFT_EDGE below it.
 
-Profiles are validated eagerly on construction. The rules beyond the
-obvious shape checks:
+The data is stored by segments, not by slot. It is piecewise constant in
+s, and a profile keeps its maximal pieces: ``pieces[k]`` holds on
+``cuts[k-1] <= s < cuts[k]``, the first piece reaching down to -infinity
+with LEFT_EDGE and the last up to +infinity with RIGHT_EDGE. Adjacent
+pieces always differ, so profiles with the same effective data have the
+same pieces and compare equal, and lspace:g=10^9 is three pieces. The
+finite pieces are the profile's ``segments``, (lo, hi, data) with
+lo <= s < hi. ``overrides`` is a read-only mapping view of the same data
+slot by slot: every slot inside the window, and the slots outside it
+whose data is not the edge pattern. Its length is computed from the
+segments. Profiles are built from such a mapping, or from sorted
+(lo, hi, data) runs with ``from_segments``; equal adjacent slots merge.
 
+Profiles are validated eagerly on construction, piece by piece. The
+rules beyond the obvious shape checks:
+
+* every slot with |s| < g has data (at g = 0, the slot s = 0);
 * r_s = r_{-s} (conjugation symmetry of the underlying homology);
 * at s = +g the rank is 1 and v_g = [+-1] (v is an isomorphism there);
   symmetrically at s = -g the rank is 1 and h_{-g} = [+-1];
 * for g = 0 the single slot s = 0 needs both v and h equal to [+-1];
-* overrides outside [-g, g] are allowed only if they repeat the edge
-  pattern exactly.
+* data outside [-g, g] is allowed only if it repeats the edge pattern,
+  up to sign.
 
 The unit conditions at +-g are what make the finite truncation of the
 cone exact, so they are enforced rather than trusted.
@@ -24,8 +37,12 @@ cone exact, so they are enforced rather than trusted.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from itertools import chain
+from math import inf
+from typing import Iterable, Iterator
 
 from .exactla import _LIMIT
 
@@ -71,105 +88,216 @@ class LocalData:
             raise ProfileError(
                 [f"v/h widths ({len(self.v)}, {len(self.h)}) != rank {self.rank}"]
             )
-        if any(abs(x) > _LIMIT for x in self.v + self.h):
+        if max(map(abs, self.v + self.h)) > _LIMIT:
             raise ProfileError(["v/h entries must lie within +-2^63"])
 
 
 RIGHT_EDGE = LocalData(1, (1,), (0,))  # s > g: v is a unit, h vanishes
 LEFT_EDGE = LocalData(1, (0,), (1,))  # s < -g: h is a unit, v vanishes
+# the edge pattern up to sign, the only data allowed past the genus
+_RIGHT_OK = (RIGHT_EDGE, LocalData(1, (-1,), (0,)))
+_LEFT_OK = (LEFT_EDGE, LocalData(1, (0,), (-1,)))
 
 
 def _is_unit_row(row: tuple[int, ...]) -> bool:
     return row in ((1,), (-1,))
 
 
-@dataclass(frozen=True)
+def _inside(g: int) -> tuple[int, int]:
+    """The slots lo <= s < hi every profile gives data for: |s| < g, or
+    s = 0 at genus 0."""
+    return (1 - g, g) if g else (0, 1)
+
+
+@dataclass(frozen=True, init=False)
 class SurgeryProfile:
     name: str = field(compare=False)
     genus: int
-    overrides: Mapping[int, LocalData]
+    cuts: tuple[int, ...]
+    pieces: tuple[LocalData, ...]
+    # the cone's reductions of this profile, keyed by plan (cone.spinc_group)
+    plans: dict = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "overrides", dict(self.overrides))
-        error = ProfileError(_check(self))
-        if error.violations:
-            raise error
-        # canonical form: overrides that just restate the forced edge data
-        # are dropped, so profiles with the same effective data compare equal
-        canonical = {
-            s: d
-            for s, d in self.overrides.items()
-            if not (s >= self.genus and d == RIGHT_EDGE)
-            and not (s <= -self.genus and d == LEFT_EDGE)
-        }
-        object.__setattr__(self, "overrides", canonical)
+    def __init__(self, name: str, genus: int, overrides: Mapping[int, LocalData]):
+        self._build(name, genus, ((s, s + 1, d) for s, d in sorted(overrides.items())))
+
+    @classmethod
+    def from_segments(
+        cls, name: str, genus: int, runs: Iterable[tuple[int, int, LocalData]]
+    ) -> "SurgeryProfile":
+        """The profile with data on sorted, disjoint, nonempty runs
+        (lo, hi, data), lo <= s < hi; every other slot is read as by the
+        constructor, where an absent slot takes the edge pattern."""
+        profile = cls.__new__(cls)
+        profile._build(name, genus, runs)
+        return profile
+
+    def _build(self, name: str, genus: int, runs) -> None:
+        if genus < 0:
+            raise ProfileError([f"genus {genus} < 0"])
+        cuts, pieces = _partition(genus, runs)
+        for key, value in (("name", name), ("genus", genus), ("cuts", cuts),
+                           ("pieces", pieces), ("plans", {})):
+            object.__setattr__(self, key, value)
+        violations = _check(self)
+        first = next(violations, None)
+        if first is not None:
+            raise ProfileError(chain((first,), violations))
 
     def local(self, s: int) -> LocalData:
-        """Effective data at slot s: the override if present, else the edge."""
-        data = self.overrides.get(s)
-        if data is not None:
-            return data
-        if s >= self.genus:
-            return RIGHT_EDGE
-        if s <= -self.genus:
-            return LEFT_EDGE
-        raise AssertionError(f"validated profile lacks data at s={s}")
+        """Effective data at slot s."""
+        return self.pieces[bisect_right(self.cuts, s)]
+
+    @property
+    def segments(self) -> tuple[tuple[int, int, LocalData], ...]:
+        """The finite pieces as (lo, hi, data); below them is LEFT_EDGE,
+        above them RIGHT_EDGE."""
+        return tuple(zip(self.cuts, self.cuts[1:], self.pieces[1:-1]))
+
+    @property
+    def overrides(self) -> Mapping[int, LocalData]:
+        return _Overrides(self)
+
+
+# the data of a slot inside the window that no run covers, which _check
+# reports as missing
+_MISSING = object()
+
+
+def _partition(g: int, runs) -> tuple[tuple, tuple]:
+    """The maximal pieces of the data given on runs, as (cuts, pieces).
+    A slot no run covers takes the edge pattern of its side, or _MISSING
+    inside the window."""
+    lo_in, hi_in = _inside(g)
+    cuts, pieces = [], [LEFT_EDGE]
+    end = -inf
+    for lo, hi, data in runs:
+        if end < lo:
+            _gap(cuts, pieces, end, lo, lo_in, hi_in)
+        _put(cuts, pieces, lo, data)
+        end = hi
+    _gap(cuts, pieces, end, inf, lo_in, hi_in)
+    return tuple(cuts), tuple(pieces)
+
+
+def _put(cuts: list, pieces: list, lo: int, data) -> None:
+    """Start a piece with data at lo, or extend the last one if equal."""
+    last = pieces[-1]
+    if data is not last and data != last:
+        cuts.append(lo)
+        pieces.append(data)
+
+
+def _gap(cuts: list, pieces: list, lo, hi, lo_in: int, hi_in: int) -> None:
+    """The uncovered slots lo <= s < hi, split at the window's ends."""
+    if lo < lo_in:
+        _put(cuts, pieces, lo, LEFT_EDGE)
+    if lo < hi_in and lo_in < hi:
+        _put(cuts, pieces, max(lo, lo_in), _MISSING)
+    if hi_in < hi:
+        _put(cuts, pieces, max(lo, hi_in), RIGHT_EDGE)
+
+
+def _spans(p: SurgeryProfile):
+    """(lo, hi, data) of every piece, the two outer ones infinite."""
+    return zip((-inf, *p.cuts), (*p.cuts, inf), p.pieces)
+
+
+def _override_runs(p: SurgeryProfile) -> Iterator[tuple[int, int, LocalData]]:
+    """(lo, hi, data) of the overrides, ascending: the slots inside the
+    window, and those outside it whose data is not the edge pattern."""
+    lo_in, hi_in = _inside(p.genus)
+    for lo, hi, data in _spans(p):
+        for a, b, edge in ((lo, lo_in, LEFT_EDGE), (lo_in, hi_in, None), (hi_in, hi, RIGHT_EDGE)):
+            a, b = max(lo, a), min(hi, b)
+            if a < b and (edge is None or data != edge):
+                yield a, b, data
+
+
+class _Overrides(Mapping):
+    """A profile's data slot by slot, on the slots of _override_runs."""
+
+    def __init__(self, profile: SurgeryProfile):
+        self._profile = profile
+
+    def __getitem__(self, s: int) -> LocalData:
+        data = self._profile.local(s)
+        lo_in, hi_in = _inside(self._profile.genus)
+        if s < lo_in and data == LEFT_EDGE or s >= hi_in and data == RIGHT_EDGE:
+            raise KeyError(s)
+        return data
+
+    def __iter__(self) -> Iterator[int]:
+        for lo, hi, _ in _override_runs(self._profile):
+            yield from range(lo, hi)
+
+    def __len__(self) -> int:
+        return sum(hi - lo for lo, hi, _ in _override_runs(self._profile))
+
+
+def _capped(lo: int, hi: int, message: str) -> Iterator[str | int]:
+    """message for the slots lo <= s < hi: the first 20 spelled out, the
+    rest as one count, which ProfileError adds to its '… and N more'."""
+    for s in range(lo, min(hi, lo + 20)):
+        yield message.format(s=s)
+    if hi - lo > 20:
+        yield hi - lo - 20
 
 
 def _check(p: SurgeryProfile) -> Iterator[str | int]:
-    if p.genus < 0:
-        yield f"genus {p.genus} < 0"
-        return
-    if not p.name or any(c.isspace() for c in p.name):
-        yield f"name {p.name!r} must be nonempty without whitespace"
+    """The violations, in the order: name, missing slots, data that is not
+    LocalData or breaks the edge pattern, rank symmetry, window ends. Each
+    rule walks the pieces, so a long piece costs what a short one does."""
     g = p.genus
-    # the missing slots are the gaps between the overrides inside the
-    # window; past the first 20 of a gap, all ProfileError shows, count them
-    inside = sorted(s for s in p.overrides if -g < s < g)
-    if len(inside) < 2 * g - 1:
-        for lo, hi in zip([-g, *inside], [*inside, g]):
-            for s in range(lo + 1, hi)[:20]:
-                yield f"missing override at s={s} (every |s| < genus is required)"
-            if hi - lo > 21:
-                yield hi - lo - 21
-    if g == 0 and 0 not in p.overrides:
-        yield "genus 0 requires an override at s=0"
-    for s, data in sorted(p.overrides.items()):
-        if not isinstance(data, LocalData):
-            yield f"s={s}: override is not LocalData"
-            continue
-        if s > g and data != RIGHT_EDGE and data != LocalData(1, (-1,), (0,)):
-            yield f"s={s}: override beyond genus contradicts the edge pattern"
-        if s < -g and data != LEFT_EDGE and data != LocalData(1, (0,), (-1,)):
-            yield f"s={s}: override beyond genus contradicts the edge pattern"
-    # conjugation symmetry of ranks, on effective data across the window;
-    # a slot with no override on either side has rank 1 or none on both
-    for s in sorted({abs(s) for s in p.overrides if abs(s) <= g}):
-        r_pos = _effective_rank(p, s)
-        r_neg = _effective_rank(p, -s)
-        if r_pos is not None and r_neg is not None and r_pos != r_neg:
-            yield f"rank symmetry violated: rank({s})={r_pos}, rank({-s})={r_neg}"
+    if p.name.split() != [p.name]:  # empty, or with whitespace
+        yield f"name {p.name!r} must be nonempty without whitespace"
+    # the _MISSING pieces are the gaps inside the window, one per gap
+    missing, wrong = [], []
+    beyond = "s={s}: override beyond genus contradicts the edge pattern"
+    for lo, hi, data in _spans(p):
+        if data is _MISSING:
+            missing.append((lo, hi))
+        elif not isinstance(data, LocalData):
+            wrong.append((lo, hi, "s={s}: override is not LocalData"))
+        else:
+            if lo < -g and data not in _LEFT_OK:
+                wrong.append((lo, min(hi, -g), beyond))
+            if hi > g + 1 and data not in _RIGHT_OK:
+                wrong.append((max(lo, g + 1), hi, beyond))
+    for lo, hi in missing:
+        if g:
+            yield from _capped(lo, hi, "missing override at s={s} (every |s| < genus is required)")
+        else:
+            yield "genus 0 requires an override at s=0"
+    for lo, hi, message in wrong:
+        yield from _capped(lo, hi, message)
+    # conjugation symmetry of ranks, on 0 < s <= g: the ranks at s and -s
+    # can only change where s or 1 - s is a cut
+    marks = {1, g + 1}
+    for c in p.cuts:
+        if 1 < c <= g:
+            marks.add(c)
+        elif 1 - g <= c <= 0:
+            marks.add(1 - c)
+    marks = sorted(marks)
+    for lo, hi in zip(marks, marks[1:]):
+        pos, neg = p.local(lo), p.local(-lo)
+        if isinstance(pos, LocalData) and isinstance(neg, LocalData) and pos.rank != neg.rank:
+            yield from _capped(
+                lo, hi, f"rank symmetry violated: rank({{s}})={pos.rank}, rank(-{{s}})={neg.rank}"
+            )
     # unit conditions at the ends of the window (data that is not
     # LocalData was reported above)
     if g >= 1:
-        right = p.overrides.get(g, RIGHT_EDGE)
+        right = p.local(g)
         if isinstance(right, LocalData) and (right.rank != 1 or not _is_unit_row(right.v)):
             yield f"s={g}: rank must be 1 with v = [+-1] (got {right})"
-        left = p.overrides.get(-g, LEFT_EDGE)
+        left = p.local(-g)
         if isinstance(left, LocalData) and (left.rank != 1 or not _is_unit_row(left.h)):
             yield f"s={-g}: rank must be 1 with h = [+-1] (got {left})"
-    elif isinstance(centre := p.overrides.get(0), LocalData):
+    elif isinstance(centre := p.local(0), LocalData):
         if centre.rank != 1 or not _is_unit_row(centre.v) or not _is_unit_row(centre.h):
             yield f"s=0: genus 0 needs rank 1 with v = [+-1] and h = [+-1]"
-
-
-def _effective_rank(p: SurgeryProfile, s: int) -> int | None:
-    data = p.overrides.get(s)
-    if data is not None:
-        return data.rank if isinstance(data, LocalData) else None
-    if abs(s) >= p.genus:
-        return 1
-    return None  # missing override, reported separately
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +311,11 @@ def unknot() -> SurgeryProfile:
 
 def lspace_knot(g: int) -> SurgeryProfile:
     """Staircase pattern of genus g: rank 1 everywhere, v = [1] iff s >= g,
-    h = [1] iff s <= -g. The profile of any positive L-space knot."""
+    h = [1] iff s <= -g. The profile of any positive L-space knot; one
+    segment, whatever g is."""
     if g < 1:
         raise ValueError("lspace_knot requires g >= 1")
-    overrides = {}
-    for s in range(-g, g + 1):
-        v = (1,) if s >= g else (0,)
-        h = (1,) if s <= -g else (0,)
-        overrides[s] = LocalData(1, v, h)
-    return SurgeryProfile(f"lspace:g={g}", g, overrides)
+    return SurgeryProfile.from_segments(f"lspace:g={g}", g, [(1 - g, g, LocalData(1, (0,), (0,)))])
 
 
 def figure_eight() -> SurgeryProfile:
@@ -203,22 +327,20 @@ def figure_eight() -> SurgeryProfile:
 def k_family(m: int, k: int) -> SurgeryProfile:
     """Twisted alternating family K_{2m,2k+1}: genus m; interior slots have
     rank 3 (m - s even) or 2k + 3 (m - s odd), with v and h the projections
-    to the first and second coordinates."""
+    to the first and second coordinates. The ranks alternate, so every
+    slot is its own segment."""
     if m < 1 or k < 1:
         raise ValueError("k_family requires m >= 1 and k >= 1")
-    overrides = {}
-    for s in range(-m + 1, m):
-        r = 3 if (m - s) % 2 == 0 else 2 * k + 3
-        v = (1,) + (0,) * (r - 1)
-        h = (0, 1) + (0,) * (r - 2)
-        overrides[s] = LocalData(r, v, h)
-    return SurgeryProfile(f"kfam:m={m},k={k}", m, overrides)
+    even, odd = (LocalData(r, (1,) + (0,) * (r - 1), (0, 1) + (0,) * (r - 2)) for r in (3, 2 * k + 3))
+    runs = [(s, s + 1, odd if (m - s) % 2 else even) for s in range(1 - m, m)]
+    return SurgeryProfile.from_segments(f"kfam:m={m},k={k}", m, runs)
 
 
 def tau_extremal(g: int, interior_ranks: Mapping[int, int] | None = None) -> SurgeryProfile:
     """Profile with both induced maps vanishing on the whole open window,
     the pattern forced when the tau invariant equals the genus. Interior
-    ranks default to 1; a supplied rank applies to both s and -s."""
+    ranks default to 1; a supplied rank applies to both s and -s. One
+    segment per supplied rank and per stretch of default ones."""
     if g < 1:
         raise ValueError("tau_extremal requires g >= 1")
     ranks: dict[int, int] = {}
@@ -230,11 +352,15 @@ def tau_extremal(g: int, interior_ranks: Mapping[int, int] | None = None) -> Sur
             if other is not None and other != r:
                 raise ValueError(f"conflicting ranks for |s|={abs(s)}: {other} and {r}")
             ranks[abs(s)] = r
-    overrides = {}
-    for s in range(-g + 1, g):
-        r = ranks.get(abs(s), 1)
-        overrides[s] = LocalData(r, (0,) * r, (0,) * r)
-    return SurgeryProfile(f"tau:g={g}", g, overrides)
+    one = LocalData(1, (0,), (0,))
+    runs, start = [], 1 - g
+    for s in sorted({t for a in ranks for t in (a, -a)}):
+        r = ranks[abs(s)]
+        runs += [(start, s, one)] if start < s else []
+        runs.append((s, s + 1, LocalData(r, (0,) * r, (0,) * r)))
+        start = s + 1
+    runs += [(start, g, one)] if start < g else []
+    return SurgeryProfile.from_segments(f"tau:g={g}", g, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +373,21 @@ def tau_extremal(g: int, interior_ranks: Mapping[int, int] | None = None) -> Sur
 
 
 def serialize(p: SurgeryProfile) -> str:
+    """One `local` line per override; each segment's tail is formatted once."""
     lines = [f"profile {p.name} genus {p.genus}"]
-    for s in sorted(p.overrides):
-        d = p.overrides[s]
-        v = ",".join(str(x) for x in d.v)
-        h = ",".join(str(x) for x in d.h)
-        lines.append(f"local {s} rank {d.rank} v {v} h {h}")
+    for lo, hi, d in _override_runs(p):
+        tail = f" rank {d.rank} v {','.join(map(str, d.v))} h {','.join(map(str, d.h))}"
+        lines.extend(f"local {s}{tail}" for s in range(lo, hi))
     return "\n".join(lines) + "\n"
+
+
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def ascii_int(text: str) -> int:
     """The integer spelled [+-]?[0-9]+; int() alone would also take '1_0',
     surrounding spaces and non-ASCII digits. Raises ValueError."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
+    if not _ASCII_INT.fullmatch(text):
         raise ValueError(f"expected integer, got {text!r}")
     return int(text)
 
@@ -276,7 +404,8 @@ def _parse_row(tok: str, line_no: int, what: str) -> tuple[int, ...]:
 
 
 def parse(text: str) -> SurgeryProfile:
-    """Parse the profile file format; validates all invariants."""
+    """Parse the profile file format; validates all invariants. Lines may
+    come in any order; equal adjacent slots merge into one segment."""
     header: tuple[str, int] | None = None
     overrides: dict[int, LocalData] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -226,6 +226,25 @@ def test_cost_does_not_grow_with_q(tmp_path):
         assert rss_mb < 100, argv
 
 
+def test_cost_does_not_grow_with_genus(tmp_path):
+    # lspace and tau are one segment inside the window at any genus: three
+    # stretches per cone and at most three runs per framing
+    g = 10**9
+    cases = [
+        (["ell", "--profile", f"lspace:g={g}", "--framing", "1"], "ell=0 total_rank=3999999997\n"),
+        (["ell", "--profile", f"lspace:g={g}", "--framing", f"{g + 1}/3"],
+         "ell=0 total_rank=10999999993\n"),
+        (["ell", "--profile", f"tau:g={g}", "--framing", "-7"], "ell=0 total_rank=4000000005\n"),
+        (["profile", "--check", f"lspace:g={g}"],
+         f"ok: lspace:g={g} genus {g} (1999999999 overrides)\n"),
+    ]
+    for argv, expected in cases:
+        code, out, err, seconds, rss_mb = run_child(tmp_path, *argv)
+        assert (code, out, err) == (0, expected, ""), argv
+        assert seconds < 1.0, argv
+        assert rss_mb < 100, argv
+
+
 def test_cone_over_column_budget_exits_65(tmp_path):
     # (2, 1) does not collapse: 10^12 copies of the middle slot would be emitted
     path = tmp_path / "two.profile"
@@ -638,6 +657,22 @@ def test_overflow_exit_70(tmp_path, capsys):
         assert code == 70
         assert out == ""
         assert err.startswith("overflow: ")
+
+
+def test_overflow_names_framing_and_class(tmp_path, capsys):
+    # a chain of (3, 2) data holds no unit, and its remainder overflows in
+    # the Smith form; the message says where
+    path = tmp_path / "chain.profile"
+    path.write_text(
+        "profile chain genus 2\n"
+        + "".join(f"local {s} rank 1 v 3 h 2\n" for s in (-1, 0, 1))
+    )
+    code, out, err = run(capsys, "hf", "--profile", f"@{path}", "--framing", "-1/20")
+    assert (code, out) == (70, "")
+    assert err == (
+        "overflow: framing -1/20, class i=0: "
+        "integer magnitude exceeded 2^63 during elimination\n"
+    )
 
 
 def test_violation_list_is_capped(tmp_path, capsys):

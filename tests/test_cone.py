@@ -177,14 +177,32 @@ def test_column_budget_counts_emitted_columns(monkeypatch):
     monkeypatch.setattr(cone, "COLUMN_BUDGET", 7)
     with pytest.raises(ConeTooLarge, match=r"framing -1/1000000000, class i=0"):
         spinc_group(figure_eight(), Framing(-1, 10**9), 0)
-    # stretches of 1, 20, 20, 20 and 1 slots of rank 1, the (2, 3) data
-    # emitted copy by copy in the middle, PIN collapsed on either side
+    # stretches of 1, 20, 20 and 21 slots of rank 1: the (2, 3) data
+    # emitted copy by copy, PIN collapsed on either side, and on the right
+    # merged with the end slot, whose data LEFT_EDGE equals PIN
     profile = SurgeryProfile("stretch", 2, {-1: PIN, 0: LocalData(1, (2,), (3,)), 1: PIN})
-    monkeypatch.setattr(cone, "COLUMN_BUDGET", 26)
-    assert spinc_group(profile, Framing(-1, 20), 0) == AbelianGroup(1, (3**20,))
     monkeypatch.setattr(cone, "COLUMN_BUDGET", 25)
+    assert spinc_group(profile, Framing(-1, 20), 0) == AbelianGroup(1, (3**20,))
+    monkeypatch.setattr(cone, "COLUMN_BUDGET", 24)
     with pytest.raises(ConeTooLarge):
         spinc_group(profile, Framing(-1, 20), 0)
+
+
+def test_each_plan_is_reduced_once_per_profile(monkeypatch):
+    reduced = []
+    reduce = cone._reduce
+    monkeypatch.setattr(cone, "_reduce", lambda *args: reduced.append(args[1]) or reduce(*args))
+    profile = lspace_knot(3)
+    framings = [Framing(p, q) for q in range(1, 6) for p in range(-40, 41) if p and gcd(p, q) == 1]
+    groups = [[group for _, group in spinc_runs(profile, f)] for f in framings]
+    assert len(reduced) == len(profile.plans) == 6
+    # a fresh profile object per framing shares nothing with the others,
+    # and a bounded cache gives the same groups
+    assert [[group for _, group in spinc_runs(lspace_knot(3), f)] for f in framings] == groups
+    monkeypatch.setattr(cone, "PLAN_CACHE", 2)
+    small = lspace_knot(3)
+    assert [[group for _, group in spinc_runs(small, f)] for f in framings] == groups
+    assert len(small.plans) <= 2
 
 
 # --- full reports -------------------------------------------------------
@@ -419,6 +437,62 @@ def test_collapsed_stretches_match_per_slot_oracle(profile, framing, i_raw, pad)
     event(f"p {'positive' if framing.p > 0 else 'negative'}")
     event("stretch of 3 or more" if framing.q >= 3 * abs(framing.p) else "short stretches")
     assert spinc_group(profile, framing, i, pad) == dense
+
+
+# data for runs of equal slots: zero and collapsible data, and also, on
+# runs of at most two slots, (2, 3) and (1, 2), which keep every copy, and
+# (2, 3) leaves torsion. Longer chains of them overflow the elimination
+# (ROADMAP, Euclid moves)
+RUN_DATA = [
+    LocalData(1, (0,), (0,)),
+    LocalData(1, (1,), (1,)),
+    LocalData(1, (0,), (1,)),
+    LocalData(1, (1,), (0,)),
+    LocalData(3, (0, 0, 0), (0, 0, 0)),
+    LocalData(3, (1, 0, 0), (0, 1, 0)),
+    LocalData(3, (1, 0, 0), (1, 0, 0)),
+]
+CHAIN_DATA = [LocalData(1, (2,), (3,)), LocalData(1, (1,), (2,))]
+
+
+@st.composite
+def long_segment_profiles_st(draw):
+    """Profiles whose slots 0..g-1 form a few runs of equal data, mirrored
+    onto 0..1-g with data of the same rank, and units of either sign at
+    +-g."""
+    g = draw(st.integers(2, 6))
+    ends = sorted(draw(st.sets(st.integers(1, g - 1), max_size=2)))
+    overrides = {}
+    for lo, hi in zip([0, *ends], [*ends, g]):
+        pool = RUN_DATA + CHAIN_DATA * 4 if hi - lo <= 2 else RUN_DATA
+        data = draw(st.sampled_from(pool))
+        # the mirrored run takes the same data or other data of its rank
+        mirror = draw(st.sampled_from([data] * 4 + [d for d in RUN_DATA if d.rank == data.rank]))
+        for s in range(lo, hi):
+            overrides[s] = data
+            if s:
+                overrides[-s] = mirror
+    overrides[g] = LocalData(1, (draw(st.sampled_from([1, -1])),), (0,))
+    overrides[-g] = LocalData(1, (0,), (draw(st.sampled_from([1, -1])),))
+    return SurgeryProfile(f"runs:g={g}", g, overrides)
+
+
+@given(long_segment_profiles_st(), framings_st(pmax=8, qmax=10))
+@settings(max_examples=300, deadline=None)
+def test_long_equal_segments_match_per_slot_oracle(profile, framing):
+    # merged stretches, cuts only where the data change, and the plan cache,
+    # checked class by class against the dense cone of every slot
+    longest = max((hi - lo for lo, hi, _ in profile.segments), default=0)
+    event(f"a segment of {'3 or more' if longest >= 3 else 'at most 2'} slots")
+    event(f"p {'positive' if framing.p > 0 else 'negative'}")
+    try:
+        dense = [helpers.dense_spinc_group(profile, framing, i) for i in range(abs(framing.p))]
+    except EliminationOverflow:
+        reject()  # the oracle's own 2^63 check
+    event("torsion" if any(group.torsion for group in dense) else "torsion-free")
+    runs = spinc_runs(profile, framing)
+    assert [group for run, group in runs for i in run] == dense
+    assert [spinc_group(profile, framing, i) for i in range(abs(framing.p))] == dense
 
 
 def test_non_unit_chains_match_sympy():

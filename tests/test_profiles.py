@@ -2,7 +2,10 @@
 
 import pytest
 
+from hfcone.cfk import staircase_from_alexander, to_profile
 from hfcone.profiles import (
+    LEFT_EDGE,
+    RIGHT_EDGE,
     LocalData,
     ProfileError,
     ProfileParseError,
@@ -85,8 +88,57 @@ def test_all_builtins_validate():
 
 
 def test_serialize_parse_round_trip():
-    for p in ALL_BUILTINS:
+    derived = [to_profile(staircase_from_alexander(c)) for c in ([1, -1, 1], [1, -1, 0, 1, 0, -1, 1])]
+    larger = [lspace_knot(40), k_family(6, 2), tau_extremal(30, {0: 3, 7: 5, 29: 3})]
+    for p in ALL_BUILTINS + derived + larger:
         assert parse(serialize(p)) == p
+
+
+def test_builtins_are_a_few_segments_at_any_genus():
+    g = 10**9
+    assert lspace_knot(g).segments == ((1 - g, g, LocalData(1, (0,), (0,))),)
+    assert len(tau_extremal(g).segments) == 1
+    # the default ones, rank 3 at -5, the ones between, rank 3 at 5, the rest
+    assert len(tau_extremal(g, {5: 3}).segments) == 5
+    assert len(lspace_knot(g).overrides) == 2 * g - 1
+    assert lspace_knot(g).local(g - 1) == LocalData(1, (0,), (0,))
+    assert lspace_knot(g).local(-g) == LocalData(1, (0,), (1,))
+    # k_family alternates its ranks, so every interior slot is a segment
+    assert len(k_family(4, 1).segments) == 7
+
+
+def test_equal_adjacent_slots_merge():
+    zero, two = LocalData(1, (0,), (0,)), LocalData(1, (2,), (3,))
+    lines = {s: zero for s in range(-3, 4)} | {1: two, 2: two}
+    text = "profile m genus 4\n" + "".join(
+        f"local {s} rank 1 v {d.v[0]} h {d.h[0]}\n" for s, d in reversed(lines.items())
+    )
+    p = parse(text)
+    assert p.segments == ((-3, 1, zero), (1, 3, two), (3, 4, zero))
+    assert p == SurgeryProfile.from_segments("n", 4, [(-3, 1, zero), (1, 3, two), (3, 4, zero)])
+    assert dict(p.overrides) == lines
+    assert serialize(p) == "profile m genus 4\n" + "".join(
+        f"local {s} rank 1 v {d.v[0]} h {d.h[0]}\n" for s, d in sorted(lines.items())
+    )
+
+
+def test_overrides_view_matches_the_slot_table():
+    # the slots inside the window, and those outside that break the edge
+    # pattern, as a per-slot table held them
+    flipped = SurgeryProfile("f", 1, {0: LocalData(1, (0,), (0,)), 3: LocalData(1, (-1,), (0,)),
+                                      -2: LocalData(1, (0,), (1,)), 1: LocalData(1, (1,), (0,))})
+    assert dict(flipped.overrides) == {0: LocalData(1, (0,), (0,)), 3: LocalData(1, (-1,), (0,))}
+    assert 1 not in flipped.overrides and 3 in flipped.overrides
+    for p in ALL_BUILTINS + [flipped]:
+        g = p.genus
+        inside = range(1 - g, g) if g else range(1)
+        table = {
+            s: p.local(s)
+            for s in range(-g - 5, g + 6)
+            if s in inside or p.local(s) != (LEFT_EDGE if s < 0 else RIGHT_EDGE)
+        }
+        assert dict(p.overrides) == table, p.name
+        assert len(p.overrides) == len(table) == len(list(p.overrides))
 
 
 def test_parse_accepts_comments_and_blank_lines():
@@ -141,6 +193,18 @@ def test_rank_symmetry_enforced():
     with pytest.raises(ProfileError) as err:
         SurgeryProfile("asym", 2, overrides | {2: LocalData(1, (1,), (0,)), -2: LocalData(1, (0,), (1,))})
     assert any("symmetry" in v for v in err.value.violations)
+
+
+def test_rank_symmetry_is_checked_slot_by_slot_on_segments():
+    one, three = LocalData(1, (0,), (0,)), LocalData(3, (0, 0, 0), (0, 0, 0))
+    for g, lo in ((5, -4), (30, -25)):
+        overrides = {s: three if lo <= s < 0 else one for s in range(1 - g, g)}
+        with pytest.raises(ProfileError) as err:
+            SurgeryProfile("asym", g, overrides)
+        expected = [f"rank symmetry violated: rank({s})=1, rank(-{s})=3" for s in range(1, -lo + 1)]
+        if len(expected) > 20:
+            expected[20:] = [f"… and {len(expected) - 20} more"]
+        assert err.value.violations == expected
 
 
 def test_missing_interior_override_rejected():
