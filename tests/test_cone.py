@@ -4,7 +4,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import assume, event, given, reject, settings
+from hypothesis import assume, event, example, given, reject, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
@@ -477,7 +477,27 @@ def long_segment_profiles_st(draw):
     return SurgeryProfile(f"runs:g={g}", g, overrides)
 
 
+def _group_or_overflow(profile, framing, i):
+    try:
+        return spinc_group(profile, framing, i)
+    except EliminationOverflow as e:
+        assert str(e).startswith(f"framing {framing}, class i={i}: ")
+        return None
+
+
 @given(long_segment_profiles_st(), framings_st(pmax=8, qmax=10))
+@example(
+    SurgeryProfile(
+        "runs:g=3",
+        3,
+        {
+            **{s: LocalData(1, (2,), (3,)) for s in range(-2, 3)},
+            3: LocalData(1, (1,), (0,)),
+            -3: LocalData(1, (0,), (1,)),
+        },
+    ),
+    Framing(1, 10),
+)
 @settings(max_examples=300, deadline=None)
 def test_long_equal_segments_match_per_slot_oracle(profile, framing):
     # merged stretches, cuts only where the data change, and the plan cache,
@@ -490,9 +510,25 @@ def test_long_equal_segments_match_per_slot_oracle(profile, framing):
     except EliminationOverflow:
         reject()  # the oracle's own 2^63 check
     event("torsion" if any(group.torsion for group in dense) else "torsion-free")
+    # The engine eliminates in another order than the dense oracle, so it
+    # may exceed 2^63 where the oracle does not: a long (2, 3) chain at
+    # 1/10 does. Such a class must overflow the same way with the plan
+    # cache cold or warm, and every class it answers must match.
+    groups = [_group_or_overflow(profile, framing, i) for i in range(abs(framing.p))]
+    cold = SurgeryProfile(profile.name, profile.genus, profile.overrides)
+    backwards = [_group_or_overflow(cold, framing, i) for i in reversed(range(abs(framing.p)))]
+    assert backwards[::-1] == groups
+    if None in groups:
+        event("engine overflow")
+        with pytest.raises(EliminationOverflow):
+            spinc_runs(profile, framing)
+        assert [group for group, d in zip(groups, dense) if group is not None] == [
+            d for group, d in zip(groups, dense) if group is not None
+        ]
+        return
     runs = spinc_runs(profile, framing)
     assert [group for run, group in runs for i in run] == dense
-    assert [spinc_group(profile, framing, i) for i in range(abs(framing.p))] == dense
+    assert groups == dense
 
 
 def test_non_unit_chains_match_sympy():
