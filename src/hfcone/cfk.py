@@ -31,15 +31,59 @@ the generators that carry reads. A slice with arrows left over
 (torsion, or only non-unit coefficients as in d x = 2y + 3z) has no
 such basis and is refused with TorsionError rather than guessing a
 convention; validate() reads only its group.
+
+to_profile sweeps s from -g to g instead of building each A_s anew. The
+arrow x -> U^a y survives on A_s iff max(0, A(x) - s) + a =
+max(0, A(y) - s). There are three cases:
+
+* s >= max(A(x), A(y)): both maxima are 0, and it survives iff a = 0;
+* s <= min(A(x), A(y)): the maxima are A(x) - s and A(y) - s, and it
+  survives iff the j-drop A(x) - A(y) + a is 0;
+* min < s < max: only the side of the larger grading moves with s. If
+  A(x) > A(y), the left side exceeds a >= 0, the right side. If
+  A(x) < A(y), it survives only at s = A(y) - a, and only when
+  A(x) < A(y) - a < A(y), that is when a > 0 and the j-drop is < 0.
+
+The first case needs a = 0, the second a j-drop of 0 and the third
+both a > 0 and a j-drop < 0. So the third excludes the other two, and
+those two hold together only when a = 0 and A(x) = A(y), where the
+arrow survives for every s. Each arrow thus survives on one interval
+of s (``_survival``): all of it, [max, g], [-g, min], one point, or
+none; a valid arrow never takes the point. It enters and leaves the
+sweep at most once, so between consecutive slices only the columns of
+the sources of arrows that enter or leave are rebuilt (``_sweep``), and
+a slice whose columns did not change keeps the reduction of the slice
+before.
+
+No slice repeats the d^2 check of homology(). A_s is a subquotient of
+the full complex C: the generators U^b x with max(i, j - s) <= 0 span a
+subcomplex, since d lowers neither filtration, those with
+max(i, j - s) <= -1 a subcomplex of that, and A_s is the quotient. Its
+differential is d restricted and projected, so d^2 = 0 on A_s follows
+from d^2 = 0 on C. validate() checks that once, over Z[U] on the i = 0
+generators, which covers their U-translates; B is A_s for s >= g. Only
+homology() of a SliceComplex from elsewhere checks it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .exactla import AbelianGroup, _checked, cancel_units, schur_update, smith_normal_form
+from .exactla import (
+    AbelianGroup,
+    EliminationOverflow,
+    _checked,
+    cancel_units,
+    schur_update,
+    smith_normal_form,
+)
 from .profiles import LocalData, SurgeryProfile
+
+# generators x slices one to_profile may reduce: every slice is still
+# copied and cancelled in full, so the sweep is quadratic in the genus of
+# a staircase; T(2,2001) needs 2001 x 2001 = 4,004,001
+SLICE_BUDGET = 5 * 10**6
 
 
 class InvalidComplexError(ValueError):
@@ -52,6 +96,10 @@ class TorsionError(ValueError):
 
 class StaircaseError(ValueError):
     """Coefficients do not describe a staircase complex."""
+
+
+class ComplexTooLarge(ValueError):
+    """to_profile would reduce more than SLICE_BUDGET generators over its slices."""
 
 
 @dataclass(frozen=True)
@@ -81,10 +129,15 @@ class CfkComplex:
 
 def validate(c: CfkComplex) -> list[str]:
     """All invariant violations, as human-readable strings; [] means valid."""
+    return _validate(c)[0]
+
+
+def _validate(c: CfkComplex) -> tuple[list[str], SliceHomology | None]:
+    """validate(c), and B's reduction once the checks before it pass."""
     out: list[str] = []
     n = len(c.generators)
     if n == 0:
-        return ["complex has no generators"]
+        return ["complex has no generators"], None
     for a in c.arrows:
         if not (0 <= a.source < n and 0 <= a.target < n):
             out.append(f"arrow {a} references a missing generator")
@@ -97,16 +150,16 @@ def validate(c: CfkComplex) -> list[str]:
         if x.alexander - y.alexander + a.u_power < 0:
             out.append(f"arrow {_arrow_str(c, a)} raises the j-filtration")
     if out:
-        return out
+        return out, None
     if sorted(c.conj) != list(range(n)):
-        return [f"conj {c.conj} is not a permutation of the generators"]
+        return [f"conj {c.conj} is not a permutation of the generators"], None
     for i, j in enumerate(c.conj):
         if c.conj[j] != i:
             out.append(f"conj is not an involution at generator {i}")
         if c.generators[j].alexander != -c.generators[i].alexander:
             out.append(f"conj does not negate the grading of {c.generators[i].name}")
     if out:
-        return out
+        return out, None
     # d^2 = 0 over Z[U]: group compositions by (source, target, total U power)
     leaving: dict[int, list[Arrow]] = {}
     for a in c.arrows:
@@ -139,22 +192,25 @@ def validate(c: CfkComplex) -> list[str]:
     if key_of(conj_arrows) != key_of(c.arrows):
         out.append("arrow set is not conjugation symmetric")
     if out:
-        return out
-    # the central complex must have the homology of the three-sphere
-    hb = homology(bhat(c), _allow_torsion=True)
+        return out, None
+    # the central complex must have the homology of the three-sphere; d^2 = 0
+    # holds on it as on the whole complex, and bhat's columns are its own
+    hb = _reduce(list(bhat(c).differential))
     if not hb.group.is_z:
         out.append(f"H(B) is {hb.group.describe()}, expected Z")
-    return out
+    return out, hb
 
 
 def _arrow_str(c: CfkComplex, a: Arrow) -> str:
     return f"{c.generators[a.source].name} -> U^{a.u_power} {c.generators[a.target].name}"
 
 
-def _require_valid(c: CfkComplex) -> None:
-    problems = validate(c)
+def _require_valid(c: CfkComplex) -> SliceHomology:
+    """B's reduction, once validate(c) finds nothing."""
+    problems, hb = _validate(c)
     if problems:
         raise InvalidComplexError("; ".join(problems))
+    return hb
 
 
 @dataclass(frozen=True)
@@ -198,8 +254,9 @@ class SliceHomology:
     """Homology of a slice, reduced by cancelling its +-1 arrows.
 
     The generators no cancellation removed (``_survivors``) form the free
-    basis; ``_steps`` are the cancellations, in order, that :class:`_Reader`
-    and :func:`_carry` replay.
+    basis when no arrow is left over (see :func:`_basis`); ``_steps`` are
+    the cancellations, in order, that :class:`_Reader` and :func:`_carry`
+    replay.
     """
 
     group: AbelianGroup
@@ -214,34 +271,46 @@ def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int
     return out
 
 
-def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
+def homology(s: SliceComplex) -> SliceHomology:
     """Homology of a slice, with the cancellations that give its free basis.
 
-    Unit arrows are cancelled first, on a copy of the columns; the columns
-    left over go to the Smith form for the group. Such a slice has no basis
-    here, so it is refused (TorsionError) like torsion, unless tolerated by
-    a group-only caller.
+    Checks d^2 = 0, then reduces a copy of the columns with _reduce. A
+    slice with arrows left over has no basis here, so it is refused
+    (TorsionError) like torsion.
     """
     d = s.differential
     if any(_image(d, col) for col in d):
         raise ValueError("slice differential does not square to zero")
-    n = len(d)
-    cols = [dict(col) for col in d]
+    return _basis(_reduce([dict(col) for col in d]))
+
+
+def _reduce(cols: list[dict[int, int]]) -> SliceHomology:
+    """The homology of the complex with differential cols, which it
+    consumes, without checking d^2 = 0.
+
+    Unit arrows are cancelled first; the columns left over go to the
+    Smith form for the group. The survivors are a basis only when no
+    arrow is left over, that is when there are free_rank of them.
+    """
+    n = len(cols)
     steps = cancel_units(cols)
     gone = {k for x, y, *_ in steps for k in (x, y)}
     survivors = tuple(k for k in range(n) if k not in gone)
     rest = [cols[k] for k in survivors if cols[k]]
     divisors = smith_normal_form(rest) if rest else []
     group = AbelianGroup(n - 2 * (len(steps) + len(divisors)), tuple(e for e in divisors if e > 1))
-    if rest:
-        if _allow_torsion:
-            return SliceHomology(group, (), ())
-        if group.torsion:
+    return SliceHomology(group, tuple(steps), survivors)
+
+
+def _basis(h: SliceHomology) -> SliceHomology:
+    """h, whose survivors must be a basis of its homology."""
+    if len(h._survivors) > h.group.free_rank:
+        if h.group.torsion:
             raise TorsionError(
-                f"homology has torsion {group.torsion}; only free homology is supported here"
+                f"homology has torsion {h.group.torsion}; only free homology is supported here"
             )
         raise TorsionError("arrows without a unit coefficient survive cancellation")
-    return SliceHomology(group, tuple(steps), survivors)
+    return h
 
 
 class _Reader(dict):
@@ -289,15 +358,6 @@ def _carry(h: SliceHomology, phi: _Reader, at: Sequence[int | None]) -> list[int
     return [_checked(moved.get(k, 0) + phi[at[k]]) for k in h._survivors]
 
 
-def _maps(c: CfkComplex, s: int, phi: _Reader) -> tuple[SliceHomology, list[int], list[int]]:
-    """H(A_s) and the rows of v_s and h_s on its basis, phi reading H(B)."""
-    a = ahat(c, s)
-    ha = homology(a)
-    v = [w if b == 0 else None for w, b in a.basis]
-    h = [c.conj[w] if g.alexander >= s else None for w, g in enumerate(c.generators)]
-    return ha, _carry(ha, phi, v), _carry(ha, phi, h)
-
-
 def mirror(c: CfkComplex) -> CfkComplex:
     """The dual complex: gradings negated, arrows reversed with the same
     U power. Surgery p/q on the original matches surgery -p/q here."""
@@ -340,19 +400,94 @@ def staircase_from_alexander(coeffs: Sequence[int], top: int | None = None) -> C
     return c
 
 
+def _survival(ax: int, ay: int, a: int, lo: int, hi: int) -> tuple[int, int]:
+    """The s in [lo, hi] on which an arrow x -> U^a y (a >= 0) between
+    gradings ax and ay survives on A_s, as (first, last); empty when
+    first > last. The three cases of the module docstring."""
+    if a == 0:
+        first, last = (lo if ax == ay else max(ax, ay)), hi
+    elif ax - ay + a == 0:
+        first, last = lo, ax
+    elif ax - ay + a < 0:
+        first = last = ay - a
+    else:
+        return hi + 1, hi
+    return max(first, lo), min(last, hi)
+
+
+def _sweep(
+    c: CfkComplex, g: int
+) -> Iterator[tuple[int, list[dict[int, int]], set[int]]]:
+    """(s, the columns of A_s, the columns rebuilt at s) for s = -g, ...,
+    g: one list, equal to ahat(c, s).differential and updated in place
+    between the yields.
+
+    Only the columns of sources whose arrows enter or leave at s are
+    rebuilt, each from its surviving arrows in arrow order, parallel
+    arrows summed and the sums checked, as ahat builds them; at s = -g
+    every column is built.
+    """
+    gens = c.generators
+    leaving: list[list[tuple[int, int, int, int]]] = [[] for _ in gens]
+    touched: dict[int, set[int]] = {-g: set(range(len(gens)))}
+    for a in c.arrows:
+        first, last = _survival(
+            gens[a.source].alexander, gens[a.target].alexander, a.u_power, -g, g
+        )
+        if first > last:
+            continue
+        leaving[a.source].append((first, last, a.target, a.coeff))
+        for t in (first, last + 1):
+            if t <= g:
+                touched.setdefault(t, set()).add(a.source)
+
+    def column(x: int, s: int) -> dict[int, int]:
+        col: dict[int, int] = {}
+        for first, last, y, e in leaving[x]:
+            if first <= s <= last:
+                col[y] = col.get(y, 0) + e
+        return {y: _checked(e) for y, e in col.items() if e}
+
+    cols: list[dict[int, int]] = [{} for _ in gens]
+    for s in range(-g, g + 1):
+        rebuilt = touched.get(s, set())
+        for x in rebuilt:
+            cols[x] = column(x, s)
+        yield s, cols, rebuilt
+
+
 def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     """Derive the surgery profile: ranks of H(A_s) and induced maps for
     every |s| <= genus. Basis signs are chosen so that the first nonzero
     coordinate of each (v, h) column is positive, which makes staircase
     complexes reproduce the built-in profiles on the nose. On a slice of
     rank > 1 the basis is the one the cancellation leaves; another basis
-    changes v and h, but not the surgery groups."""
-    _require_valid(c)
+    changes v and h, but not the surgery groups.
+
+    The slices come from one sweep over s. A slice whose columns changed
+    is reduced by _reduce on a copy of them, and one whose columns did
+    not keeps the reduction of the slice before; B is reduced once, by
+    the validation. Past SLICE_BUDGET generators x slices,
+    ComplexTooLarge is raised before the sweep; an EliminationOverflow or
+    TorsionError on a slice names its s."""
+    phi = _Reader(_basis(_require_valid(c)), 0)
     g = c.genus
-    phi = _Reader(homology(bhat(c)), 0)
+    n, slices = len(c.generators), 2 * g + 1
+    if n * slices > SLICE_BUDGET:
+        raise ComplexTooLarge(
+            f"{n} generators x {slices} slices = {n * slices} exceeds the budget of"
+            f" {SLICE_BUDGET}"
+        )
+    alexander = [x.alexander for x in c.generators]
     overrides = {}
-    for s in range(-g, g + 1):
-        ha, v, h = _maps(c, s, phi)
+    for s, cols, rebuilt in _sweep(c, g):
+        try:
+            if rebuilt:
+                ha = _basis(_reduce(list(map(dict.copy, cols))))
+            v = _carry(ha, phi, [w if k <= s else None for w, k in enumerate(alexander)])
+            h = _carry(ha, phi, [c.conj[w] if k >= s else None for w, k in enumerate(alexander)])
+        except (EliminationOverflow, TorsionError) as e:
+            raise type(e)(f"slice s={s}: {e}") from None
         for j in range(len(v)):
             if (v[j] or h[j]) < 0:
                 v[j], h[j] = -v[j], -h[j]

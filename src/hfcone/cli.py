@@ -4,7 +4,8 @@ Subcommands: hf, ell, bound, spinc, pair, kfam, staircase, profile.
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 spinc --oracle disagreement, 2 obstruction violated (pair/kfam, for
 scripting), 64 usage error, 65 input data error (also a cone over
-cone.COLUMN_BUDGET columns), 70 internal arithmetic overflow.
+cone.COLUMN_BUDGET columns, or a complex over cfk.SLICE_BUDGET
+generators x slices), 70 internal arithmetic overflow.
 
 Profile selectors: built-in names with parameters (unknot, lspace:g=3,
 fig8, kfam:m=2,k=1, tau:g=2) or @path to a profile file.
@@ -334,7 +335,9 @@ def _cmd_staircase(ns) -> int:
     try:
         complex_ = cfk.staircase_from_alexander(coeffs, top)
         profile = cfk.to_profile(complex_, name=f"staircase-g{complex_.genus}")
-    except (cfk.StaircaseError, cfk.InvalidComplexError, cfk.TorsionError) as e:
+    except (
+        cfk.StaircaseError, cfk.InvalidComplexError, cfk.TorsionError, cfk.ComplexTooLarge
+    ) as e:
         raise InputDataError(str(e)) from None
     if ns.emit_profile:
         sys.stdout.write(profiles.serialize(profile))

@@ -6,8 +6,9 @@ All generated profiles use odd slot ranks; the cone's rank-parity
 property (free rank odd) holds exactly for that class.
 
 Also the slow references the fast paths are checked against: the dense
-cone matrix and its Smith form, hf output rendered class by class, and
-the induced maps of a knot complex read through dense cycle lifts.
+cone matrix and its Smith form, hf output rendered class by class, the
+induced maps of a knot complex read through dense cycle lifts, and its
+profile derived slice by slice from ahat and homology.
 Dense matrices here are plain lists of rows; columns() turns them into
 the sparse {row: entry} columns the library takes.
 """
@@ -16,7 +17,17 @@ import json
 import random
 from math import gcd
 
-from hfcone.cfk import CfkComplex, SliceComplex, SliceHomology, ahat, bhat, homology
+from hfcone.cfk import (
+    Arrow,
+    CfkComplex,
+    SliceComplex,
+    SliceHomology,
+    _carry,
+    _Reader,
+    ahat,
+    bhat,
+    homology,
+)
 from hfcone.cone import Framing, Window, phi, surgery_report, truncation_window
 from hfcone.exactla import AbelianGroup, smith_normal_form
 from hfcone.profiles import LocalData, SurgeryProfile
@@ -212,3 +223,53 @@ def induced_row(c: CfkComplex, s: int, use_conj: bool) -> list[int]:
         (coord,) = class_vector(b, hb, image)
         coords.append(coord)
     return coords
+
+
+def slice_maps(
+    c: CfkComplex, s: int, phi: _Reader
+) -> tuple[SliceHomology, list[int], list[int]]:
+    """H(A_s) and the rows of v_s and h_s on its basis, phi reading H(B):
+    A_s built by ahat and reduced by homology, d^2 check included."""
+    a = ahat(c, s)
+    ha = homology(a)
+    v = [w if b == 0 else None for w, b in a.basis]
+    h = [c.conj[w] if g.alexander >= s else None for w, g in enumerate(c.generators)]
+    return ha, _carry(ha, phi, v), _carry(ha, phi, h)
+
+
+def reference_profile(c: CfkComplex) -> SurgeryProfile:
+    """Reference for cfk.to_profile on a valid complex: every slice built
+    and reduced on its own, B reduced again, signs fixed as to_profile
+    fixes them."""
+    g = c.genus
+    phi = _Reader(homology(bhat(c)), 0)
+    overrides = {}
+    for s in range(-g, g + 1):
+        ha, v, h = slice_maps(c, s, phi)
+        for j in range(len(v)):
+            if (v[j] or h[j]) < 0:
+                v[j], h[j] = -v[j], -h[j]
+        overrides[s] = LocalData(ha.group.free_rank, tuple(v), tuple(h))
+    return SurgeryProfile(f"derived:g={g}", g, overrides)
+
+
+def with_cancelling_arrows(c: CfkComplex, rng: random.Random) -> CfkComplex:
+    """c with conjugate pairs of parallel +-1 arrows inserted at random
+    places in its arrow list: each pair sums to zero on every slice where
+    it survives, so the slices, and validity, are those of c."""
+    gens = c.generators
+    arrows = list(c.arrows)
+    for _ in range(rng.randint(1, 4)):
+        x, y = rng.sample(range(len(gens)), 2)
+        a = max(0, gens[y].alexander - gens[x].alexander) + rng.choice((0, 0, 1))
+        e = rng.choice((1, -1))
+        # J carries x -> U^a y to conj(x) -> U^(a + A(x) - A(y)) conj(y)
+        b = a + gens[x].alexander - gens[y].alexander
+        for arrow in (
+            Arrow(x, y, a, e),
+            Arrow(x, y, a, -e),
+            Arrow(c.conj[x], c.conj[y], b, e),
+            Arrow(c.conj[x], c.conj[y], b, -e),
+        ):
+            arrows.insert(rng.randint(0, len(arrows)), arrow)
+    return CfkComplex(gens, tuple(arrows), c.conj)

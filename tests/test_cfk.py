@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from sympy import Matrix
 
 import helpers
+from hfcone import cfk
 from hfcone.cfk import (
     Arrow,
     CfkComplex,
+    ComplexTooLarge,
     Generator,
     InvalidComplexError,
     SliceComplex,
@@ -24,7 +26,8 @@ from hfcone.cfk import (
     TorsionError,
     _Reader,
     _carry,
-    _maps,
+    _survival,
+    _sweep,
     ahat,
     bhat,
     homology,
@@ -33,6 +36,8 @@ from hfcone.cfk import (
     to_profile,
     validate,
 )
+from hfcone.cli import main
+from hfcone.exactla import EliminationOverflow, cancel_units
 from hfcone.profiles import LocalData, lspace_knot, unknot
 
 TREFOIL_ALEX = [1, -1, 1]
@@ -260,11 +265,11 @@ def _assert_dual_bases(sl, h):
 
 
 def induced_v(c, s):
-    return _maps(c, s, _Reader(homology(bhat(c)), 0))[1]
+    return helpers.slice_maps(c, s, _Reader(homology(bhat(c)), 0))[1]
 
 
 def induced_h(c, s):
-    return _maps(c, s, _Reader(homology(bhat(c)), 0))[2]
+    return helpers.slice_maps(c, s, _Reader(homology(bhat(c)), 0))[2]
 
 
 def test_induced_maps_trefoil():
@@ -410,6 +415,113 @@ def test_cochains_on_random_based_complexes(rng):
         return  # no unit left to cancel
     assert h.group.free_rank == n - 2 * Matrix(d).rank()
     _assert_dual_bases(sl, h)
+
+
+@pytest.mark.parametrize("lo, hi", [(-6, 6), (-2, 1)])
+def test_survival_interval_matches_shift_formula(lo, hi):
+    # every grading pair and U power, the invalid ones (j-drop < 0) too
+    for ax in range(-4, 5):
+        for ay in range(-4, 5):
+            for a in range(0, 10):
+                alive = [s for s in range(lo, hi + 1) if max(0, ax - s) + a == max(0, ay - s)]
+                first, last = _survival(ax, ay, a, lo, hi)
+                assert alive == list(range(first, last + 1)), (ax, ay, a)
+
+
+def _random_complex(rng, mirrored, padded):
+    c = staircase_from_alexander(helpers.random_lspace_alexander(rng))
+    if mirrored:
+        c = mirror(c)
+    if padded:
+        c = helpers.with_cancelling_arrows(c, rng)
+        assert validate(c) == []
+    return c
+
+
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_sweep_columns_match_ahat(rng, mirrored, padded):
+    c = _random_complex(rng, mirrored, padded)
+    g = c.genus
+    swept = []
+    for s, cols, rebuilt in _sweep(c, g):
+        swept.append(s)
+        expected = ahat(c, s).differential
+        assert [list(col.items()) for col in cols] == [list(col.items()) for col in expected]
+        if s == -g:
+            assert rebuilt == set(range(len(cols)))
+        else:
+            previous = ahat(c, s - 1).differential
+            assert {x for x in range(len(cols)) if cols[x] != previous[x]} <= rebuilt
+    assert swept == list(range(-g, g + 1))
+
+
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_to_profile_matches_per_slice_reference(rng, mirrored, padded):
+    # mirrors have rank-3 middle slices, where v and h depend on the basis
+    c = _random_complex(rng, mirrored, padded)
+    profile = to_profile(c)
+    assert profile == helpers.reference_profile(c)
+    if not mirrored:
+        assert profile == lspace_knot(c.genus)
+
+
+def _failing_on(c, s, failure):
+    """cancel_units, but failure(cols) in its place on the columns of A_s.
+
+    The failure is injected: a search of small valid complexes (bipartite,
+    conjugation-symmetric, H(B) = Z, entries up to 3 or 2^32) found none
+    whose middle slice overflows or keeps arrows while B does not."""
+    target = [list(col.items()) for col in ahat(c, s).differential]
+
+    def reduce(cols):
+        if [list(col.items()) for col in cols] == target:
+            return failure(cols)
+        return cancel_units(cols)
+
+    return reduce
+
+
+def _overflow(cols):
+    raise EliminationOverflow("integer magnitude exceeded 2^63 during elimination")
+
+
+def test_slice_overflow_names_s(monkeypatch, capsys):
+    # A_0 of the trefoil differs from A_1 = B and from A_-1
+    c = trefoil()
+    monkeypatch.setattr(cfk, "cancel_units", _failing_on(c, 0, _overflow))
+    with pytest.raises(EliminationOverflow, match=r"^slice s=0: integer magnitude exceeded"):
+        to_profile(c)
+    assert main(["staircase", "--alexander", "1,-1,1", "--emit-profile"]) == 70
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "", "overflow: slice s=0: integer magnitude exceeded 2^63 during elimination\n"
+    )
+
+
+def test_slice_torsion_names_s(monkeypatch, capsys):
+    # an A_0 left uncancelled keeps its unit arrow, as a non-unit remainder would
+    c = trefoil()
+    monkeypatch.setattr(cfk, "cancel_units", _failing_on(c, 0, lambda cols: []))
+    with pytest.raises(TorsionError, match=r"^slice s=0: arrows without a unit coefficient"):
+        to_profile(c)
+    assert main(["staircase", "--alexander", "1,-1,1", "--emit-profile"]) == 65
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "",
+        "input error: slice s=0: arrows without a unit coefficient survive cancellation\n",
+    )
+
+
+def test_to_profile_refuses_complex_over_budget(monkeypatch):
+    c = staircase_from_alexander(T34_ALEX)  # 5 generators x 7 slices
+    monkeypatch.setattr(cfk, "SLICE_BUDGET", 35)
+    assert to_profile(c) == lspace_knot(3)
+    monkeypatch.setattr(cfk, "SLICE_BUDGET", 34)
+    with pytest.raises(ComplexTooLarge) as e:
+        to_profile(c)
+    assert str(e.value) == "5 generators x 7 slices = 35 exceeds the budget of 34"
 
 
 def test_to_profile_scales_to_t_2_121():

@@ -258,6 +258,19 @@ def test_cone_over_column_budget_exits_65(tmp_path):
     assert rss_mb < 100
 
 
+def test_complex_over_slice_budget_exits_65(tmp_path):
+    # T(2,20001): 20,001 generators x 20,001 slices, refused before the sweep
+    coeffs = ",".join(str((-1) ** k) for k in range(20001))
+    code, out, err, seconds, rss_mb = run_child(tmp_path, "staircase", "--alexander", coeffs)
+    assert (code, out) == (65, "")
+    assert err == (
+        "input error: 20001 generators x 20001 slices = 400040001 exceeds the budget of"
+        " 5000000\n"
+    )
+    assert seconds < 2.0
+    assert rss_mb < 100
+
+
 def _main_stdout(argv):
     # capsys is function-scoped, which hypothesis refuses; capture by hand
     out, err = io.StringIO(), io.StringIO()
