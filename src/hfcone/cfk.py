@@ -61,8 +61,10 @@ subcomplex, since d lowers neither filtration, those with
 max(i, j - s) <= -1 a subcomplex of that, and A_s is the quotient. Its
 differential is d restricted and projected, so d^2 = 0 on A_s follows
 from d^2 = 0 on C. validate() checks that once, over Z[U] on the i = 0
-generators, which covers their U-translates; B is A_s for s >= g. Only
-homology() of a SliceComplex from elsewhere checks it again.
+generators, which covers their U-translates. to_profile reduces the
+slices A_s with _reduce, which skips the check; B, which is A_s for
+s >= g, is reduced once, by validate() through homology(), whose check
+there is one pass over B's arrows.
 """
 
 from __future__ import annotations
@@ -193,9 +195,8 @@ def _validate(c: CfkComplex) -> tuple[list[str], SliceHomology | None]:
         out.append("arrow set is not conjugation symmetric")
     if out:
         return out, None
-    # the central complex must have the homology of the three-sphere; d^2 = 0
-    # holds on it as on the whole complex, and bhat's columns are its own
-    hb = _reduce(list(bhat(c).differential))
+    # the central complex must have the homology of the three-sphere
+    hb = homology(bhat(c), _allow_torsion=True)
     if not hb.group.is_z:
         out.append(f"H(B) is {hb.group.describe()}, expected Z")
     return out, hb
@@ -271,17 +272,18 @@ def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int
     return out
 
 
-def homology(s: SliceComplex) -> SliceHomology:
+def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
     """Homology of a slice, with the cancellations that give its free basis.
 
     Checks d^2 = 0, then reduces a copy of the columns with _reduce. A
     slice with arrows left over has no basis here, so it is refused
-    (TorsionError) like torsion.
+    (TorsionError) like torsion, unless tolerated by a group-only caller.
     """
     d = s.differential
     if any(_image(d, col) for col in d):
         raise ValueError("slice differential does not square to zero")
-    return _basis(_reduce([dict(col) for col in d]))
+    h = _reduce([dict(col) for col in d])
+    return h if _allow_torsion else _basis(h)
 
 
 def _reduce(cols: list[dict[int, int]]) -> SliceHomology:
