@@ -206,14 +206,6 @@ def _arrow_str(c: CfkComplex, a: Arrow) -> str:
     return f"{c.generators[a.source].name} -> U^{a.u_power} {c.generators[a.target].name}"
 
 
-def _require_valid(c: CfkComplex) -> SliceHomology:
-    """B's reduction, once validate(c) finds nothing."""
-    problems, hb = _validate(c)
-    if problems:
-        raise InvalidComplexError("; ".join(problems))
-    return hb
-
-
 @dataclass(frozen=True)
 class SliceComplex:
     """Finite complex on basis U^b x, one element per generator.
@@ -375,6 +367,21 @@ def staircase_from_alexander(coeffs: Sequence[int], top: int | None = None) -> C
     zeros included). They must be symmetric and the nonzero ones must
     alternate +1, -1, ... starting with +1; the step lengths of the
     staircase are the gaps between nonzero exponents.
+
+    The complex is valid by construction; to_profile validates what it
+    is given. The nonzero exponents e_0 > ... > e_2n are odd in number
+    (alternating signs from +1 sum to 1) and symmetric, e_(2n-i) = -e_i.
+    Odd i has arrows x_i -> x_(i+1) and x_i -> U^(e_(i-1) - e_i) x_(i-1),
+    with (i, j)-drops (0, e_i - e_(i+1)) and (e_(i-1) - e_i, 0). Then:
+
+    * arrows leave only odd generators and land only on even ones, so
+      no two compose and d^2 = 0;
+    * conj reverses the generators, negating their exponents, and maps
+      x_i -> x_(i+1) to x_(2n-i) -> U^(e_i - e_(i+1)) x_(2n-i-1) and
+      x_i -> U^a x_(i-1) to x_(2n-i) -> x_(2n-i+1): the two arrows of the
+      odd generator 2n - i, so the arrow set is symmetric;
+    * B keeps the arrows x_i -> x_(i+1), which cancel the pairs (1, 2),
+      (3, 4), ... and leave x_0, so H(B) = Z.
     """
     coeffs = [int(x) for x in coeffs]
     if not coeffs or len(coeffs) % 2 == 0:
@@ -397,9 +404,7 @@ def staircase_from_alexander(coeffs: Sequence[int], top: int | None = None) -> C
     for i in range(1, len(exps), 2):
         arrows.append(Arrow(i, i + 1, 0, 1))
         arrows.append(Arrow(i, i - 1, exps[i - 1] - exps[i], 1))
-    c = CfkComplex(gens, tuple(arrows), tuple(reversed(range(len(exps)))))
-    _require_valid(c)
-    return c
+    return CfkComplex(gens, tuple(arrows), tuple(reversed(range(len(exps)))))
 
 
 def _survival(ax: int, ay: int, a: int, lo: int, hi: int) -> tuple[int, int]:
@@ -472,7 +477,10 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     the validation. Past SLICE_BUDGET generators x slices,
     ComplexTooLarge is raised before the sweep; an EliminationOverflow or
     TorsionError on a slice names its s."""
-    phi = _Reader(_basis(_require_valid(c)), 0)
+    problems, hb = _validate(c)
+    if problems:
+        raise InvalidComplexError("; ".join(problems))
+    phi = _Reader(_basis(hb), 0)
     g = c.genus
     n, slices = len(c.generators), 2 * g + 1
     if n * slices > SLICE_BUDGET:

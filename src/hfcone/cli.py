@@ -52,6 +52,20 @@ def _parse_framing(text: str) -> Framing:
         raise UsageError(str(e)) from None
 
 
+# built-in selectors: name -> (profiles function, its parameters in call order)
+_BUILTINS = {
+    "unknot": ("unknot", ()),
+    "lspace": ("lspace_knot", ("g",)),
+    "fig8": ("figure_eight", ()),
+    "kfam": ("k_family", ("m", "k")),
+    "tau": ("tau_extremal", ("g",)),
+}
+_BUILTIN_USAGE = ", ".join(
+    name + (":" + ",".join(f"{key}={key.upper()}" for key in keys) if keys else "")
+    for name, (_, keys) in _BUILTINS.items()
+)
+
+
 def _resolve_profile(selector: str) -> SurgeryProfile:
     if selector.startswith("@"):
         path = selector[1:]
@@ -75,34 +89,17 @@ def _resolve_profile(selector: str) -> SurgeryProfile:
                 params[key] = ascii_int(value)
             except ValueError:
                 raise UsageError(f"bad profile parameter {piece!r} in {selector!r}") from None
+    if name not in _BUILTINS:
+        raise UsageError(f"unknown profile {selector!r}; use {_BUILTIN_USAGE}, or @file")
+    function, keys = _BUILTINS[name]
+    if set(params) != set(keys):
+        wanted = ",".join(sorted(keys)) or "none"
+        raise UsageError(f"profile {selector!r} takes parameters: {wanted}")
     try:
-        if name == "unknot":
-            _expect_params(selector, params, set())
-            return profiles.unknot()
-        if name == "lspace":
-            _expect_params(selector, params, {"g"})
-            return profiles.lspace_knot(params["g"])
-        if name == "fig8":
-            _expect_params(selector, params, set())
-            return profiles.figure_eight()
-        if name == "kfam":
-            _expect_params(selector, params, {"m", "k"})
-            return profiles.k_family(params["m"], params["k"])
-        if name == "tau":
-            _expect_params(selector, params, {"g"})
-            return profiles.tau_extremal(params["g"])
+        # looked up at each call, so a wrapper set on the module sees it
+        return getattr(profiles, function)(*(params[key] for key in keys))
     except (ValueError, ProfileError) as e:
         raise InputDataError(f"{selector}: {e}") from None
-    raise UsageError(
-        f"unknown profile {selector!r}; use unknot, lspace:g=G, fig8, "
-        f"kfam:m=M,k=K, tau:g=G, or @file"
-    )
-
-
-def _expect_params(selector: str, params: dict[str, int], required: set[str]) -> None:
-    if set(params) != required:
-        wanted = ",".join(sorted(required)) or "none"
-        raise UsageError(f"profile {selector!r} takes parameters: {wanted}")
 
 
 def _grid(ps: range, qs: range):
@@ -151,9 +148,8 @@ def _iter_framings(range_spec: str, spinc=None):
 
 
 def _framings_from_args(ns, spinc=None):
-    """The requested framings, lazy for --framing-range: ell and text hf
-    print each framing before the next is computed, while a JSON range is
-    one document, held in memory until its last framing."""
+    """The requested framings, lazy for --framing-range: ell and hf, in
+    either format, write each framing before the next is computed."""
     if ns.framing_range is not None:
         return _iter_framings(ns.framing_range, spinc)
     if ns.framing is None:
@@ -201,41 +197,38 @@ def _cmd_hf(ns) -> int:
     # renders from the runs of spinc_runs: the cones cost O(genus) per
     # framing, each run is described or encoded once, and the output is
     # linear in the classes printed with one write per chunk of _CHUNK
-    # classes, so --spinc costs O(genus) at any |p|. Text streams framing
-    # by framing; a JSON range is one document, held in memory until the
-    # last framing is computed.
+    # classes, so --spinc costs O(genus) at any |p|. Both formats stream:
+    # each framing is written before the next one is computed. A JSON
+    # range is json.dumps(indent=2)'s list, one element per framing, and
+    # the skeleton around "spinc" is written from a template (a framing is
+    # digits, "-" and "/", which JSON does not escape).
     profile = _resolve_profile(ns.profile)
     framings = _framings_from_args(ns, ns.spinc)
     out = sys.stdout
-    if ns.format == "json":
-        docs, shown = [], []
-        for framing in framings:
-            runs = spinc_runs(profile, framing)
-            ell, total_rank = run_counts(runs)
-            docs.append(dict(framing=str(framing), spinc=None, ell=ell, total_rank=total_rank))
-            shown.append(_clip(runs, ns.spinc))
-        single = ns.framing_range is None
-        # "spinc": null is the only null in the skeleton; each list goes there
-        head, *tails = json.dumps(docs[0] if single else docs, indent=2).split("null")
-        out.write(head)
-        for runs, tail in zip(shown, tails):
-            out.writelines(_json_spinc(runs, "    " if single else "      "))
-            out.write(tail)
-        out.write("\n")
-        return EXIT_OK
-    # text streams: each framing is printed before the next one is computed
+    is_json, is_range = ns.format == "json", ns.framing_range is not None
+    pad = "  " if is_range else ""
     for idx, framing in enumerate(framings):
         runs = spinc_runs(profile, framing)
+        ell, total_rank = run_counts(runs)
+        shown = _clip(runs, ns.spinc)
+        if is_json:
+            if is_range:
+                out.write(",\n" if idx else "[\n")
+            out.write(f'{pad}{{\n{pad}  "framing": "{framing}",\n{pad}  "spinc": ')
+            out.writelines(_json_spinc(shown, pad + "    "))
+            out.write(f',\n{pad}  "ell": {ell},\n{pad}  "total_rank": {total_rank}\n{pad}}}')
+            continue
         if idx:
             print()
         print(f"framing {framing}")
-        for run, group in _clip(runs, ns.spinc):
+        for run, group in shown:
             line = f": {group.describe()}{' (L)' if group.is_z else ''}\n"
             for chunk in _chunks(run):
                 out.write("i=" + (line + "i=").join(chunk) + line)
         if ns.spinc is None:
-            ell, total_rank = run_counts(runs)
             print(f"ell={ell} total_rank={total_rank}")
+    if is_json:
+        out.write("\n]\n" if is_range else "\n")
     return EXIT_OK
 
 
@@ -306,10 +299,7 @@ def _cmd_pair(ns) -> int:
         obstruct.TAU_EXTREMAL_FIRST if ns.mode == "first" else obstruct.TAU_EXTREMAL_BOTH
     )
     verdict = obstruct.pair_obstruction(ns.g1, ns.q1, ns.g2, ns.q2, ns.p, mode)
-    if verdict.status == obstruct.NOT_APPLICABLE:
-        print(f"not_applicable: {verdict.detail}")
-    else:
-        print(f"{verdict.status}: {verdict.detail}")
+    print(f"{verdict.status}: {verdict.detail}")
     return _verdict_exit(verdict)
 
 
@@ -332,13 +322,8 @@ def _cmd_staircase(ns) -> int:
         top = ascii_int(top_part) if top_part else None
     except ValueError:
         raise InputDataError(f"cannot parse alexander coefficients {text!r}") from None
-    try:
-        complex_ = cfk.staircase_from_alexander(coeffs, top)
-        profile = cfk.to_profile(complex_, name=f"staircase-g{complex_.genus}")
-    except (
-        cfk.StaircaseError, cfk.InvalidComplexError, cfk.TorsionError, cfk.ComplexTooLarge
-    ) as e:
-        raise InputDataError(str(e)) from None
+    complex_ = cfk.staircase_from_alexander(coeffs, top)
+    profile = cfk.to_profile(complex_, name=f"staircase-g{complex_.genus}")
     if ns.emit_profile:
         sys.stdout.write(profiles.serialize(profile))
     else:
@@ -457,11 +442,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except InputDataError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_DATA
     except (
-        ProfileError, FramingError, ConeTooLarge, cfk.StaircaseError, cfk.TorsionError
+        InputDataError, ProfileError, FramingError, ConeTooLarge, cfk.StaircaseError,
+        cfk.InvalidComplexError, cfk.TorsionError, cfk.ComplexTooLarge,
     ) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -6,6 +6,7 @@ relation d(b) = c + U a, conjugation swapping a and c. T(3,4) is the
 five-step staircase of t^3 - t^2 + 1 - t^-2 + t^-3.
 """
 
+import itertools
 import time
 
 import pytest
@@ -543,5 +544,24 @@ def test_validate_scales_to_t_2_10001():
     coeffs = [(-1) ** k for k in range(10001)]
     start = time.perf_counter()
     c = staircase_from_alexander(coeffs)
+    assert validate(c) == []
     assert time.perf_counter() - start < 1
     assert c.genus == 5000
+
+
+def test_staircases_are_valid_by_construction():
+    # staircase_from_alexander does not validate: every symmetric list of
+    # -1, 0, 1 with g <= 6 that passes its rules must give a valid complex
+    accepted = 0
+    for g in range(7):
+        for half in itertools.product((-1, 0, 1), repeat=g + 1):
+            coeffs = [*half, *half[-2::-1]]
+            try:
+                c = staircase_from_alexander(coeffs)
+            except StaircaseError:
+                continue
+            assert validate(c) == [], coeffs
+            accepted += 1
+    # the unknot, and 2^(g-1) staircases of genus g >= 1: any set of the
+    # exponents 1..g-1 can be nonzero, and it fixes every sign and t^0
+    assert accepted == 1 + sum(2 ** (g - 1) for g in range(1, 7))

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import time
 from math import gcd
 from pathlib import Path
@@ -405,11 +406,32 @@ def test_hf_text_range_streams_until_a_failure(tmp_path, capsys):
     code, out, err = run(capsys, "hf", "--profile", selector, "--framing-range", "1..1/1..2")
     assert (code, out) == (70, single)
     assert err.startswith("overflow: ")
-    # JSON stays one document, so nothing is printed
-    code, out, _ = run(
+    # JSON streams too: the 1/1 element of the list, then the overflow
+    _, single, _ = run(capsys, "hf", "--profile", selector, "--framing", "1/1", "--format", "json")
+    code, out, err = run(
         capsys, "hf", "--profile", selector, "--framing-range", "1..1/1..2", "--format", "json"
     )
-    assert (code, out) == (70, "")
+    assert (code, out) == (70, "[\n" + textwrap.indent(single.rstrip("\n"), "  "))
+    assert err.startswith("overflow: ")
+    assert json.loads(out + "\n]") == [json.loads(single)]
+
+
+def test_hf_json_range_keeps_memory_flat(tmp_path):
+    # 10^5 framings, each written before the next is computed: held as one
+    # document until the last framing, the range peaked near 164 MB
+    path = tmp_path / "stdout"
+    with open(path, "w") as out:
+        code, _, err, _, rss_mb = run_child(
+            tmp_path, "hf", "--profile", "fig8", "--framing-range", "-1..-1/1..100000",
+            "--format", "json", stdout=out,
+        )
+    assert (code, err) == (0, "")
+    assert rss_mb < 40
+    with open(path) as out:
+        # each framing's document reads as its framing, each class as None
+        framings = json.load(out, object_hook=lambda doc: doc.get("framing"))
+    path.unlink()
+    assert framings == [str(Framing(-1, q)) for q in range(1, 100001)]
 
 
 def test_hf_spinc_checked_before_any_report(tmp_path, capsys):
@@ -631,6 +653,33 @@ def test_usage_errors_exit_64(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 64, argv
         assert err != "", argv
+
+
+_UNKNOWN_PROFILE = "; use unknot, lspace:g=G, fig8, kfam:m=M,k=K, tau:g=G, or @file\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["hf", "--profile", "nonsense", "--framing", "1"], 64,
+     "usage error: unknown profile 'nonsense'" + _UNKNOWN_PROFILE),
+    (["hf", "--profile", "nonsense:g=1", "--framing", "1"], 64,
+     "usage error: unknown profile 'nonsense:g=1'" + _UNKNOWN_PROFILE),
+    (["hf", "--profile", "lspace:k=2", "--framing", "1"], 64,
+     "usage error: profile 'lspace:k=2' takes parameters: g\n"),
+    (["hf", "--profile", "fig8:g=1", "--framing", "1"], 64,
+     "usage error: profile 'fig8:g=1' takes parameters: none\n"),
+    (["hf", "--profile", "kfam:m=1", "--framing", "1"], 64,
+     "usage error: profile 'kfam:m=1' takes parameters: k,m\n"),
+    (["hf", "--profile", "lspace:g=0", "--framing", "1"], 65,
+     "input error: lspace:g=0: lspace_knot requires g >= 1\n"),
+    (["hf", "--profile", "kfam:m=0,k=1", "--framing", "1"], 65,
+     "input error: kfam:m=0,k=1: k_family requires m >= 1 and k >= 1\n"),
+    (["staircase", "--alexander", "1,1,1"], 65,
+     "input error: polynomial does not evaluate to 1 at t = 1\n"),
+    (["staircase", "--alexander", "1,0,1"], 65,
+     "input error: polynomial does not evaluate to 1 at t = 1\n"),
+])
+def test_input_error_messages(capsys, argv, code, err):
+    assert run(capsys, *argv) == (code, "", err)
 
 
 def test_data_errors_exit_65(tmp_path, capsys):
