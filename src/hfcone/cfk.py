@@ -475,19 +475,20 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     is reduced by _reduce on a copy of them, and one whose columns did
     not keeps the reduction of the slice before; B is reduced once, by
     the validation. Past SLICE_BUDGET generators x slices,
-    ComplexTooLarge is raised before the sweep; an EliminationOverflow or
-    TorsionError on a slice names its s."""
-    problems, hb = _validate(c)
-    if problems:
-        raise InvalidComplexError("; ".join(problems))
-    phi = _Reader(_basis(hb), 0)
-    g = c.genus
-    n, slices = len(c.generators), 2 * g + 1
+    ComplexTooLarge is raised before the validation; an EliminationOverflow
+    or TorsionError on a slice names its s."""
+    n = len(c.generators)
+    slices = 2 * c.genus + 1 if n else 1  # no genus without generators; _validate says so
     if n * slices > SLICE_BUDGET:
         raise ComplexTooLarge(
             f"{n} generators x {slices} slices = {n * slices} exceeds the budget of"
             f" {SLICE_BUDGET}"
         )
+    problems, hb = _validate(c)
+    if problems:
+        raise InvalidComplexError("; ".join(problems))
+    phi = _Reader(_basis(hb), 0)
+    g = c.genus
     alexander = [x.alexander for x in c.generators]
     overrides = {}
     for s, cols, rebuilt in _sweep(c, g):

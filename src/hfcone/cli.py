@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import cfk, obstruct, profiles
@@ -172,35 +171,39 @@ def _clip(runs, spinc):
 _CHUNK = 1024
 
 
-def _chunks(run: range):
-    for lo in range(run.start, run.stop, _CHUNK):
-        yield map(str, range(lo, min(lo + _CHUNK, run.stop)))
+def _write_runs(runs, sep: str = "") -> int:
+    """Write before + str(i) + after for every i of every (classes, before,
+    after) run, classes a range, with sep between entries and one write per
+    _CHUNK classes; returns the number of entries written."""
+    write = sys.stdout.write
+    count = 0
+    for classes, before, after in runs:
+        glue = after + sep + before
+        for lo in range(classes.start, classes.stop, _CHUNK):
+            chunk = range(lo, min(lo + _CHUNK, classes.stop))
+            write((sep if count else "") + before + glue.join(map(str, chunk)) + after)
+            count += len(chunk)
+    return count
 
 
-def _json_spinc(runs, indent: str):
-    """The text of a "spinc" list as json.dumps(indent=2) writes it, with
-    its entries at the given indent: each run's entry is encoded once, and
-    the classes of each chunk are joined into that text."""
-    sep = "["
+def _json_runs(runs, indent: str):
+    """The entries of a "spinc" list as runs, in the json module's indent=2
+    layout at the given indent; the text after "i": N is the run's group's."""
     for run, group in runs:
-        entry = {"i": 0, "free_rank": group.free_rank, "torsion": list(group.torsion),
-                 "l_structure": group.is_z}
-        head, _, tail = json.dumps(entry, indent=2).replace("\n", "\n" + indent).partition(" 0,")
-        glue = f",{tail},\n{indent}{head} "
-        for chunk in _chunks(run):
-            yield f"{sep}\n{indent}{head} {glue.join(chunk)},{tail}"
-            sep = ","
-    yield f"\n{indent[2:]}]"
+        torsion = ",".join(f"\n{indent}    {d}" for d in group.torsion)
+        torsion = f"[{torsion}\n{indent}  ]" if torsion else "[]"
+        yield run, f'\n{indent}{{\n{indent}  "i": ', (
+            f',\n{indent}  "free_rank": {group.free_rank},\n{indent}  "torsion": {torsion},'
+            f'\n{indent}  "l_structure": {"true" if group.is_z else "false"}\n{indent}}}'
+        )
 
 
 def _cmd_hf(ns) -> int:
     # renders from the runs of spinc_runs: the cones cost O(genus) per
-    # framing, each run is described or encoded once, and the output is
-    # linear in the classes printed with one write per chunk of _CHUNK
-    # classes, so --spinc costs O(genus) at any |p|. Both formats stream:
-    # each framing is written before the next one is computed. A JSON
-    # range is json.dumps(indent=2)'s list, one element per framing, and
-    # the skeleton around "spinc" is written from a template (a framing is
+    # framing, each run is described or fills the JSON template once, and
+    # _write_runs writes the classes, so --spinc costs O(genus) at any |p|.
+    # Both formats stream: each framing is written before the next one is
+    # computed, a JSON range as one list element per framing (a framing is
     # digits, "-" and "/", which JSON does not escape).
     profile = _resolve_profile(ns.profile)
     framings = _framings_from_args(ns, ns.spinc)
@@ -214,17 +217,19 @@ def _cmd_hf(ns) -> int:
         if is_json:
             if is_range:
                 out.write(",\n" if idx else "[\n")
-            out.write(f'{pad}{{\n{pad}  "framing": "{framing}",\n{pad}  "spinc": ')
-            out.writelines(_json_spinc(shown, pad + "    "))
-            out.write(f',\n{pad}  "ell": {ell},\n{pad}  "total_rank": {total_rank}\n{pad}}}')
+            out.write(f'{pad}{{\n{pad}  "framing": "{framing}",\n{pad}  "spinc": [')
+            _write_runs(_json_runs(shown, pad + "    "), ",")
+            out.write(
+                f'\n{pad}  ],\n{pad}  "ell": {ell},\n{pad}  "total_rank": {total_rank}\n{pad}}}'
+            )
             continue
         if idx:
             print()
         print(f"framing {framing}")
-        for run, group in shown:
-            line = f": {group.describe()}{' (L)' if group.is_z else ''}\n"
-            for chunk in _chunks(run):
-                out.write("i=" + (line + "i=").join(chunk) + line)
+        _write_runs(
+            (run, "i=", f": {group.describe()}{' (L)' if group.is_z else ''}\n")
+            for run, group in shown
+        )
         if ns.spinc is None:
             print(f"ell={ell} total_rank={total_rank}")
     if is_json:
@@ -276,18 +281,11 @@ def _cmd_spinc(ns) -> int:
 
 def _write_set(label: str, runs) -> None:
     """'label: ', the values of the ascending ranges runs joined by commas,
-    or '-' when they are all empty, and their count; one write per _CHUNK
-    values, so memory does not grow with p."""
-    runs = [run for run in runs if run]
-    out = sys.stdout
-    out.write(f"{label}: ")
-    sep = ""
-    for run in runs:
-        for chunk in _chunks(run):
-            out.write(sep + ",".join(chunk))
-            sep = ","
-    count = sum(run.stop - run.start for run in runs)
-    out.write(f"{'' if count else '-'} (count {count})\n")
+    or '-' when they are all empty, and their count; memory does not grow
+    with p."""
+    sys.stdout.write(f"{label}: ")
+    count = _write_runs(((run, "", "") for run in runs), ",")
+    sys.stdout.write(f"{'' if count else '-'} (count {count})\n")
 
 
 def _verdict_exit(verdict) -> int:
@@ -325,7 +323,7 @@ def _cmd_staircase(ns) -> int:
     complex_ = cfk.staircase_from_alexander(coeffs, top)
     profile = cfk.to_profile(complex_, name=f"staircase-g{complex_.genus}")
     if ns.emit_profile:
-        sys.stdout.write(profiles.serialize(profile))
+        _write_runs(profiles.serialize_runs(profile))
     else:
         print(
             f"genus {complex_.genus}, generators {len(complex_.generators)}, "
@@ -336,8 +334,7 @@ def _cmd_staircase(ns) -> int:
 
 def _cmd_profile(ns) -> int:
     if ns.show is not None:
-        profile = _resolve_profile(ns.show)
-        sys.stdout.write(profiles.serialize(profile))
+        _write_runs(profiles.serialize_runs(_resolve_profile(ns.show)))
         return EXIT_OK
     try:
         profile = _resolve_profile(ns.check)

@@ -372,13 +372,20 @@ def tau_extremal(g: int, interior_ranks: Mapping[int, int] | None = None) -> Sur
 # one `local` line per override, `#` starts a comment line.
 
 
-def serialize(p: SurgeryProfile) -> str:
-    """One `local` line per override; each segment's tail is formatted once."""
-    lines = [f"profile {p.name} genus {p.genus}"]
+def serialize_runs(p: SurgeryProfile) -> Iterator[tuple[range, str, str]]:
+    """The lines of serialize(p) as (slots, before, after) runs, a slot s
+    standing for before + str(s) + after: the header as the run of the
+    genus alone, then one run per override run, its tail formatted once."""
+    yield range(p.genus, p.genus + 1), f"profile {p.name} genus ", "\n"
     for lo, hi, d in _override_runs(p):
-        tail = f" rank {d.rank} v {','.join(map(str, d.v))} h {','.join(map(str, d.h))}"
-        lines.extend(f"local {s}{tail}" for s in range(lo, hi))
-    return "\n".join(lines) + "\n"
+        yield range(lo, hi), "local ", (
+            f" rank {d.rank} v {','.join(map(str, d.v))} h {','.join(map(str, d.h))}\n"
+        )
+
+
+def serialize(p: SurgeryProfile) -> str:
+    """The profile file text: the header, then one `local` line per override."""
+    return "".join(f"{b}{s}{a}" for slots, b, a in serialize_runs(p) for s in slots)
 
 
 _ASCII_INT = re.compile(r"[+-]?[0-9]+")

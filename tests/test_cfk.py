@@ -525,6 +525,21 @@ def test_to_profile_refuses_complex_over_budget(monkeypatch):
     assert str(e.value) == "5 generators x 7 slices = 35 exceeds the budget of 34"
 
 
+def test_budget_checked_before_validation(monkeypatch):
+    # an empty complex has no genus to budget; the validation names it
+    with pytest.raises(InvalidComplexError, match="^complex has no generators$"):
+        to_profile(CfkComplex((), (), ()))
+
+    # T(2,20001) is refused on its size alone, without validating it
+    def fail(c):
+        raise AssertionError("validated a complex over the budget")
+
+    c = staircase_from_alexander([(-1) ** k for k in range(20001)])
+    monkeypatch.setattr(cfk, "_validate", fail)
+    with pytest.raises(ComplexTooLarge):
+        to_profile(c)
+
+
 def test_to_profile_scales_to_t_2_121():
     c = staircase_from_alexander([(-1) ** k for k in range(121)])
     start = time.perf_counter()

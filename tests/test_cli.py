@@ -383,18 +383,28 @@ def test_large_hf_output_keeps_memory_flat(tmp_path, fmt):
 
 
 def test_hf_json_with_torsion_matches_reference(tmp_path):
-    # the Z + Z/2 class of test_non_unit_remainder_goes_to_smith_form
+    # the Z + Z/2 class of test_non_unit_remainder_goes_to_smith_form, and
+    # classes with two and three divisors (class 0 at -2/5 is
+    # Z^1 + Z/2 + Z/2 + Z/2), in both formats
     path = tmp_path / "two.profile"
     path.write_text(serialize(TWO))
     out = _main_stdout(["hf", "--profile", f"@{path}", "--framing", "-1", "--format", "json"])
     assert '"torsion": [\n        2\n      ]' in out
-    assert out == helpers.reference_hf_stdout(TWO, [Framing(-1)], fmt="json")
-    framings = [Framing(p) for p in (-3, -2, -1)]
-    out = _main_stdout(
-        ["hf", "--profile", f"@{path}", "--framing-range", "-3..-1", "--format", "json"]
-    )
-    assert '"torsion": [\n          2\n        ]' in out
-    assert out == helpers.reference_hf_stdout(TWO, framings, fmt="json", is_range=True)
+    out = _main_stdout(["hf", "--profile", f"@{path}", "--framing", "-2/5", "--format", "json"])
+    assert '"torsion": [\n        2,\n        2,\n        2\n      ]' in out
+    for fmt in ("text", "json"):
+        for framing in (Framing(-1), Framing(-2, 5), Framing(-2, 3)):
+            out = _main_stdout(
+                ["hf", "--profile", f"@{path}", "--framing", str(framing), "--format", fmt]
+            )
+            assert out == helpers.reference_hf_stdout(TWO, [framing], fmt=fmt)
+        framings = [Framing(p) for p in (-3, -2, -1)]
+        out = _main_stdout(
+            ["hf", "--profile", f"@{path}", "--framing-range", "-3..-1", "--format", fmt]
+        )
+        if fmt == "json":
+            assert '"torsion": [\n          2\n        ]' in out
+        assert out == helpers.reference_hf_stdout(TWO, framings, fmt=fmt, is_range=True)
 
 
 def test_hf_text_range_streams_until_a_failure(tmp_path, capsys):
@@ -592,6 +602,25 @@ def test_staircase_summary_and_profile(capsys):
     )
     assert code == 0
     assert parse(out) == lspace_knot(3)
+
+
+def test_profile_show_keeps_memory_flat(tmp_path):
+    # 2,000,000 lines, written in chunks: held as one list of lines, they
+    # peaked near 300 MB
+    path = tmp_path / "stdout"
+    with open(path, "w") as out:
+        code, _, err, _, rss_mb = run_child(
+            tmp_path, "profile", "--show", "lspace:g=1000000", stdout=out
+        )
+    assert (code, err) == (0, "")
+    assert rss_mb < 40
+    lines, last = 0, None
+    with open(path) as out:
+        for last in out:
+            lines += 1
+    path.unlink()
+    assert lines == 2 * 10**6
+    assert last == "local 999999 rank 1 v 0 h 0\n"
 
 
 def test_profile_show_round_trips(capsys):
