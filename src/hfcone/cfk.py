@@ -20,17 +20,16 @@ The two maps to B are, on the chain level,
 
 A slice holds one sparse {target: coeff} column per generator, built
 straight from the arrows that survive on it. homology() cancels every
-+-1 arrow with ``exactla.cancel_units``, the reduction of the surgery
-cone too, and keeps its cancellations. The generators that survive are a
-basis of the homology. H(B) is Z, so v_s and h_s are each one cochain
-read on cycles of A_s: the cochain of B that reads a cycle's class
-(B's cancellations replayed backwards), pulled back along the chain map
-and carried forward through A_s's cancellations, the transpose of
-lifting each survivor to a cycle. The reader of B is evaluated only on
-the generators that carry reads. A slice with arrows left over
-(torsion, or only non-unit coefficients as in d x = 2y + 3z) has no
-such basis and is refused with TorsionError rather than guessing a
-convention; validate() reads only its group.
++-1 arrow with ``exactla.cancel_units`` and keeps its cancellations. The
+generators that survive are a basis of the homology. H(B) is Z, so v_s
+and h_s are each one cochain read on cycles of A_s: the cochain of B
+that reads a cycle's class (B's cancellations replayed backwards),
+pulled back along the chain map and carried forward through A_s's
+cancellations, the transpose of lifting each survivor to a cycle. The
+reader of B is evaluated only on the generators that carry reads. A
+slice with arrows left over (torsion, or only non-unit coefficients as
+in d x = 2y + 3z) has no such basis and is refused with TorsionError
+rather than guessing a convention; validate() reads only its group.
 
 to_profile sweeps s from -g to g instead of building each A_s anew. The
 arrow x -> U^a y survives on A_s iff max(0, A(x) - s) + a =

@@ -11,14 +11,28 @@ homology of the cone is ker(D) + coker(D) for the cone matrix D, which
 splits because integer kernels are free; torsion can only enter through
 the cokernel and is reported as-is.
 
-D is never built dense. The cone is a based complex: each A-generator
-is a column with at most two nonzeros, mostly +-1, on the B-generators,
-which have zero differential. ``exactla.cancel_units``, the reduction
-``cfk`` uses for its slices, pivots on the units one by one, each pivot
-an elementary divisor 1 that removes its row and column, so the cost per
-class is linear in the window. Only the unit-free remainder goes to the
-Smith form of ``exactla``, as the same sparse columns and under the same
-2^63 check.
+D is never built. Once the stretches below are collapsed, it is
+block-bidiagonal: the columns of the A-slot at position k lie on B-rows k
+and k + 1 only (for p > 0 the first slot's v row and the last slot's h
+row lie outside the window). ker D is free of rank width - rank D, and
+rank D is the row count less the free rank of coker D, so only coker D
+is computed, one B-row at a time, left to right (``_reduce``). The state
+is the cokernel of the rows seen so far, marked by the class m of the
+last row: at most one free generator, on which m is a >= 0, and the
+summands Z/d on which m is b != 0 mod d. A summand m does not touch is
+banked: no later relation involves it, so it stays a direct summand. An
+A-slot with columns (x, y) adds a row e and the relations x m + y e, and
+e is the new mark. Closed forms take the common steps: m = 0 adds
+Z/gcd(y); a unit y substitutes e = -y x m; one column on a torsion-free
+state is an extended gcd; a slot whose y all vanish banks the old state
+whole. Any other step reduces its small relation matrix with the Smith
+form of ``exactla``, tracking e through the row operations. So the cost
+per class is linear in the window, whatever the entries. The banked
+summands become invariant factors by gcd/lcm swaps, and only those
+factors must lie within 2^63: the state may pass that on the way to a
+small answer (the chain of v 3 h 2 slots at -1/20 is Z, and its mark
+reaches 96 bits on the way). The state is bounded by STATE_BITS bits
+instead, so that huge input still fails fast.
 
 Slot direction convention: h raises the B-slot index by one. The
 opposite choice swaps the roles of +p and -p (it computes the mirror
@@ -62,9 +76,9 @@ only the stretch touches, changes the group by exactly Z^gain(d) when d
     so negating every row and column on one side absorbs the sign.
 Any other stretch keeps every copy: after a unit alone on a stretch's
 first row, k copies of the column (2, 3) leave Z/3^k. The collapsed
-columns go to the same unit cancellation and Smith form. The emitted
-columns are counted stretch by stretch first, and a cone of more than
-COLUMN_BUDGET is refused with ConeTooLarge before any column is built.
+cone goes to the same scan. The emitted columns are counted stretch by
+stretch first, and a cone of more than COLUMN_BUDGET is refused with
+ConeTooLarge before the scan starts.
 
 Plans: after collapsing, the cone is fixed by the sign of p and the
 sequence of (piece, emitted copies) of its stretches; the collapsed
@@ -96,12 +110,20 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd
 
-from .exactla import AbelianGroup, EliminationOverflow, cancel_units, smith_normal_form
+from .exactla import (
+    STATE_BITS,
+    AbelianGroup,
+    EliminationOverflow,
+    invariant_factors,
+    smith_normal_form,
+)
 from .profiles import LocalData, SurgeryProfile, ascii_int
 
 # columns (A-generators) one cone may emit after collapsing stretches:
-# about 500 times the largest cone of the tests and the benchmark, and
-# about 0.6 GB of peak memory at the budget
+# about 500 times the largest cone of the tests and the benchmark. The
+# scan builds no columns: at the budget a cone peaks at 17-34 MB (the
+# more when every column banks a Z/2) and takes 1.5-2 s, or 12 s when
+# every slot needs the Smith form (rank 2, v 2,3 h 3,2)
 COLUMN_BUDGET = 10**6
 
 # reduced plans one profile keeps (a key of two ints per stretch and a
@@ -278,32 +300,155 @@ def spinc_group(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0)
 
 def _reduce(pieces, plan: list[tuple[int, int]], positive: bool, slots: int, width: int) -> AbelianGroup:
     """ker + coker of the cone of plan: k copies of pieces[j] for each
-    (j, k) in turn."""
-    # the cone as a based complex: the A-generators are the columns
-    # 0..width-1, the B-slot rows the generators width..end-1, with zero
-    # differential. p > 0: one B-slot fewer than A-slots, the first v
-    # outside the B-range; p < 0: one B-slot more. A zero column is a
-    # generator with zero differential too: it counts in end, but is not
-    # handed to cancel_units
-    end = width + slots - 1 if positive else width + slots + 1
-    r = width - 1 if positive else width  # row of the next slot's v; h lands on r + 1
-    cols = []
+    (j, k) in turn, by one scan of its B-rows (module docstring)."""
+    # the state (module docstring) is (a, tors), tors holding (d, b), with
+    # free and banked for what it banks. p > 0 starts from the trivial
+    # group, the first slot's v row lying outside the window; p < 0 from
+    # Z, marked by its generator
+    a, tors, free, banked = (0 if positive else 1), [], 0, []
+    left = slots - 1 if positive else slots  # the slots that add a row
     for j, k in plan:
-        data = pieces[j]
-        for _ in range(k):
-            for x, y in zip(data.v, data.h):
-                col = {}
-                if x and r >= width:
-                    col[r] = x
-                if y and r + 1 < end:
-                    col[r + 1] = y
-                if col:
-                    cols.append(col)
-            r += 1
-    steps = cancel_units(cols)
-    rest = [col for col in cols if col]
-    divisors = smith_normal_form(rest) if rest else []
-    return AbelianGroup(end - 2 * (len(steps) + len(divisors)), tuple(d for d in divisors if d > 1))
+        shape = _shape(pieces[j].v, pieces[j].h)
+        for _ in range(min(k, left)):
+            a, tors, f = _next_row(a, tors, shape, banked)
+            free += f
+            if a >> STATE_BITS:
+                raise EliminationOverflow(
+                    f"integer magnitude exceeded 2^{STATE_BITS} during elimination"
+                )
+        left -= k
+    if positive:
+        # the last slot's h row lies outside the window: its columns only
+        # add the relations x m, that is gx m
+        a, tors, f = _quotient(a, tors, shape[2], banked)
+        free += f
+    if tors:
+        banked.extend(d for d, b in tors)
+    rows = slots - 1 if positive else slots + 1
+    return AbelianGroup(width - rows + 2 * (free + (a > 0)), invariant_factors(banked))
+
+
+@functools.lru_cache(maxsize=4096)
+def _shape(v: tuple[int, ...], h: tuple[int, ...]):
+    """(cols, gy, gx, unit) of one copy of slot data v, h in the scan: its
+    nonzero columns (x, y), x on the copy's first B-row and y on its
+    second; the gcd of the y and of the x; and, when some y_j = +-1, the
+    pair (x_j, c): that column makes the second row -y_j x_j m, and the
+    others then add the one relation c m, c the gcd of their
+    x - y y_j x_j."""
+    cols = []
+    gx = gy = 0
+    for x, y in zip(v, h):
+        if x or y:
+            cols.append((x, y))
+            gx, gy = gcd(gx, x), gcd(gy, y)
+    unit = None
+    for xj, yj in cols:
+        if yj == 1 or yj == -1:
+            unit = xj, gcd(*(x - y * yj * xj for x, y in cols))
+            break
+    return tuple(cols), gy, gx, unit
+
+
+def _next_row(a: int, tors: list, shape, banked: list) -> tuple[int, list, int]:
+    """The state after one more B-row e and the relations x m + y e of
+    shape's columns, marked by e; the third entry counts the free
+    generators it banks."""
+    cols, gy, gx, unit = shape
+    if not (a or tors):
+        # m = 0: the row adds Z e / gcd(y) e
+        if gy == 1:
+            return 0, [], 0
+        return (0, [(gy, 1)], 0) if gy else (1, [], 0)
+    if unit is not None:
+        # e = -y_j x_j m: the old group over c m, marked by x_j m up to sign
+        return _quotient(a, tors, unit[1], banked, unit[0])
+    if not gy:
+        # no column meets e: the old group over gx m is banked whole, and
+        # e is a new free generator
+        a, tors, f = _quotient(a, tors, gx, banked)
+        banked.extend(d for d, b in tors)
+        return 1, [], f + (a > 0)
+    if len(cols) == 1 and not tors:
+        # Z g + Z e over x a g + y e: g0 = gcd(x a, y) = s x a + t y is its
+        # one divisor, and e is t on Z/g0 and x a / g0 on the free generator
+        x, y = cols[0]
+        g0, t = _xgcd(x * a, y)
+        a = abs(x * a) // g0
+        return a, _marked(a, [(g0, t)], banked), a == 0
+    return _general(a, tors, cols, banked)
+
+
+def _quotient(a: int, tors: list, c: int, banked: list, scale: int = 1) -> tuple[int, list, int]:
+    """The state over the relation c m, marked by scale m, as _next_row
+    returns it."""
+    if not c:
+        # the group stays; scale = 0 leaves its free generator untouched
+        f = 1 if a and not scale else 0
+        a *= abs(scale)
+        return a, _marked(a, [(d, b * scale) for d, b in tors], banked), f
+    if not tors:
+        # Z / c a: m touches the free generator, or m = 0
+        return 0, _marked(0, [(abs(c) * a, scale * a)], banked) if a else [], 0
+    if not a and len(tors) == 1:
+        # Z/d / c b
+        ((d, b),) = tors
+        return 0, _marked(0, [(gcd(d, c * b), scale * b)], banked), 0
+    return _general(a, tors, ((c, 0),), banked, scale)
+
+
+def _general(a: int, tors: list, cols, banked: list, scale: int | None = None):
+    """_next_row (scale None) or _quotient by the Smith form of the
+    relations, with the new mark tracked through its row operations:
+    generator 0 is the free one (if a), 1..n the summands of tors, and
+    n + 1 the new row."""
+    n = len(tors)
+    rel = [{k: d} for k, (d, b) in enumerate(tors, 1)]
+    for x, y in cols:
+        col = {n + 1: y} if y else {}
+        if x:
+            if a:
+                col[0] = x * a
+            for k, (d, b) in enumerate(tors, 1):
+                col[k] = x * b % d
+        rel.append(col)
+    if scale is None:
+        track = {n + 1: 1}
+        gens = n + 1 + (a > 0)
+    else:
+        track = {k: scale * b for k, (d, b) in enumerate(tors, 1)}
+        if a:
+            track[0] = scale * a
+        gens = n + (a > 0)
+    divisors, coords = smith_normal_form(rel, track)
+    rank = len(divisors)
+    # the free rows: generators no relation meets have no working row
+    a = gcd(*coords[rank:])
+    tors = _marked(a, [(d, b) for d, b in zip(divisors, coords) if d > 1], banked)
+    return a, tors, gens - rank - (a > 0)
+
+
+def _marked(a: int, tors: list, banked: list) -> list:
+    """tors with each b reduced mod d, and mod gcd(a, d) when m is a > 0
+    on a free generator g (g -> g + c t moves b by a c); a summand left
+    with b = 0 is banked."""
+    out = []
+    for d, b in tors:
+        b %= gcd(a, d) if a else d
+        if b:
+            out.append((d, b))
+        elif d > 1:
+            banked.append(d)
+    return out
+
+
+def _xgcd(x: int, y: int) -> tuple[int, int]:
+    """(g, t) with g = gcd(x, y) = s x + t y for some s."""
+    r0, r1, t0, t1 = x, y, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return (r0, t0) if r0 >= 0 else (-r0, -t0)
 
 
 @dataclass(frozen=True)

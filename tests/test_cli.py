@@ -42,6 +42,20 @@ local 0 rank 2 v 1,4611686018427387904 h 4611686018427387904,0
 """
 
 
+# genus 2, local 0 = local 1 = (2, 1) and local -1 zero: at 1/q the one
+# class has a factor 2^(2q), past 2^63 from 1/32 on (sympy)
+CHAIN_PROFILE = """\
+profile chain genus 2
+local -1 rank 1 v 0 h 0
+local 0 rank 1 v 2 h 1
+local 1 rank 1 v 2 h 1
+"""
+
+# every v and h entry 2, rank 3 inside the window
+ALL_TWO_PROFILE = "profile all2 genus 5\n" + "".join(
+    f"local {s} rank 3 v 2,2,2 h 2,2,2\n" for s in range(-4, 5)
+)
+
 # v = h = 2 on the middle slot: Z + Z/2 at -1, and classes with torsion
 # at other framings
 TWO = SurgeryProfile("two", 1, {0: LocalData(1, (2,), (2,))})
@@ -408,18 +422,19 @@ def test_hf_json_with_torsion_matches_reference(tmp_path):
 
 
 def test_hf_text_range_streams_until_a_failure(tmp_path, capsys):
-    # OVERFLOW_PROFILE computes at 1/1 and overflows at 1/2
-    path = tmp_path / "huge.profile"
-    path.write_text(OVERFLOW_PROFILE)
+    # CHAIN_PROFILE computes at 1/31 and overflows at 1/32
+    path = tmp_path / "chain.profile"
+    path.write_text(CHAIN_PROFILE)
     selector = f"@{path}"
-    _, single, _ = run(capsys, "hf", "--profile", selector, "--framing", "1/1")
-    code, out, err = run(capsys, "hf", "--profile", selector, "--framing-range", "1..1/1..2")
+    _, single, _ = run(capsys, "hf", "--profile", selector, "--framing", "1/31")
+    assert single == "framing 1/31\ni=0: Z^61 + Z/4611686018427387904\nell=0 total_rank=61\n"
+    code, out, err = run(capsys, "hf", "--profile", selector, "--framing-range", "1..1/31..32")
     assert (code, out) == (70, single)
     assert err.startswith("overflow: ")
-    # JSON streams too: the 1/1 element of the list, then the overflow
-    _, single, _ = run(capsys, "hf", "--profile", selector, "--framing", "1/1", "--format", "json")
+    # JSON streams too: the 1/31 element of the list, then the overflow
+    _, single, _ = run(capsys, "hf", "--profile", selector, "--framing", "1/31", "--format", "json")
     code, out, err = run(
-        capsys, "hf", "--profile", selector, "--framing-range", "1..1/1..2", "--format", "json"
+        capsys, "hf", "--profile", selector, "--framing-range", "1..1/31..32", "--format", "json"
     )
     assert (code, out) == (70, "[\n" + textwrap.indent(single.rstrip("\n"), "  "))
     assert err.startswith("overflow: ")
@@ -751,19 +766,42 @@ def test_overflow_exit_70(tmp_path, capsys):
 
 
 def test_overflow_names_framing_and_class(tmp_path, capsys):
-    # a chain of (3, 2) data holds no unit, and its remainder overflows in
-    # the Smith form; the message says where
+    # the v 2 h 1 chain at 1/32 has an invariant factor of 2^64 (sympy);
+    # the message says where
+    path = tmp_path / "chain.profile"
+    path.write_text(CHAIN_PROFILE)
+    code, out, err = run(capsys, "hf", "--profile", f"@{path}", "--framing", "1/32")
+    assert (code, out) == (70, "")
+    assert err == (
+        "overflow: framing 1/32, class i=0: "
+        "integer magnitude exceeded 2^63 during elimination\n"
+    )
+
+
+def test_chain_without_units_is_not_refused(tmp_path, capsys):
+    # a chain of (3, 2) data holds no unit; at -1/20 its group is Z, though
+    # the scan's mark passes 2^63 on the way
     path = tmp_path / "chain.profile"
     path.write_text(
         "profile chain genus 2\n"
         + "".join(f"local {s} rank 1 v 3 h 2\n" for s in (-1, 0, 1))
     )
     code, out, err = run(capsys, "hf", "--profile", f"@{path}", "--framing", "-1/20")
-    assert (code, out) == (70, "")
-    assert err == (
-        "overflow: framing -1/20, class i=0: "
-        "integer magnitude exceeded 2^63 during elimination\n"
+    assert (code, out, err) == (0, "framing -1/20\ni=0: Z^1 (L)\nell=1 total_rank=1\n", "")
+
+
+def test_non_unit_cone_cost_is_linear(tmp_path):
+    # every v and h entry 2: no unit to cancel, 2,700 columns at -1/100
+    # and 900 summands Z/2, which a dense Smith form takes seconds over
+    path = tmp_path / "all2.profile"
+    path.write_text(ALL_TWO_PROFILE)
+    code, out, err, seconds, rss_mb = run_child(
+        tmp_path, "hf", "--profile", f"@{path}", "--framing", "-1/100"
     )
+    assert (code, err) == (0, "")
+    assert out == "framing -1/100\ni=0: Z^1801" + " + Z/2" * 900 + "\nell=0 total_rank=1801\n"
+    assert seconds < 1.0
+    assert rss_mb < 100
 
 
 def test_violation_list_is_capped(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Truncated mapping cone: windows, per-class groups, aggregate reports."""
 
 import random
+import time
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -27,6 +29,7 @@ from hfcone.cone import (
 from hfcone.exactla import AbelianGroup, EliminationOverflow, smith_normal_form
 from hfcone.obstruct import first_kind_closed_form, genus_inequality
 from hfcone.profiles import (
+    LEFT_EDGE,
     LocalData,
     SurgeryProfile,
     figure_eight,
@@ -295,6 +298,43 @@ def test_unit_cancellation_matches_dense_smith_form(profile, framing, i_raw, pad
     assert spinc_group(profile, framing, i, pad) == dense
 
 
+@st.composite
+def torsion_profiles_st(draw):
+    """Profiles whose slots inside the window carry non-unit entries more
+    often than units, so that most cones keep torsion or a chain without
+    a unit to cancel."""
+    g = draw(st.integers(1, 3))
+    entries = st.sampled_from([0, 2, -2, 3, -3, 4, 1, -1])
+    ranks = [draw(st.sampled_from([1, 1, 2, 3])) for _ in range(g)]
+    overrides = {}
+    for s in range(1 - g, g):
+        r = ranks[abs(s)]
+        v = tuple(draw(entries) for _ in range(r))
+        h = tuple(draw(entries) for _ in range(r))
+        overrides[s] = LocalData(r, v, h)
+    overrides[g] = LocalData(1, (draw(st.sampled_from([1, -1])),), (0,))
+    overrides[-g] = LocalData(1, (0,), (draw(st.sampled_from([1, -1])),))
+    return SurgeryProfile(f"torsion:g={g}", g, overrides)
+
+
+@given(torsion_profiles_st(), framings_st(pmax=6, qmax=12), st.integers(0, 10**9))
+@settings(max_examples=300, deadline=None)
+def test_scan_matches_dense_oracle_with_torsion(profile, framing, i_raw):
+    # the scan's closed forms and its tracked Smith form, on both signs of
+    # p, against the dense Smith form of the whole cone
+    i = i_raw % abs(framing.p)
+    try:
+        dense = helpers.dense_spinc_group(profile, framing, i)
+    except EliminationOverflow:
+        event("a divisor past 2^63")
+        with pytest.raises(EliminationOverflow):
+            spinc_group(profile, framing, i)
+        return
+    event("torsion" if dense.torsion else "torsion-free")
+    event(f"p {'positive' if framing.p > 0 else 'negative'}")
+    assert spinc_group(profile, framing, i) == dense
+
+
 def _assert_runs_match_dense(profile, framing):
     runs = spinc_runs(profile, framing)
     assert len(runs) <= 2 * max(profile.genus, 1)
@@ -348,22 +388,12 @@ def test_unit_chains_with_non_unit_entries_do_not_overflow():
                 assert spinc_group(profile, framing, i) == dense, (framing, i)
 
 
-def test_non_unit_remainder_goes_to_smith_form(monkeypatch):
+def test_non_unit_remainder_goes_to_smith_form():
     # v_0 = h_0 = [2]: the -1 surgery class keeps a 2 that no unit clears
     profile = SurgeryProfile("two", 1, {0: LocalData(1, (2,), (2,))})
     framing = Framing(-1)
-    remainders = []
-
-    def recording_snf(cols):
-        remainders.append(cols)
-        return smith_normal_form(cols)
-
-    monkeypatch.setattr(cone, "smith_normal_form", recording_snf)
     group = spinc_group(profile, framing, 0)
     assert group == AbelianGroup(1, (2,))
-    assert len(remainders) == 1
-    entries = [x for col in remainders[0] for x in col.values()]
-    assert entries and all(abs(x) != 1 for x in entries)
     d = helpers.dense_cone_matrix(profile, framing, 0, truncation_window(profile, framing, 0))
     s = sympy_snf(Matrix(d))
     nrows, ncols = len(d), len(d[0])
@@ -439,10 +469,8 @@ def test_collapsed_stretches_match_per_slot_oracle(profile, framing, i_raw, pad)
     assert spinc_group(profile, framing, i, pad) == dense
 
 
-# data for runs of equal slots: zero and collapsible data, and also, on
-# runs of at most two slots, (2, 3) and (1, 2), which keep every copy, and
-# (2, 3) leaves torsion. Longer chains of them overflow the elimination
-# (ROADMAP, Euclid moves)
+# data for runs of equal slots: zero and collapsible data, and also
+# (2, 3) and (1, 2), which keep every copy, and (2, 3) leaves torsion
 RUN_DATA = [
     LocalData(1, (0,), (0,)),
     LocalData(1, (1,), (1,)),
@@ -464,8 +492,7 @@ def long_segment_profiles_st(draw):
     ends = sorted(draw(st.sets(st.integers(1, g - 1), max_size=2)))
     overrides = {}
     for lo, hi in zip([0, *ends], [*ends, g]):
-        pool = RUN_DATA + CHAIN_DATA * 4 if hi - lo <= 2 else RUN_DATA
-        data = draw(st.sampled_from(pool))
+        data = draw(st.sampled_from(RUN_DATA + CHAIN_DATA * 4))
         # the mirrored run takes the same data or other data of its rank
         mirror = draw(st.sampled_from([data] * 4 + [d for d in RUN_DATA if d.rank == data.rank]))
         for s in range(lo, hi):
@@ -477,27 +504,21 @@ def long_segment_profiles_st(draw):
     return SurgeryProfile(f"runs:g={g}", g, overrides)
 
 
-def _group_or_overflow(profile, framing, i):
-    try:
-        return spinc_group(profile, framing, i)
-    except EliminationOverflow as e:
-        assert str(e).startswith(f"framing {framing}, class i={i}: ")
-        return None
+# the genus-3 (2, 3) chain at 1/10 is Z, though eliminating its units
+# first drives entries past 2^63
+CHAIN_G3 = SurgeryProfile(
+    "runs:g=3",
+    3,
+    {
+        **{s: LocalData(1, (2,), (3,)) for s in range(-2, 3)},
+        3: LocalData(1, (1,), (0,)),
+        -3: LocalData(1, (0,), (1,)),
+    },
+)
 
 
 @given(long_segment_profiles_st(), framings_st(pmax=8, qmax=10))
-@example(
-    SurgeryProfile(
-        "runs:g=3",
-        3,
-        {
-            **{s: LocalData(1, (2,), (3,)) for s in range(-2, 3)},
-            3: LocalData(1, (1,), (0,)),
-            -3: LocalData(1, (0,), (1,)),
-        },
-    ),
-    Framing(1, 10),
-)
+@example(CHAIN_G3, Framing(1, 10))
 @settings(max_examples=300, deadline=None)
 def test_long_equal_segments_match_per_slot_oracle(profile, framing):
     # merged stretches, cuts only where the data change, and the plan cache,
@@ -508,56 +529,83 @@ def test_long_equal_segments_match_per_slot_oracle(profile, framing):
     try:
         dense = [helpers.dense_spinc_group(profile, framing, i) for i in range(abs(framing.p))]
     except EliminationOverflow:
-        reject()  # the oracle's own 2^63 check
+        reject()  # a divisor past 2^63, which the engine refuses as well
     event("torsion" if any(group.torsion for group in dense) else "torsion-free")
-    # The engine eliminates in another order than the dense oracle, so it
-    # may exceed 2^63 where the oracle does not: a long (2, 3) chain at
-    # 1/10 does. Such a class must overflow the same way with the plan
-    # cache cold or warm, and every class it answers must match.
-    groups = [_group_or_overflow(profile, framing, i) for i in range(abs(framing.p))]
-    cold = SurgeryProfile(profile.name, profile.genus, profile.overrides)
-    backwards = [_group_or_overflow(cold, framing, i) for i in reversed(range(abs(framing.p)))]
-    assert backwards[::-1] == groups
-    if None in groups:
-        event("engine overflow")
-        with pytest.raises(EliminationOverflow):
-            spinc_runs(profile, framing)
-        assert [group for group, d in zip(groups, dense) if group is not None] == [
-            d for group, d in zip(groups, dense) if group is not None
-        ]
-        return
     runs = spinc_runs(profile, framing)
     assert [group for run, group in runs for i in run] == dense
-    assert groups == dense
+    assert [spinc_group(profile, framing, i) for i in range(abs(framing.p))] == dense
+    # the same groups with the plan cache cold, queried in reverse order
+    cold = SurgeryProfile(profile.name, profile.genus, profile.overrides)
+    backwards = [spinc_group(cold, framing, i) for i in reversed(range(abs(framing.p)))]
+    assert backwards[::-1] == dense
+
+
+def _chain_classes(a, b, qs):
+    """(profile, framing, i, dense cone, sympy's nonzero invariant
+    factors) of each class of the genus-2 chain with local 0 = local 1 =
+    (a, b) and local -1 zero, at p in +-1..3 and q in qs."""
+    zero = LocalData(1, (0,), (0,))
+    data = LocalData(1, (a,), (b,))
+    profile = SurgeryProfile("chain", 2, {-1: zero, 0: data, 1: data})
+    for p in (1, 2, 3, -1, -2, -3):
+        for q in qs:
+            if gcd(p, q) != 1:
+                continue
+            framing = Framing(p, q)
+            for i in range(abs(p)):
+                d = helpers.dense_cone_matrix(
+                    profile, framing, i, truncation_window(profile, framing, i)
+                )
+                factors = [abs(x) for x in invariant_factors(Matrix(d)) if x]
+                yield profile, framing, i, d, factors
 
 
 def test_non_unit_chains_match_sympy():
-    # chains of (a, b) data do not collapse, and the dense oracle overflows
-    # on some of them where spinc_group answers (v 2 h 1 at -1/32 is Z^65),
-    # so the previous test skips them; sympy's exact Smith form checks them
+    # chains of (a, b) data do not collapse and hold no unit to cancel;
+    # sympy's exact Smith form checks every class: its group wherever the
+    # largest invariant factor lies within 2^63 (v 2 h 1 at 1/32 has one
+    # at 2^64, v 3 h 2 at -1/20 is Z), an overflow elsewhere
+    chains = [(a, b, (1, 7, 16, 32, 40)) for a, b in ((2, 1), (1, 2), (-2, 1), (1, -2))]
+    chains += [(2, 3, range(1, 41)), (3, 2, range(1, 41))]
+    classes, overflows = Counter(), Counter()
+    for a, b, qs in chains:
+        for profile, framing, i, d, factors in _chain_classes(a, b, qs):
+            classes[a, b] += 1
+            if factors[-1] > 2**63:
+                with pytest.raises(EliminationOverflow, match=f"^framing {framing}, class i={i}: "):
+                    spinc_group(profile, framing, i)
+                overflows[a, b] += 1
+                continue
+            free = len(d) + len(d[0]) - 2 * len(factors)
+            torsion = tuple(x for x in factors if x > 1)
+            assert spinc_group(profile, framing, i) == AbelianGroup(free, torsion), (a, b, framing, i)
+    # 30 of the 644 classes of the (2, 3) and (3, 2) chains have a factor
+    # past 2^63; cancelling units first, then eliminating the rest densely,
+    # passes 2^63 on 26 more
+    assert classes[2, 3] + classes[3, 2] == 644
+    assert overflows[2, 3] + overflows[3, 2] == 30
+
+
+def test_non_unit_chains_with_small_groups():
+    # genus 5: (2, 3) at 0..4 and -4, zero at -3 and -2, LEFT_EDGE at -1;
+    # cancelling units first and then eliminating the rest densely passes
+    # 2^63 on either cone
+    chain = LocalData(1, (2,), (3,))
     zero = LocalData(1, (0,), (0,))
-    for a, b in ((2, 1), (1, 2), (-2, 1), (1, -2)):
-        data = LocalData(1, (a,), (b,))
-        profile = SurgeryProfile("chain", 2, {-1: zero, 0: data, 1: data})
-        for p in (1, 2, 3, -1, -2, -3):
-            for q in (1, 7, 16, 32, 40):
-                if gcd(p, q) != 1:
-                    continue
-                framing = Framing(p, q)
-                for i in range(abs(p)):
-                    d = helpers.dense_cone_matrix(
-                        profile, framing, i, truncation_window(profile, framing, i)
-                    )
-                    factors = [abs(x) for x in invariant_factors(Matrix(d)) if x]
-                    try:
-                        group = spinc_group(profile, framing, i)
-                    except EliminationOverflow:
-                        # v 2 h 1 at 1/32: Z^63 + Z/2^64, past the 2^63 limit
-                        assert factors[-1] > 2**63, (a, b, framing, i)
-                        continue
-                    free = len(d) + len(d[0]) - 2 * len(factors)
-                    torsion = tuple(x for x in factors if x > 1)
-                    assert group == AbelianGroup(free, torsion), (a, b, framing, i)
+    overrides = {s: chain for s in (-4, 0, 1, 2, 3, 4)}
+    profile = SurgeryProfile("g5", 5, {**overrides, -3: zero, -2: zero, -1: LEFT_EDGE})
+    assert spinc_group(profile, Framing(1, 8), 0) == AbelianGroup(33, (6561,))
+    assert spinc_group(CHAIN_G3, Framing(1, 10), 0) == Z
+
+
+def test_many_equal_summands_are_linear():
+    # every v and h entry 2: 9,000 summands Z/2 at -1/1000, which a
+    # pairwise gcd/lcm conversion to invariant factors takes seconds over
+    profile = SurgeryProfile("all2", 5, {s: LocalData(3, (2, 2, 2), (2, 2, 2)) for s in range(-4, 5)})
+    t0 = time.perf_counter()
+    group = spinc_group(profile, Framing(-1, 1000), 0)
+    assert time.perf_counter() - t0 < 1.0
+    assert group == AbelianGroup(18001, (2,) * 9000)
 
 
 @given(st.sampled_from(BUILTINS_POSITIVE_GENUS), framings_st(pmax=25, qmax=5))

@@ -8,11 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from helpers import columns
 from hfcone.cfk import Arrow, CfkComplex, Generator, bhat
-from hfcone.exactla import AbelianGroup, EliminationOverflow, smith_normal_form
+from hfcone.exactla import (
+    STATE_BITS,
+    AbelianGroup,
+    EliminationOverflow,
+    invariant_factors,
+    smith_normal_form,
+)
 
 
 def _identity(n):
@@ -100,9 +107,33 @@ def test_group_validation():
 
 
 def test_overflow_is_detected():
+    # det 9 - 2^124: the reported divisor is past 2^63
     big = 2**62
     with pytest.raises(EliminationOverflow):
         _snf([[3, big], [big, 3]])
+
+
+def test_working_entries_may_pass_2_63():
+    # det -1,866,006; the elimination's entries pass 2^63 on the way, so
+    # working entries are bounded in bits and only divisors by 2^63
+    rows = [
+        [0, -2, 6, 6, 1, 3, 0],
+        [4, -1, 8, 2, -9, 6, 8],
+        [0, -1, 0, 6, 3, 3, -9],
+        [1, 6, 0, 6, -2, 0, 0],
+        [8, -1, -1, 0, 12, -1, 0],
+        [4, 4, 8, 8, 6, 6, -9],
+        [1, 0, -2, 8, 6, -1, 6],
+    ]
+    assert _snf(rows) == [1] * 6 + [1866006]
+
+
+def test_working_entries_are_bounded_in_bits():
+    # clearing 2^(B-1) below the pivot 1 writes -2^(2B-2): refused while
+    # working, B = STATE_BITS, before any divisor is reported
+    big = 2 ** (STATE_BITS - 1)
+    with pytest.raises(EliminationOverflow, match=f"exceeded 2\\^{STATE_BITS} during"):
+        _snf([[1, big], [big, 0]])
 
 
 def _two_generators(*arrows):
@@ -179,3 +210,32 @@ def test_smith_invariant_under_unimodular_ops(rows, rng):
             for row in work:
                 row[i] += k * row[j]
     assert _snf(work) == base
+
+
+@given(matrices, st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_tracked_vector_follows_the_row_operations(rows, w):
+    # U M V = D and U w = c give coker [M | w] = coker [D | c]; every row
+    # is a working row, since w has an entry on each
+    w = w[: len(rows)]
+    divisors, coords = smith_normal_form(columns(rows), dict(enumerate(w)))
+    assert divisors == _snf(rows)
+    d = [[divisors[i] if i == j else 0 for j in range(len(divisors))] for i in range(len(rows))]
+    left = [row + [x] for row, x in zip(rows, w)]
+    right = [row + [x] for row, x in zip(d, coords)]
+    assert _sympy_divisors(left) == _sympy_divisors(right)
+
+
+@given(st.lists(st.integers(2, 60), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_invariant_factors_match_sympy(divisors):
+    diagonal = Matrix.diag(*divisors) if divisors else Matrix.zeros(0, 0)
+    expected = tuple(int(x) for x in sympy_invariant_factors(diagonal) if x != 1)
+    assert invariant_factors(divisors) == expected
+
+
+def test_invariant_factors_of_many_equal_summands():
+    assert invariant_factors([2] * 9000) == (2,) * 9000
+    assert invariant_factors([4, 2, 3] * 1000) == (2,) * 1000 + (12,) * 1000
+    with pytest.raises(EliminationOverflow):
+        invariant_factors([2**62, 3])
