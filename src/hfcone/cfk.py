@@ -50,9 +50,20 @@ arrow survives for every s. Each arrow thus survives on one interval
 of s (``_survival``): all of it, [max, g], [-g, min], one point, or
 none; a valid arrow never takes the point. It enters and leaves the
 sweep at most once, so between consecutive slices only the columns of
-the sources of arrows that enter or leave are rebuilt (``_sweep``), and
-a slice whose columns did not change keeps the reduction of the slice
-before.
+the sources of arrows that enter or leave are rebuilt (``_sweep``).
+
+``exactla.cancel_units`` gives each connected component of a complex the
+cancellations it has alone, so to_profile keeps the v and h values of
+every survivor and at each s reduces again only the components of A_s
+that hold a changed generator: a rebuilt column, an old or new target
+of one, or a generator at grading s or s - 1, where the pullbacks of v
+and h change. Any other component is one of A_(s-1), columns and all.
+A component of A_(s-1) that held a changed generator lies in the part
+reduced again: a path to that generator keeps its arrows up to the
+first one out of a rebuilt column, whose ends are changed. The part's
+error, if any, is the whole slice's, since the rest reduced without
+one. T(2,2001) reduces 8,001 generators so, against the 4,004,001 of
+its slices.
 
 No slice repeats the d^2 check of homology(). A_s is a subquotient of
 the full complex C: the generators U^b x with max(i, j - s) <= 0 span a
@@ -69,7 +80,7 @@ there is one pass over B's arrows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactla import (
     AbelianGroup,
@@ -81,9 +92,9 @@ from .exactla import (
 )
 from .profiles import LocalData, SurgeryProfile
 
-# generators x slices one to_profile may reduce: every slice is still
-# copied and cancelled in full, so the sweep is quadratic in the genus of
-# a staircase; T(2,2001) needs 2001 x 2001 = 4,004,001
+# generators x slices one to_profile may reduce: a component that spans
+# the complex and changes at every s is reduced in full at each, though a
+# staircase reduces a few generators a slice (T(2,2001) has 4,004,001)
 SLICE_BUDGET = 5 * 10**6
 
 
@@ -100,7 +111,7 @@ class StaircaseError(ValueError):
 
 
 class ComplexTooLarge(ValueError):
-    """to_profile would reduce more than SLICE_BUDGET generators over its slices."""
+    """More generators x slices than SLICE_BUDGET, the most to_profile may reduce."""
 
 
 @dataclass(frozen=True)
@@ -273,22 +284,24 @@ def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
     d = s.differential
     if any(_image(d, col) for col in d):
         raise ValueError("slice differential does not square to zero")
-    h = _reduce([dict(col) for col in d])
+    h = _reduce({k: dict(col) for k, col in enumerate(d)})
     return h if _allow_torsion else _basis(h)
 
 
-def _reduce(cols: list[dict[int, int]]) -> SliceHomology:
-    """The homology of the complex with differential cols, which it
+def _reduce(cols: dict[int, dict[int, int]]) -> SliceHomology:
+    """The homology of the complex with differential cols ({generator:
+    column}, in ascending order, closed under the arrows), which it
     consumes, without checking d^2 = 0.
 
     Unit arrows are cancelled first; the columns left over go to the
-    Smith form for the group. The survivors are a basis only when no
-    arrow is left over, that is when there are free_rank of them.
+    Smith form for the group. The survivors, in generator order, are a
+    basis only when no arrow is left over, that is when there are
+    free_rank of them.
     """
     n = len(cols)
     steps = cancel_units(cols)
     gone = {k for x, y, *_ in steps for k in (x, y)}
-    survivors = tuple(k for k in range(n) if k not in gone)
+    survivors = tuple(k for k in cols if k not in gone)
     rest = [cols[k] for k in survivors if cols[k]]
     divisors = smith_normal_form(rest) if rest else []
     group = AbelianGroup(n - 2 * (len(steps) + len(divisors)), tuple(e for e in divisors if e > 1))
@@ -423,10 +436,12 @@ def _survival(ax: int, ay: int, a: int, lo: int, hi: int) -> tuple[int, int]:
 
 def _sweep(
     c: CfkComplex, g: int
-) -> Iterator[tuple[int, list[dict[int, int]], set[int]]]:
-    """(s, the columns of A_s, the columns rebuilt at s) for s = -g, ...,
-    g: one list, equal to ahat(c, s).differential and updated in place
-    between the yields.
+) -> Iterator[tuple[int, list[dict[int, int]], list[set[int]], set[int]]]:
+    """(s, the columns of A_s, the sources of the arrows into each
+    generator, the generators changed at s) for s = -g, ..., g: two
+    lists, cols equal to ahat(c, s).differential and into[y] = {x : y in
+    cols[x]}, updated in place between the yields. The changed generators
+    are those whose columns are rebuilt, with their old and new targets.
 
     Only the columns of sources whose arrows enter or leave at s are
     rebuilt, each from its surviving arrows in arrow order, parallel
@@ -455,11 +470,33 @@ def _sweep(
         return {y: _checked(e) for y, e in col.items() if e}
 
     cols: list[dict[int, int]] = [{} for _ in gens]
+    into: list[set[int]] = [set() for _ in gens]
     for s in range(-g, g + 1):
         rebuilt = touched.get(s, set())
+        changed = set(rebuilt)
         for x in rebuilt:
+            for y in cols[x]:
+                into[y].discard(x)
+            changed.update(cols[x])
             cols[x] = column(x, s)
-        yield s, cols, rebuilt
+            for y in cols[x]:
+                into[y].add(x)
+            changed.update(cols[x])
+        yield s, cols, into, changed
+
+
+def _connected(cols, into, seeds: Iterable[int]) -> list[int]:
+    """The generators that a path of arrows joins to seeds, in ascending
+    order, in the slice whose arrows x -> y are the keys y of cols[x] and
+    the members x of into[y]."""
+    found = set(seeds)
+    todo = list(found)
+    while todo:
+        x = todo.pop()
+        near = {*cols[x], *into[x]} - found
+        found |= near
+        todo += near
+    return sorted(found)
 
 
 def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
@@ -470,12 +507,12 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     rank > 1 the basis is the one the cancellation leaves; another basis
     changes v and h, but not the surgery groups.
 
-    The slices come from one sweep over s. A slice whose columns changed
-    is reduced by _reduce on a copy of them, and one whose columns did
-    not keeps the reduction of the slice before; B is reduced once, by
-    the validation. Past SLICE_BUDGET generators x slices,
-    ComplexTooLarge is raised before the validation; an EliminationOverflow
-    or TorsionError on a slice names its s."""
+    The slices come from one sweep over s. The components of A_s that
+    changed are reduced by one _reduce on a copy of their columns, and
+    the rest keep their values; B is reduced once, by the validation.
+    Past SLICE_BUDGET generators x slices, ComplexTooLarge is raised
+    before the validation; an EliminationOverflow or TorsionError on a
+    slice names its s."""
     n = len(c.generators)
     slices = 2 * c.genus + 1 if n else 1  # no genus without generators; _validate says so
     if n * slices > SLICE_BUDGET:
@@ -489,17 +526,26 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     phi = _Reader(_basis(hb), 0)
     g = c.genus
     alexander = [x.alexander for x in c.generators]
+    graded: dict[int, list[int]] = {}
+    for w, k in enumerate(alexander):
+        graded.setdefault(k, []).append(w)
+    read: dict[int, tuple[int, int]] = {}  # (v, h) on each survivor, signs fixed
     overrides = {}
-    for s, cols, rebuilt in _sweep(c, g):
-        try:
-            if rebuilt:
-                ha = _basis(_reduce(list(map(dict.copy, cols))))
-            v = _carry(ha, phi, [w if k <= s else None for w, k in enumerate(alexander)])
-            h = _carry(ha, phi, [c.conj[w] if k >= s else None for w, k in enumerate(alexander)])
-        except (EliminationOverflow, TorsionError) as e:
-            raise type(e)(f"slice s={s}: {e}") from None
-        for j in range(len(v)):
-            if (v[j] or h[j]) < 0:
-                v[j], h[j] = -v[j], -h[j]
-        overrides[s] = LocalData(ha.group.free_rank, tuple(v), tuple(h))
+    for s, cols, into, changed in _sweep(c, g):
+        # the components that changed, or hold a generator whose pullbacks change
+        part = _connected(cols, into, changed.union(graded.get(s, ()), graded.get(s - 1, ())))
+        if part:  # else A_s has the data of the slice before
+            for x in part:
+                read.pop(x, None)
+            try:
+                ha = _basis(_reduce({x: dict(cols[x]) for x in part}))
+                v = _carry(ha, phi, {w: w if alexander[w] <= s else None for w in part})
+                h = _carry(ha, phi, {w: c.conj[w] if alexander[w] >= s else None for w in part})
+            except (EliminationOverflow, TorsionError) as e:
+                raise type(e)(f"slice s={s}: {e}") from None
+            for k, x, y in zip(ha._survivors, v, h):
+                read[k] = (x, y) if (x or y) >= 0 else (-x, -y)
+            v, h = zip(*map(read.get, sorted(read))) if read else ((), ())
+            data = LocalData(len(read), v, h)
+        overrides[s] = data
     return SurgeryProfile(name or f"derived:g={g}", g, overrides)

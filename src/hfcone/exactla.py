@@ -79,46 +79,48 @@ def schur_update(dst: dict[int, int], k: int, src: dict[int, int]) -> None:
             dst.pop(r, None)
 
 
-def cancel_units(cols: list[dict[int, int]]) -> list[tuple[int, int, int, dict, dict]]:
+def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, dict, dict]]:
     """Cancel +-1 arrows x -> y (x != y) of a based complex until none is
     left, by the Gaussian elimination lemma; returns the cancellations in
     order and leaves in cols the differential of what survives.
 
-    cols[x] is d(x) as {y: coeff}; generators past len(cols) have zero
-    differential (the B-generators of the cone). Each step is (x, y, u,
-    column, row): the unit u, d(x) without x and y, and the arrows z -> y,
-    as they stood then. x and y leave the complex, and each z -> y, x -> w
-    pair adds -d(z->y) u d(x->w) to z -> w, a schur_update of z by x.
+    cols maps each generator x, in ascending order, to d(x) as {y: coeff},
+    every y a key of cols. Each step is (x, y, u, column, row): the unit u,
+    d(x) without x and y, and the arrows z -> y, as they stood then. x and
+    y leave the complex, and each z -> y, x -> w pair adds
+    -d(z->y) u d(x->w) to z -> w, a schur_update of z by x.
 
     That update multiplies the other entries of x by the entry of z on y.
     So a pivot whose column has a non-unit entry, on a row that another
-    column shares, waits until no other pivot is left; when a retry of the
-    waiting ones pivots nothing, one is taken anyway. A chain of such
-    columns (d x_j = y_j + 2 y_{j+1}) is then cancelled from its free end,
-    and its entries never grow; taken from the other end, they would
-    double at every step. Of several unit rows the one on the fewest
-    columns is taken, so the fewest columns are updated.
+    column shares, waits until no other pivot is left: it is tried again
+    whenever a cancellation changes an entry on one of its rows or in its
+    column, and when nothing else can pivot, the last to wait is taken
+    anyway. A chain of such columns (d x_j = y_j + 2 y_{j+1}) is then
+    cancelled from its free end, and its entries never grow; taken from
+    the other end, they would double at every step. Of several unit rows
+    the one on the fewest columns is taken, so the fewest columns are
+    updated.
+
+    Every choice looks only at the connected component of its column, and
+    the work list visits a component's columns in one order whatever else
+    is there, so a component has the same cancellations alone as in any
+    larger complex.
     """
-    on_row: dict[int, set[int]] = {}  # the columns that have had an entry on each row
-    for z, col in enumerate(cols):
+    # the columns that have had an entry on each row
+    on_row: dict[int, set[int]] = {z: set() for z in cols}
+    for z, col in cols.items():
         for w in col:
-            if w in on_row:
-                on_row[w].add(z)
-            else:
-                on_row[w] = {z}
-    n = len(cols)
+            on_row[w].add(z)
     steps = []
-    work = list(range(n))
-    waiting: list[int] = []
-    retried_at = -1
+    work = list(cols)
+    waiting: dict[int, None] = {}  # the columns that wait, in the order they came
     force = False
     while work or waiting:
         if not work:
-            # a retry of the waiting columns that pivoted nothing: take one anyway
-            force = len(steps) == retried_at
-            retried_at = len(steps)
-            work, waiting = waiting, []
+            work.append(waiting.popitem()[0])
+            force = True
         x = work.pop()
+        waiting.pop(x, None)
         col = cols[x]
         units = [w for w, a in col.items() if w != x and (a == 1 or a == -1)]
         if not units:
@@ -132,13 +134,12 @@ def cancel_units(cols: list[dict[int, int]]) -> list[tuple[int, int, int, dict, 
             and len(units) < len(col)
             and any(z != x and y in cols[z] for z in on_row[y])
         ):
-            waiting.append(x)
+            waiting[x] = None
             continue
         force = False
         u = col.pop(y)
         col.pop(x, None)
-        if y < n:
-            cols[y].clear()
+        cols[y].clear()
         row = {}
         for z in on_row[y]:
             a = cols[z].pop(y, 0)
@@ -148,11 +149,11 @@ def cancel_units(cols: list[dict[int, int]]) -> list[tuple[int, int, int, dict, 
                 for w in col:
                     on_row[w].add(z)
                 work.append(z)
-        for z in on_row.get(x, ()):
+        for z in on_row[x]:
             cols[z].pop(x, None)  # arrows into x leave with it
         if waiting:
-            for w in col:
-                work.extend(on_row[w])  # w lost x: a pivot there may wait no more
+            # the rows of x changed: a pivot there may wait no more
+            work.extend(z for w in (x, *col) for z in on_row[w] if z in waiting)
         steps.append((x, y, u, col, row))
         cols[x] = {}
     return steps

@@ -25,8 +25,10 @@ from hfcone.cfk import (
     SliceComplex,
     StaircaseError,
     TorsionError,
+    _connected,
     _Reader,
     _carry,
+    _reduce,
     _survival,
     _sweep,
     ahat,
@@ -391,11 +393,9 @@ def test_profile_maps_match_dense_cycle_lifts(rng, mirrored):
         assert data.h == tuple(e * y for e, y in zip(signs, h))
 
 
-@given(st.randoms(use_true_random=False))
-@settings(max_examples=200, deadline=None)
-def test_cochains_on_random_based_complexes(rng):
-    # d = P D P^-1 with D a sum of unit pairs and P a product of
-    # elementary operations: cancellations whose rows meet later pivots
+def _random_based_differential(rng):
+    """The rows of d = P D P^-1, D a sum of unit pairs and P a product of
+    elementary operations: cancellations whose rows meet later pivots."""
     n = rng.randint(2, 9)
     d = [[0] * n for _ in range(n)]
     order = rng.sample(range(n), n)
@@ -409,6 +409,14 @@ def test_cochains_on_random_based_complexes(rng):
         d[i] = [a + k * b for a, b in zip(d[i], d[j])]
         for row in d:
             row[j] -= k * row[i]
+    return d
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_cochains_on_random_based_complexes(rng):
+    d = _random_based_differential(rng)
+    n = len(d)
     sl = SliceComplex(tuple((k, 0) for k in range(n)), tuple(helpers.columns(d)))
     try:
         h = homology(sl)
@@ -416,6 +424,66 @@ def test_cochains_on_random_based_complexes(rng):
         return  # no unit left to cancel
     assert h.group.free_rank == n - 2 * Matrix(d).rank()
     _assert_dual_bases(sl, h)
+
+
+def _components(cols):
+    """The connected components of the slice with columns cols, each in
+    ascending order, found by _connected from their least generators."""
+    into = [{x for x, col in enumerate(cols) if y in col} for y in range(len(cols))]
+    out, left = [], set(range(len(cols)))
+    while left:
+        out.append(_connected(cols, into, [min(left)]))
+        left -= set(out[-1])
+    return out
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_components_reduce_as_the_whole_slice(rng):
+    # a direct sum of P D P^-1 complexes on interleaved generators,
+    # reduced and carried one component at a time, gives the survivors,
+    # in generator order, and the values of one reduction of the whole
+    # sum: to_profile reduces only the components of A_s that change
+    blocks = [helpers.columns(_random_based_differential(rng)) for _ in range(rng.randint(2, 4))]
+    n = sum(map(len, blocks))
+    names = iter(rng.sample(range(n), n))
+    cols, block_of = [{}] * n, [0] * n
+    for b, block in enumerate(blocks):
+        name = [next(names) for _ in block]
+        for x, col in zip(name, block):
+            cols[x], block_of[x] = {name[y]: a for y, a in col.items()}, b
+    parts = _components(cols)
+    assert sorted(x for part in parts for x in part) == list(range(n))
+    assert all(len({block_of[x] for x in part}) == 1 for part in parts)
+    psi = {x: rng.randint(-3, 3) for x in range(n)} | {None: 0}
+    _assert_reduced_by_components(cols, psi, [rng.choice((x, None)) for x in range(n)])
+
+
+def test_a_waiting_column_leaves_other_components_alone():
+    # x4 waits, as its column holds x4 itself: d x4 = -x4 - x6 and
+    # d x6 = x4 + x6. Were the columns on the rows of each cancellation
+    # pushed back whenever any column waited, the cancellations of the
+    # other component would come in another order and leave x1, not x3
+    cols = [{}, {2: 1}, {}, {0: -1}, {6: -1, 4: -1}, {2: -1, 0: 1}, {6: 1, 4: 1}]
+    assert _reduce({x: dict(col) for x, col in enumerate(cols)})._survivors == (3,)
+    _assert_reduced_by_components(cols, {x: x + 1 for x in range(7)} | {None: 0}, range(7))
+
+
+def _assert_reduced_by_components(cols, psi, at):
+    """Reduced and carried one component at a time, cols give the
+    survivors, in generator order, the values of psi pulled back along
+    at and the free rank of one reduction of them all."""
+    whole = _reduce({x: dict(col) for x, col in enumerate(cols)})
+    survivors, values, free_rank = [], [], 0
+    for part in _components(cols):
+        h = _reduce({x: dict(cols[x]) for x in part})
+        survivors += h._survivors
+        values += _carry(h, psi, at)
+        free_rank += h.group.free_rank
+    order = sorted(range(len(survivors)), key=survivors.__getitem__)
+    assert [survivors[k] for k in order] == list(whole._survivors)
+    assert [values[k] for k in order] == _carry(whole, psi, at)
+    assert free_rank == whole.group.free_rank
 
 
 @pytest.mark.parametrize("lo, hi", [(-6, 6), (-2, 1)])
@@ -445,15 +513,18 @@ def test_sweep_columns_match_ahat(rng, mirrored, padded):
     c = _random_complex(rng, mirrored, padded)
     g = c.genus
     swept = []
-    for s, cols, rebuilt in _sweep(c, g):
+    for s, cols, into, changed in _sweep(c, g):
         swept.append(s)
         expected = ahat(c, s).differential
         assert [list(col.items()) for col in cols] == [list(col.items()) for col in expected]
+        assert into == [{x for x, col in enumerate(expected) if y in col} for y in range(len(cols))]
         if s == -g:
-            assert rebuilt == set(range(len(cols)))
+            assert changed == set(range(len(cols)))
         else:
+            # the rebuilt columns, with their old and new targets
             previous = ahat(c, s - 1).differential
-            assert {x for x in range(len(cols)) if cols[x] != previous[x]} <= rebuilt
+            rebuilt = {x for x in range(len(cols)) if cols[x] != previous[x]}
+            assert rebuilt.union(*(cols[x].keys() | previous[x].keys() for x in rebuilt)) <= changed
     assert swept == list(range(-g, g + 1))
 
 
@@ -469,15 +540,18 @@ def test_to_profile_matches_per_slice_reference(rng, mirrored, padded):
 
 
 def _failing_on(c, s, failure):
-    """cancel_units, but failure(cols) in its place on the columns of A_s.
+    """cancel_units, but failure(cols) in its place when handed the one
+    component of A_s, as to_profile hands it over when all of it changed.
 
     The failure is injected: a search of small valid complexes (bipartite,
     conjugation-symmetric, H(B) = Z, entries up to 3 or 2^32) found none
     whose middle slice overflows or keeps arrows while B does not."""
-    target = [list(col.items()) for col in ahat(c, s).differential]
+    d = ahat(c, s).differential
+    (component,) = _components(d)
+    target = [(x, list(d[x].items())) for x in component]
 
     def reduce(cols):
-        if [list(col.items()) for col in cols] == target:
+        if [(x, list(col.items())) for x, col in cols.items()] == target:
             return failure(cols)
         return cancel_units(cols)
 
@@ -513,6 +587,36 @@ def test_slice_torsion_names_s(monkeypatch, capsys):
         "",
         "input error: slice s=0: arrows without a unit coefficient survive cancellation\n",
     )
+
+
+@pytest.mark.parametrize(
+    "doubled, overflowing, code, err",
+    [
+        ({1, 3}, set(), 65, "input error: slice s=-2: homology has torsion (2, 2); only free"
+         " homology is supported here"),
+        ({3}, {1}, 70, "overflow: slice s=-2: integer magnitude exceeded 2^63 during elimination"),
+        ({1}, {3}, 70, "overflow: slice s=-2: integer magnitude exceeded 2^63 during elimination"),
+    ],
+)
+def test_slice_error_is_the_whole_slices(monkeypatch, capsys, doubled, overflowing, code, err):
+    # A_-2 of T(2,5) has two components with an arrow, d x1 = U x0 and
+    # d x3 = U x2. Broken in both, the slice fails as one reduction of all
+    # of it does: torsion (2, 2), not one component's (2,), and an overflow
+    # in either component before the torsion in the other
+    c = staircase_from_alexander([1, -1, 1, -1, 1])
+    d = ahat(c, -2).differential
+
+    def reduce(cols):
+        held = {x for x in (1, 3) if cols.get(x - 1) == d[x - 1] and cols.get(x) == d[x]}
+        if held & overflowing:
+            _overflow(cols)
+        for x in held & doubled:
+            cols[x] = {y: 2 * a for y, a in cols[x].items()}
+        return cancel_units(cols)
+
+    monkeypatch.setattr(cfk, "cancel_units", reduce)
+    assert main(["staircase", "--alexander", "1,-1,1,-1,1", "--emit-profile"]) == code
+    assert capsys.readouterr() == ("", err + "\n")
 
 
 def test_to_profile_refuses_complex_over_budget(monkeypatch):
@@ -552,6 +656,14 @@ def test_to_profile_scales_to_t_2_481():
     start = time.perf_counter()
     assert to_profile(c) == lspace_knot(240)
     assert time.perf_counter() - start < 10
+
+
+def test_to_profile_scales_to_t_2_2001():
+    # each slice redoes only the components that change: a few generators
+    c = staircase_from_alexander([(-1) ** k for k in range(2001)])
+    start = time.perf_counter()
+    assert to_profile(c) == lspace_knot(1000)
+    assert time.perf_counter() - start < 3
 
 
 def test_validate_scales_to_t_2_10001():
