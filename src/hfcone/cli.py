@@ -71,7 +71,7 @@ def _resolve_profile(selector: str) -> SurgeryProfile:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise InputDataError(f"cannot read profile file {path}: {e}") from None
         try:
             return profiles.parse(text)
@@ -408,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--check", metavar="SELECTOR")
     p_prof.set_defaults(func=_cmd_profile)
 
+    parser.commands = sub.choices  # name -> subparser, for _parse_args
     return parser
 
 
@@ -429,12 +430,23 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # build_parser().parse_args(argv), one argparse level deep: the top level
+    # has only -h and the command positional, whose nargs=PARSER hands the
+    # subparser argv[1:] whole (-h and -- included) and copies its namespace
+    # out, and leftovers raise 'unrecognized arguments' via _Parser.error
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        ns = parser.parse_args(_merge_dash_values(list(argv)))
+        ns = _parse_args(_merge_dash_values(list(argv)))
         return ns.func(ns)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -410,37 +410,53 @@ def _parse_row(tok: str, line_no: int, what: str) -> tuple[int, ...]:
     return tuple(_parse_int(t, line_no, what) for t in tok.split(","))
 
 
+_INT = _ASCII_INT.pattern
+# a `local` line that passes every check of _local_tokens, its tokens
+# joined by single spaces
+_LOCAL = re.compile(rf"local ({_INT}) rank ({_INT}) v ({_INT}(?:,{_INT})*) h ({_INT}(?:,{_INT})*)")
+
+
+def _new_slot(s: int, overrides: dict, line_no: int) -> int:
+    if s in overrides:
+        raise ProfileParseError(line_no, f"duplicate local line for s={s}")
+    return s
+
+
+def _local_tokens(toks: list[str], line_no: int, overrides: dict) -> tuple:
+    """(s, rank, v, h) of a `local` line read token by token, the checks
+    in the order they report; the reading of the lines _LOCAL refuses."""
+    if len(toks) != 8 or toks[::2] != ["local", "rank", "v", "h"]:
+        raise ProfileParseError(line_no, "expected 'local <s> rank <r> v <c,...> h <c,...>'")
+    s = _new_slot(_parse_int(toks[1], line_no, "slot"), overrides, line_no)
+    rank = _parse_int(toks[3], line_no, "rank")
+    return s, rank, _parse_row(toks[5], line_no, "v row"), _parse_row(toks[7], line_no, "h row")
+
+
 def parse(text: str) -> SurgeryProfile:
     """Parse the profile file format; validates all invariants. Lines may
-    come in any order; equal adjacent slots merge into one segment."""
+    come in any order; equal adjacent slots merge into one segment.
+
+    Lines are split at whitespace (str.split); blank lines and those
+    starting with '#' are skipped. The first other line is
+    ``profile NAME genus G``, each later one ``local S rank R v ROW h ROW``:
+    G, S, R are [+-]?[0-9]+ and a ROW is such integers joined by commas."""
     header: tuple[str, int] | None = None
     overrides: dict[int, LocalData] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
             continue
-        toks = line.split()
         if header is None:
             if len(toks) != 4 or toks[0] != "profile" or toks[2] != "genus":
                 raise ProfileParseError(line_no, "expected 'profile <name> genus <g>'")
             header = (toks[1], _parse_int(toks[3], line_no, "genus"))
             continue
-        if (
-            len(toks) != 8
-            or toks[0] != "local"
-            or toks[2] != "rank"
-            or toks[4] != "v"
-            or toks[6] != "h"
-        ):
-            raise ProfileParseError(
-                line_no, "expected 'local <s> rank <r> v <c,...> h <c,...>'"
-            )
-        s = _parse_int(toks[1], line_no, "slot")
-        if s in overrides:
-            raise ProfileParseError(line_no, f"duplicate local line for s={s}")
-        rank = _parse_int(toks[3], line_no, "rank")
-        v = _parse_row(toks[5], line_no, "v row")
-        h = _parse_row(toks[7], line_no, "h row")
+        m = _LOCAL.fullmatch(" ".join(toks))
+        if m is None:
+            s, rank, v, h = _local_tokens(toks, line_no, overrides)
+        else:
+            s, rank = _new_slot(int(m[1]), overrides, line_no), int(m[2])
+            v, h = tuple(map(int, m[3].split(","))), tuple(map(int, m[4].split(",")))
         try:
             overrides[s] = LocalData(rank, v, h)
         except ProfileError as e:

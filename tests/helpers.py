@@ -7,16 +7,20 @@ property (free rank odd) holds exactly for that class.
 
 Also the slow references the fast paths are checked against: the dense
 cone matrix and its Smith form, hf output rendered class by class, the
-induced maps of a knot complex read through dense cycle lifts, and its
-profile derived slice by slice from ahat and homology.
+induced maps of a knot complex read through dense cycle lifts, its
+profile derived slice by slice from ahat and homology, and the command
+line parsed by argparse's two levels.
 Dense matrices here are plain lists of rows; columns() turns them into
 the sparse {row: entry} columns the library takes.
 """
 
+import contextlib
+import io
 import json
 import random
 from math import gcd
 
+from hfcone import cli
 from hfcone.cfk import (
     Arrow,
     CfkComplex,
@@ -63,6 +67,64 @@ def random_framing(rng: random.Random, pmax: int = 30, qmax: int = 8) -> Framing
         q = rng.randint(1, qmax)
         if gcd(p, q) == 1:
             return Framing(rng.choice((1, -1)) * p, q)
+
+
+# each subcommand's flags with a value that parses (None: takes none)
+_FLAGS = {
+    "hf": [("--profile", "fig8"), ("--framing", "5"), ("--framing-range", "1..2"),
+           ("--spinc", "1"), ("--format", "json")],
+    "ell": [("--profile", "lspace:g=2"), ("--framing", "-1/2"), ("--framing-range", "-1..1")],
+    "bound": [("--h1", "4"), ("--ell", "2")],
+    "spinc": [("--genus", "1"), ("--framing", "5/2"), ("--oracle", None)],
+    "pair": [("--g1", "1"), ("--q1", "1"), ("--g2", "2"), ("--q2", "3"), ("--p", "-5"),
+             ("--mode", "both")],
+    "kfam": [("--m", "2"), ("--n", "1"), ("--q1", "1"), ("--q2", "2"), ("--p", "5")],
+    "staircase": [("--alexander", "1,-1,1"), ("--emit-profile", None)],
+    "profile": [("--show", "fig8"), ("--check", "@x")],
+}
+# words dropped in anywhere: options and values of every kind, --, -h,
+# unknown flags, negative numbers and empty strings
+_ARGV_WORDS = list(_FLAGS) + [
+    "-h", "--help", "--", "--he", "--fram", "--framing=-3/2", "--format=text", "--mode=first",
+    "fig8", "json", "first", "-1..1/1..2", "5", "0", "-3", "-1/2", "-1x", "x", "", " ",
+    "--bogus", "--bogus=1", "-x", "-", "---",
+]
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """An argv for the command line: a subcommand and some of its flags,
+    in any order, abbreviated or as --flag=value, with a few words from
+    _ARGV_WORDS dropped in, now and then before the subcommand."""
+    command = rng.choice(list(_FLAGS))
+    chunks = []
+    for flag, value in _FLAGS[command]:
+        if rng.random() < 0.25:
+            continue
+        if rng.random() < 0.2:
+            flag = flag[:rng.randint(3, len(flag))]
+        if value is None:
+            chunks.append([flag])
+        else:
+            chunks.append([f"{flag}={value}"] if rng.random() < 0.3 else [flag, value])
+    rng.shuffle(chunks)
+    argv = [command] + [word for chunk in chunks for word in chunk]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        argv.insert(rng.randint(0 if rng.random() < 0.1 else 1, len(argv)), rng.choice(_ARGV_WORDS))
+    return argv
+
+
+def parse_outcome(parse, argv: list[str]) -> tuple:
+    """What parse(argv) does: ("ns", its vars) or ("usage", the UsageError
+    text) or ("exit", the SystemExit code), with what it printed."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            ns = parse(list(argv))
+    except cli.UsageError as e:
+        return "usage", str(e), printed.getvalue()
+    except SystemExit as e:
+        return "exit", e.code, printed.getvalue()
+    return "ns", vars(ns), printed.getvalue()
 
 
 def random_lspace_alexander(rng: random.Random, gmax: int = 6) -> list[int]:

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -143,6 +144,19 @@ def test_repeated_main_calls_match_fresh_runs(capsys):
     assert [run(capsys, *argv) for argv in sequence * 2] == fresh * 2
     assert cli.build_parser() is cli.build_parser()
     assert [code for code, _, _ in fresh] == [0, 0, 0, 64]
+
+
+def test_direct_dispatch_matches_two_level_parse():
+    # main parses argv[1:] with the subcommand's own parser; argparse's two
+    # levels must give the same namespace, the same usage error, or the
+    # same exit with the same help text
+    rng = random.Random(18)
+    parser = cli.build_parser()
+    for _ in range(3000):
+        argv = helpers.random_argv(rng)
+        for words in (argv, cli._merge_dash_values(argv)):
+            direct = helpers.parse_outcome(cli._parse_args, words)
+            assert direct == helpers.parse_outcome(parser.parse_args, words), words
 
 
 def test_ell_cost_does_not_grow_with_p(capsys):
@@ -657,6 +671,18 @@ def test_profile_check_bad_file(tmp_path, capsys):
     assert code == 65
     assert out == ""
     assert err.startswith("invalid: ")
+
+
+def test_profile_file_not_utf8_exits_65(tmp_path, capsys):
+    path = tmp_path / "latin.profile"
+    path.write_bytes(b"profile x genus 1\nlocal 0 rank 1 v 1 h \xff\n")
+    reason = "'utf-8' codec can't decode byte 0xff in position 39: invalid start byte"
+    assert run(capsys, "hf", "--profile", f"@{path}", "--framing", "1") == (
+        65, "", f"input error: cannot read profile file {path}: {reason}\n"
+    )
+    assert run(capsys, "profile", "--check", f"@{path}") == (
+        65, "", f"invalid: cannot read profile file {path}: {reason}\n"
+    )
 
 
 def test_profile_file_selector(tmp_path, capsys):

@@ -1,7 +1,13 @@
 """Profile builders, validation rules, and the file format."""
 
-import pytest
+import re
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hfcone import profiles
 from hfcone.cfk import staircase_from_alexander, to_profile
 from hfcone.profiles import (
     LEFT_EDGE,
@@ -182,6 +188,91 @@ def test_parse_rejects_duplicate_slots():
 def test_parse_rejects_empty_input():
     with pytest.raises(ProfileParseError):
         parse("# only a comment\n")
+
+
+def _parsed(text: str):
+    """parse(text), or the type and text of the error it raises."""
+    try:
+        return parse(text)
+    except ProfileError as e:
+        return type(e), str(e)
+
+
+def _parsed_by_tokens(text: str):
+    """_parsed(text) with every `local` line read token by token."""
+    with mock.patch.object(profiles, "_LOCAL", re.compile(r"(?!)")):
+        return _parsed(text)
+
+
+# `local` lines after 'profile x genus 1', and the error each one gives
+_LOCAL_LINE_ERRORS = [
+    ("local 1_0 rank 1 v 1 h 1", "line 2: slot: expected integer, got '1_0'"),
+    ("local \u0661 rank 1 v 1 h 1", "line 2: slot: expected integer, got '\u0661'"),
+    ("local 0 rank 1 v +-1 h 1", "line 2: v row: expected integer, got '+-1'"),
+    ("local 0 rank 2 v 1,,2 h 1,2", "line 2: v row: expected integer, got ''"),
+    ("local 0 rank 1 v 1, h 1", "line 2: v row: expected integer, got ''"),
+    ("local 0 rank 1 v 1 h 1;", "line 2: h row: expected integer, got '1;'"),
+    ("local 0 rank 1 v 1 h", "line 2: expected 'local <s> rank <r> v <c,...> h <c,...>'"),
+    ("local 0 rank 1 v 1 h 1 1", "line 2: expected 'local <s> rank <r> v <c,...> h <c,...>'"),
+    ("local 0 rnk 1 v 1 h 1", "line 2: expected 'local <s> rank <r> v <c,...> h <c,...>'"),
+    (f"local 0 rank 1 v {2**63 + 1} h 1", "line 2: s=0: v/h entries must lie within +-2^63"),
+    ("local 0 rank 2 v 1 h 1", "line 2: s=0: v/h widths (1, 1) != rank 2"),
+    ("local 0 rank 1 v 1 h 1\nlocal 0 rank 1 v 1 h 1", "line 3: duplicate local line for s=0"),
+    # the slot is checked for a duplicate before the rank is read
+    ("local 0 rank 1 v 1 h 1\nlocal 0 rank x v 1 h 1", "line 3: duplicate local line for s=0"),
+]
+
+
+@pytest.mark.parametrize("lines, message", _LOCAL_LINE_ERRORS)
+def test_local_line_errors(lines, message):
+    text = f"profile x genus 1\n{lines}\n"
+    assert _parsed(text) == _parsed_by_tokens(text) == (ProfileParseError, message)
+
+
+def test_local_line_with_tabs_and_runs_of_spaces():
+    text = "profile x genus 1\nlocal\t0  rank 3\tv 1,+0,-0   h 007,0,-2 \n"
+    expected = SurgeryProfile("x", 1, {0: LocalData(3, (1, 0, 0), (7, 0, -2))})
+    assert _parsed(text) == _parsed_by_tokens(text) == expected
+
+
+_INT = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["+1", "-0", "007"]))
+# tokens and row entries the grammar refuses, and a few it takes
+_JUNK = st.sampled_from(
+    ["1_0", "\u0661", "+-1", "", "x", "1,", ",1", "1,,2", "lokal", "r", "0", str(2**63 + 1)]
+)
+_SEP = st.sampled_from([" "] * 6 + ["  ", "\t", " \t ", "\u3000"])
+
+
+@st.composite
+def _local_lines(draw):
+    """A `local` line for slot 0 of rank 1..3, in half the draws with one
+    token or row entry replaced, dropped or added."""
+    rank = draw(st.integers(1, 3))
+    rows = [[draw(_INT) for _ in range(rank)] for _ in "vh"]
+    slot = draw(st.sampled_from(["0", "+0", "-0", "00"]))
+    toks = ["local", slot, "rank", str(rank), "v", rows[0], "h", rows[1]]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 7))
+        how = draw(st.sampled_from(["replace", "drop", "add", "entry"]))
+        if how == "entry" and k in (5, 7):
+            toks[k][draw(st.integers(0, rank - 1))] = draw(_JUNK)
+        elif how == "drop":
+            del toks[k]
+        elif how == "add":
+            toks.insert(k, draw(_JUNK))
+        else:
+            toks[k] = draw(_JUNK)
+    toks = [",".join(t) if isinstance(t, list) else t for t in toks]
+    return draw(st.sampled_from(["", " ", "\t"])) + "".join(t + draw(_SEP) for t in toks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_local_lines(), min_size=1, max_size=3), st.sampled_from(["\n", "\r\n", "\x0c"]))
+def test_local_lines_read_as_by_the_tokens(lines, end):
+    # at genus 1 any LocalData at s = 0 validates, so equal profiles mean
+    # equal LocalData
+    text = "profile x genus 1" + end + end.join(lines) + end
+    assert _parsed(text) == _parsed_by_tokens(text)
 
 
 def test_rank_symmetry_enforced():
