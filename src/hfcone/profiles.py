@@ -412,7 +412,7 @@ def _parse_row(tok: str, line_no: int, what: str) -> tuple[int, ...]:
 
 _INT = _ASCII_INT.pattern
 # a `local` line that passes every check of _local_tokens, its tokens
-# joined by single spaces
+# joined by single spaces, unless int() refuses one of its integers as too long
 _LOCAL = re.compile(rf"local ({_INT}) rank ({_INT}) v ({_INT}(?:,{_INT})*) h ({_INT}(?:,{_INT})*)")
 
 
@@ -424,7 +424,7 @@ def _new_slot(s: int, overrides: dict, line_no: int) -> int:
 
 def _local_tokens(toks: list[str], line_no: int, overrides: dict) -> tuple:
     """(s, rank, v, h) of a `local` line read token by token, the checks
-    in the order they report; the reading of the lines _LOCAL refuses."""
+    in the order they report; for the lines parse() cannot read by _LOCAL."""
     if len(toks) != 8 or toks[::2] != ["local", "rank", "v", "h"]:
         raise ProfileParseError(line_no, "expected 'local <s> rank <r> v <c,...> h <c,...>'")
     s = _new_slot(_parse_int(toks[1], line_no, "slot"), overrides, line_no)
@@ -452,11 +452,14 @@ def parse(text: str) -> SurgeryProfile:
             header = (toks[1], _parse_int(toks[3], line_no, "genus"))
             continue
         m = _LOCAL.fullmatch(" ".join(toks))
+        if m is not None:
+            try:
+                s, rank = _new_slot(int(m[1]), overrides, line_no), int(m[2])
+                v, h = tuple(map(int, m[3].split(","))), tuple(map(int, m[4].split(",")))
+            except ValueError:  # an integer past int()'s digit limit
+                m = None
         if m is None:
             s, rank, v, h = _local_tokens(toks, line_no, overrides)
-        else:
-            s, rank = _new_slot(int(m[1]), overrides, line_no), int(m[2])
-            v, h = tuple(map(int, m[3].split(","))), tuple(map(int, m[4].split(",")))
         try:
             overrides[s] = LocalData(rank, v, h)
         except ProfileError as e:

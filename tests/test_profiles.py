@@ -204,6 +204,14 @@ def _parsed_by_tokens(text: str):
         return _parsed(text)
 
 
+# an integer longer than int() reads (4,300 digits by default), and int()'s
+# wording of that, which differs between Python versions
+_LONG = "1" * 5000
+try:
+    int(_LONG)
+except ValueError as e:
+    _LONG_ERROR = str(e)
+
 # `local` lines after 'profile x genus 1', and the error each one gives
 _LOCAL_LINE_ERRORS = [
     ("local 1_0 rank 1 v 1 h 1", "line 2: slot: expected integer, got '1_0'"),
@@ -217,9 +225,18 @@ _LOCAL_LINE_ERRORS = [
     ("local 0 rnk 1 v 1 h 1", "line 2: expected 'local <s> rank <r> v <c,...> h <c,...>'"),
     (f"local 0 rank 1 v {2**63 + 1} h 1", "line 2: s=0: v/h entries must lie within +-2^63"),
     ("local 0 rank 2 v 1 h 1", "line 2: s=0: v/h widths (1, 1) != rank 2"),
+    pytest.param(f"local {_LONG} rank 1 v 1 h 1", f"line 2: slot: {_LONG_ERROR}", id="long slot"),
+    pytest.param(f"local 0 rank {_LONG} v 1 h 1", f"line 2: rank: {_LONG_ERROR}", id="long rank"),
+    pytest.param(f"local 0 rank 1 v {_LONG} h 1", f"line 2: v row: {_LONG_ERROR}", id="long v"),
+    pytest.param(f"local 0 rank 2 v 1,2 h 1,{_LONG}", f"line 2: h row: {_LONG_ERROR}", id="long h"),
     ("local 0 rank 1 v 1 h 1\nlocal 0 rank 1 v 1 h 1", "line 3: duplicate local line for s=0"),
     # the slot is checked for a duplicate before the rank is read
     ("local 0 rank 1 v 1 h 1\nlocal 0 rank x v 1 h 1", "line 3: duplicate local line for s=0"),
+    pytest.param(
+        f"local 0 rank 1 v 1 h 1\nlocal 0 rank 1 v {_LONG} h 1",
+        "line 3: duplicate local line for s=0",
+        id="duplicate, long v",
+    ),
 ]
 
 
@@ -238,7 +255,7 @@ def test_local_line_with_tabs_and_runs_of_spaces():
 _INT = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["+1", "-0", "007"]))
 # tokens and row entries the grammar refuses, and a few it takes
 _JUNK = st.sampled_from(
-    ["1_0", "\u0661", "+-1", "", "x", "1,", ",1", "1,,2", "lokal", "r", "0", str(2**63 + 1)]
+    ["1_0", "\u0661", "+-1", "", "x", "1,", ",1", "1,,2", "lokal", "r", "0", str(2**63 + 1), _LONG]
 )
 _SEP = st.sampled_from([" "] * 6 + ["  ", "\t", " \t ", "\u3000"])
 
