@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from . import cfk, obstruct, profiles
@@ -38,6 +39,13 @@ class InputDataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word that starts with a dash and a digit is a value (negative
+        # framings, ranges and coefficients), after any spelling of its flag;
+        # argparse match()es this attribute, and ".*" fits fullmatch() too
+        self._negative_number_matcher = re.compile(r"-\d.*", re.DOTALL)
+
     # argparse exits 2 on bad flags, which collides with the "obstruction
     # violated" code; route everything through UsageError instead
     def error(self, message):
@@ -151,8 +159,6 @@ def _framings_from_args(ns, spinc=None):
     either format, write each framing before the next is computed."""
     if ns.framing_range is not None:
         return _iter_framings(ns.framing_range, spinc)
-    if ns.framing is None:
-        raise UsageError("one of --framing or --framing-range is required")
     framing = _parse_framing(ns.framing)
     if spinc is not None:
         _check_spinc(spinc, framing)
@@ -353,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_profile_framing(p, spinc=False):
         p.add_argument("--profile", required=True, help="profile selector or @file")
-        p.add_argument("--framing", help="surgery slope p/q (or integer p)")
-        p.add_argument(
+        framing = p.add_mutually_exclusive_group(required=True)
+        framing.add_argument("--framing", help="surgery slope p/q (or integer p)")
+        framing.add_argument(
             "--framing-range",
             help="grid P1..P2/Q1..Q2; iterates q outer, p inner, ascending",
         )
@@ -412,24 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# values of these flags often start with a dash (negative framings); fold
-# them into --flag=value form so argparse does not read them as options
-_DASH_VALUE_FLAGS = ("--framing", "--framing-range", "--alexander")
-
-
-def _merge_dash_values(argv: list[str]) -> list[str]:
-    out = []
-    k = 0
-    while k < len(argv):
-        if argv[k] in _DASH_VALUE_FLAGS and k + 1 < len(argv):
-            out.append(argv[k] + "=" + argv[k + 1])
-            k += 2
-        else:
-            out.append(argv[k])
-            k += 1
-    return out
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     # build_parser().parse_args(argv), one argparse level deep: the top level
     # has only -h and the command positional, whose nargs=PARSER hands the
@@ -446,7 +435,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        ns = _parse_args(_merge_dash_values(list(argv)))
+        ns = _parse_args(list(argv))
         return ns.func(ns)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -95,6 +95,22 @@ def test_broken_conjugation_reported():
     ))
 
 
+_TREFOIL_GENERATORS = trefoil().generators
+_FLAT = tuple(Generator(name, 0) for name in "abc")
+
+
+@pytest.mark.parametrize("complex_, problems", [
+    (CfkComplex(_TREFOIL_GENERATORS, (Arrow(1, 3, 0, 1),), (2, 1, 0)),
+     ["arrow Arrow(source=1, target=3, u_power=0, coeff=1) references a missing generator"]),
+    (CfkComplex(_TREFOIL_GENERATORS, (Arrow(1, 2, 0, 0),), (2, 1, 0)),
+     ["arrow Arrow(source=1, target=2, u_power=0, coeff=0) has zero coefficient"]),
+    (CfkComplex(_FLAT, (), (1, 2, 0)),
+     [f"conj is not an involution at generator {i}" for i in range(3)]),
+])
+def test_validate_message_wording(complex_, problems):
+    assert validate(complex_) == problems
+
+
 def test_d_squared_checked():
     gens = (Generator("a", 0), Generator("b", 0), Generator("c", 0))
     arrows = (Arrow(0, 1, 0, 1), Arrow(1, 2, 0, 1))
@@ -133,6 +149,8 @@ def test_staircase_rejections():
         staircase_from_alexander([0, 1, 0])  # leading zero
     with pytest.raises(StaircaseError):
         staircase_from_alexander(TREFOIL_ALEX, top=2)  # top exponent mismatch
+    with pytest.raises(StaircaseError, match="^coefficients are not symmetric$"):
+        staircase_from_alexander([0, 0, 1])
 
 
 def test_ahat_unknot():

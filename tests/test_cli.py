@@ -154,9 +154,26 @@ def test_direct_dispatch_matches_two_level_parse():
     parser = cli.build_parser()
     for _ in range(3000):
         argv = helpers.random_argv(rng)
-        for words in (argv, cli._merge_dash_values(argv)):
-            direct = helpers.parse_outcome(cli._parse_args, words)
-            assert direct == helpers.parse_outcome(parser.parse_args, words), words
+        direct = helpers.parse_outcome(cli._parse_args, argv)
+        assert direct == helpers.parse_outcome(parser.parse_args, argv), argv
+
+
+@pytest.mark.parametrize("value", ["-5", "-1/20", "-3..-1/1..2", "-1,3,-1"])
+def test_dash_led_values_parse_after_any_spelling(value):
+    # a word of a dash and a digit is a value after the full flag, a unique
+    # prefix or in --flag=value form alike; this leans on argparse's
+    # _negative_number_matcher, so a change in its internals fails here
+    cases = [
+        (["hf", "--profile", "fig8"], "framing", ["--framing"]),
+        (["ell", "--profile", "fig8"], "framing_range", ["--framing-range", "--framing-r"]),
+        (["spinc", "--genus", "1"], "framing", ["--framing", "--fram"]),
+        (["staircase"], "alexander", ["--alexander", "--alex"]),
+    ]
+    for head, dest, spellings in cases:
+        forms = [[flag, value] for flag in spellings] + [[f"{spellings[0]}={value}"]]
+        namespaces = [vars(cli._parse_args(head + form)) for form in forms]
+        assert namespaces[0][dest] == value, head
+        assert all(ns == namespaces[0] for ns in namespaces), (head, namespaces)
 
 
 def test_ell_cost_does_not_grow_with_p(capsys):
@@ -548,6 +565,13 @@ def test_kfam_consistent(capsys):
     assert out == "consistent: q2/q1 = 2 >= 2 = m/(2n-1)\n"
 
 
+def test_kfam_not_applicable(capsys):
+    code, out, err = run(
+        capsys, "kfam", "--m", "0", "--n", "1", "--p", "7", "--q1", "1", "--q2", "2"
+    )
+    assert (code, out, err) == (0, "not_applicable: m and n must be >= 1\n", "")
+
+
 def test_pair_modes(capsys):
     code, out, _ = run(
         capsys, "pair", "--g1", "2", "--q1", "3", "--g2", "1", "--q2", "1",
@@ -747,6 +771,18 @@ _UNKNOWN_PROFILE = "; use unknot, lspace:g=G, fig8, kfam:m=M,k=K, tau:g=G, or @f
      "input error: polynomial does not evaluate to 1 at t = 1\n"),
     (["staircase", "--alexander", "1,0,1"], 65,
      "input error: polynomial does not evaluate to 1 at t = 1\n"),
+    (["hf", "--profile", "lspace:g", "--framing", "1"], 64,
+     "usage error: bad profile parameter 'g' in 'lspace:g'\n"),
+    (["hf", "--profile", "lspace:=3", "--framing", "1"], 64,
+     "usage error: bad profile parameter '=3' in 'lspace:=3'\n"),
+    (["spinc", "--genus", "0", "--framing", "5"], 65,
+     "input error: classification requires g >= 1\n"),
+    (["hf", "--framing", "--profile", "fig8"], 64,
+     "usage error: argument --framing: expected one argument\n"),
+    (["hf", "--profile", "fig8", "--framing", "5", "--framing-range", "1..2"], 64,
+     "usage error: argument --framing-range: not allowed with argument --framing\n"),
+    (["ell", "--profile", "fig8"], 64,
+     "usage error: one of the arguments --framing --framing-range is required\n"),
 ])
 def test_input_error_messages(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)
@@ -814,6 +850,13 @@ def test_chain_without_units_is_not_refused(tmp_path, capsys):
     )
     code, out, err = run(capsys, "hf", "--profile", f"@{path}", "--framing", "-1/20")
     assert (code, out, err) == (0, "framing -1/20\ni=0: Z^1 (L)\nell=1 total_rank=1\n", "")
+    # its mark passes 2^4096 at -1/862, and the scan stops there
+    code, out, err = run(capsys, "hf", "--profile", f"@{path}", "--framing", "-1/862")
+    assert (code, out) == (70, "")
+    assert err == (
+        "overflow: framing -1/862, class i=0: "
+        "integer magnitude exceeded 2^4096 during elimination\n"
+    )
 
 
 def test_non_unit_cone_cost_is_linear(tmp_path):

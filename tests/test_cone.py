@@ -275,8 +275,9 @@ def profiles_st(draw):
             v = tuple(draw(st.integers(-2, 2)) for _ in range(r))
             h = tuple(draw(st.integers(-2, 2)) for _ in range(r))
             overrides[s] = LocalData(r, v, h)
-    overrides[g] = LocalData(1, (draw(st.sampled_from([1, -1])),), (0,))
-    overrides[-g] = LocalData(1, (0,), (draw(st.sampled_from([1, -1])),))
+    # the entry beside each end unit is free: h at s = g, v at s = -g
+    overrides[g] = LocalData(1, (draw(st.sampled_from([1, -1])),), (draw(st.integers(-3, 3)),))
+    overrides[-g] = LocalData(1, (draw(st.integers(-3, 3)),), (draw(st.sampled_from([1, -1])),))
     return SurgeryProfile(f"hx:g={g}", g, overrides)
 
 
@@ -312,8 +313,9 @@ def torsion_profiles_st(draw):
         v = tuple(draw(entries) for _ in range(r))
         h = tuple(draw(entries) for _ in range(r))
         overrides[s] = LocalData(r, v, h)
-    overrides[g] = LocalData(1, (draw(st.sampled_from([1, -1])),), (0,))
-    overrides[-g] = LocalData(1, (0,), (draw(st.sampled_from([1, -1])),))
+    # the entry beside each end unit is free: h at s = g, v at s = -g
+    overrides[g] = LocalData(1, (draw(st.sampled_from([1, -1])),), (draw(st.integers(-3, 3)),))
+    overrides[-g] = LocalData(1, (draw(st.integers(-3, 3)),), (draw(st.sampled_from([1, -1])),))
     return SurgeryProfile(f"torsion:g={g}", g, overrides)
 
 
@@ -596,6 +598,19 @@ def test_non_unit_chains_with_small_groups():
     profile = SurgeryProfile("g5", 5, {**overrides, -3: zero, -2: zero, -1: LEFT_EDGE})
     assert spinc_group(profile, Framing(1, 8), 0) == AbelianGroup(33, (6561,))
     assert spinc_group(CHAIN_G3, Framing(1, 10), 0) == Z
+
+
+def test_scan_mark_stops_at_state_bits():
+    # the chain of v 3 h 2 slots is Z at every -1/q, but the scan's mark
+    # grows by log2(3) bits a slot: within STATE_BITS at -1/861, past it
+    # at -1/862, where the scan raises after the row that crossed
+    chain = SurgeryProfile("chain", 2, {s: LocalData(1, (3,), (2,)) for s in (-1, 0, 1)})
+    assert spinc_group(chain, Framing(-1, 861), 0) == Z
+    with pytest.raises(EliminationOverflow) as e:
+        spinc_group(chain, Framing(-1, 862), 0)
+    assert str(e.value) == (
+        "framing -1/862, class i=0: integer magnitude exceeded 2^4096 during elimination"
+    )
 
 
 def test_many_equal_summands_are_linear():

@@ -367,6 +367,21 @@ def test_genus_zero_needs_two_units():
     SurgeryProfile("neg-units", 0, {0: LocalData(1, (-1,), (-1,))})
 
 
+_ONE = LocalData(1, (1,), (1,))
+
+
+@pytest.mark.parametrize("name, genus, overrides, violations", [
+    ("x", -1, {}, ["genus -1 < 0"]),
+    ("a b", 1, {0: _ONE}, ["name 'a b' must be nonempty without whitespace"]),
+    ("x", 0, {}, ["genus 0 requires an override at s=0"]),
+    ("x", 1, {0: _ONE, -3: _ONE}, ["s=-3: override beyond genus contradicts the edge pattern"]),
+])
+def test_profile_message_wording(name, genus, overrides, violations):
+    with pytest.raises(ProfileError) as err:
+        SurgeryProfile(name, genus, overrides)
+    assert err.value.violations == violations
+
+
 def test_local_data_shape_checks():
     with pytest.raises(ProfileError):
         LocalData(0, (), ())
