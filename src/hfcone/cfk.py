@@ -19,14 +19,15 @@ The two maps to B are, on the chain level,
   hook, transported by U^-s and the conjugation), else 0.
 
 A slice holds one sparse {target: coeff} column per generator, built
-straight from the arrows that survive on it. homology() cancels every
-+-1 arrow with ``exactla.cancel_units`` and keeps its cancellations. The
-generators that survive are a basis of the homology. H(B) is Z, so v_s
-and h_s are each one cochain read on cycles of A_s: the cochain of B
-that reads a cycle's class (B's cancellations replayed backwards),
-pulled back along the chain map and carried forward through A_s's
-cancellations, the transpose of lifting each survivor to a cycle. The
-reader of B is evaluated only on the generators that carry reads. A
+straight from the arrows that survive on it; parallel arrows are summed
+once, up front, for the checks and every slice (``_tally``). homology()
+cancels every +-1 arrow with ``exactla.cancel_units`` and keeps its
+cancellations. The generators that survive are a basis of the homology.
+H(B) is Z, so v_s and h_s are each one cochain read on cycles of A_s:
+the cochain of B that reads a cycle's class (B's cancellations replayed
+backwards), pulled back along the chain map and carried forward through
+A_s's cancellations, the transpose of lifting each survivor to a cycle.
+The reader of B is evaluated only on the generators that carry reads. A
 slice with arrows left over (torsion, or only non-unit coefficients as
 in d x = 2y + 3z) has no such basis and is refused with TorsionError
 rather than guessing a convention; validate() reads only its group.
@@ -173,35 +174,28 @@ def _validate(c: CfkComplex) -> tuple[list[str], SliceHomology | None]:
     if out:
         return out, None
     # d^2 = 0 over Z[U]: group compositions by (source, target, total U power)
-    leaving: dict[int, list[Arrow]] = {}
-    for a in c.arrows:
-        leaving.setdefault(a.source, []).append(a)
+    tally = _tally(c)
+    leaving: dict[int, list[tuple[int, int, int]]] = {}
+    for (x, y, a), e in tally.items():
+        leaving.setdefault(x, []).append((y, a, e))
     square: dict[tuple[int, int, int], int] = {}
-    for a1 in c.arrows:
-        for a2 in leaving.get(a1.target, ()):
-            key = (a1.source, a2.target, a1.u_power + a2.u_power)
-            square[key] = square.get(key, 0) + a1.coeff * a2.coeff
+    for (x, y, a), e in tally.items():
+        for z, b, f in leaving.get(y, ()):
+            key = (x, z, a + b)
+            square[key] = square.get(key, 0) + e * f
     for (src, tgt, power), total in sorted(square.items()):
         if total:
             out.append(
                 f"d^2 != 0: {c.generators[src].name} -> U^{power} {c.generators[tgt].name}"
                 f" has coefficient {total}"
             )
-    # conjugation symmetry: J applied to the arrow set reproduces the arrow set
-    def key_of(arrows):
-        tally: dict[tuple[int, int, int], int] = {}
-        for a in arrows:
-            k = (a.source, a.target, a.u_power)
-            tally[k] = tally.get(k, 0) + a.coeff
-        return {k: v for k, v in tally.items() if v}
-
-    conj_arrows = []
-    for a in c.arrows:
-        dx = c.generators[a.source].alexander - c.generators[a.target].alexander
-        conj_arrows.append(
-            Arrow(c.conj[a.source], c.conj[a.target], a.u_power + dx, a.coeff)
-        )
-    if key_of(conj_arrows) != key_of(c.arrows):
+    # conjugation symmetry: J carries x -> U^a y to conj(x) -> U^(a + A(x) - A(y))
+    # conj(y), and must map the arrow set onto itself
+    gens, conj = c.generators, c.conj
+    if tally != {
+        (conj[x], conj[y], a + gens[x].alexander - gens[y].alexander): e
+        for (x, y, a), e in tally.items()
+    }:
         out.append("arrow set is not conjugation symmetric")
     if out:
         return out, None
@@ -214,6 +208,18 @@ def _validate(c: CfkComplex) -> tuple[list[str], SliceHomology | None]:
 
 def _arrow_str(c: CfkComplex, a: Arrow) -> str:
     return f"{c.generators[a.source].name} -> U^{a.u_power} {c.generators[a.target].name}"
+
+
+def _tally(c: CfkComplex) -> dict[tuple[int, int, int], int]:
+    """The arrows of c with parallel ones summed, as {(source, target, U
+    power): coeff} without zero sums, each key in the place of its first
+    arrow: cancel_units breaks ties by the order of a column's entries,
+    so every slice lists them in the order of their first arrows."""
+    tally: dict[tuple[int, int, int], int] = {}
+    for a in c.arrows:
+        key = (a.source, a.target, a.u_power)
+        tally[key] = tally.get(key, 0) + a.coeff
+    return {key: e for key, e in tally.items() if e}
 
 
 @dataclass(frozen=True)
@@ -241,15 +247,11 @@ def bhat(c: CfkComplex) -> SliceComplex:
 
 def _slice(c: CfkComplex, shifts: Sequence[int]) -> SliceComplex:
     cols: list[dict[int, int]] = [{} for _ in c.generators]
-    for a in c.arrows:
+    for (x, y, a), e in _tally(c).items():
         # the arrow U^{b_x} x -> U^{b_x + a} y survives iff it lands on the slice
-        if shifts[a.source] + a.u_power == shifts[a.target]:
-            col = cols[a.source]
-            col[a.target] = col.get(a.target, 0) + a.coeff
-    return SliceComplex(
-        basis=tuple(enumerate(shifts)),
-        differential=tuple({y: _checked(x) for y, x in col.items() if x} for col in cols),
-    )
+        if shifts[x] + a == shifts[y]:
+            cols[x][y] = _checked(e)
+    return SliceComplex(basis=tuple(enumerate(shifts)), differential=tuple(cols))
 
 
 @dataclass(frozen=True)
@@ -444,30 +446,22 @@ def _sweep(
     are those whose columns are rebuilt, with their old and new targets.
 
     Only the columns of sources whose arrows enter or leave at s are
-    rebuilt, each from its surviving arrows in arrow order, parallel
-    arrows summed and the sums checked, as ahat builds them; at s = -g
-    every column is built.
+    rebuilt, each from the sums of _tally that survive, checked once, in
+    its order; at s = -g every column is built. That is ahat's column,
+    since one pair x, y has at most one U power a that survives on A_s:
+    max(0, A(x) - s) + a = max(0, A(y) - s) fixes it.
     """
     gens = c.generators
     leaving: list[list[tuple[int, int, int, int]]] = [[] for _ in gens]
     touched: dict[int, set[int]] = {-g: set(range(len(gens)))}
-    for a in c.arrows:
-        first, last = _survival(
-            gens[a.source].alexander, gens[a.target].alexander, a.u_power, -g, g
-        )
+    for (x, y, a), e in _tally(c).items():
+        first, last = _survival(gens[x].alexander, gens[y].alexander, a, -g, g)
         if first > last:
             continue
-        leaving[a.source].append((first, last, a.target, a.coeff))
+        leaving[x].append((first, last, y, _checked(e)))
         for t in (first, last + 1):
             if t <= g:
-                touched.setdefault(t, set()).add(a.source)
-
-    def column(x: int, s: int) -> dict[int, int]:
-        col: dict[int, int] = {}
-        for first, last, y, e in leaving[x]:
-            if first <= s <= last:
-                col[y] = col.get(y, 0) + e
-        return {y: _checked(e) for y, e in col.items() if e}
+                touched.setdefault(t, set()).add(x)
 
     cols: list[dict[int, int]] = [{} for _ in gens]
     into: list[set[int]] = [set() for _ in gens]
@@ -478,7 +472,7 @@ def _sweep(
             for y in cols[x]:
                 into[y].discard(x)
             changed.update(cols[x])
-            cols[x] = column(x, s)
+            cols[x] = {y: e for first, last, y, e in leaving[x] if first <= s <= last}
             for y in cols[x]:
                 into[y].add(x)
             changed.update(cols[x])

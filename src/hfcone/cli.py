@@ -82,7 +82,7 @@ def _resolve_profile(selector: str) -> SurgeryProfile:
         except (OSError, UnicodeDecodeError) as e:
             raise InputDataError(f"cannot read profile file {path}: {e}") from None
         try:
-            return profiles.parse(text)
+            return profiles.parse(text.removeprefix("\ufeff"))
         except ProfileError as e:
             raise InputDataError(f"{path}: {e}") from None
     name, _, params_text = selector.partition(":")
@@ -90,7 +90,7 @@ def _resolve_profile(selector: str) -> SurgeryProfile:
     if params_text:
         for piece in params_text.split(","):
             key, eq, value = piece.partition("=")
-            if not eq or not key:
+            if not eq or not key or key in params:
                 raise UsageError(f"bad profile parameter {piece!r} in {selector!r}")
             try:
                 params[key] = ascii_int(value)

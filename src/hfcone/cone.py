@@ -54,8 +54,8 @@ data d. It spans one value of phi or many: lspace:g=10^9 gives three
 stretches at any framing. Only a stretch's two end rows meet other
 slots. A stretch of k >= 3 copies of collapsible data keeps its first
 and last copy, the rows between them are compacted, and (k - 2) gain(d)
-is added to the free rank, so the cone costs O(pieces) slots for
-collapsible data at any q and any genus. The argument below uses only
+(``_shape``) is added to the free rank, so the cone costs O(pieces)
+slots for collapsible data at any q and any genus. The argument below uses only
 that the k copies are consecutive A-slots with equal data, not which
 phi they come from. Removing one interior copy, with one of the rows
 only the stretch touches, changes the group by exactly Z^gain(d) when d
@@ -107,6 +107,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
+from itertools import combinations
 from dataclasses import dataclass
 from math import gcd
 
@@ -117,7 +118,7 @@ from .exactla import (
     invariant_factors,
     smith_normal_form,
 )
-from .profiles import LocalData, SurgeryProfile, ascii_int
+from .profiles import SurgeryProfile, ascii_int
 
 # columns (A-generators) one cone may emit after collapsing stretches:
 # about 500 times the largest cone of the tests and the benchmark. The
@@ -220,30 +221,6 @@ def _a_range(profile: SurgeryProfile, framing: Framing, i: int, pad: int) -> tup
     return (i - g_bound * q) // (-p) - pad, _ceil_div(i + g_bound * q - q + 1, -p) + pad
 
 
-@functools.lru_cache(maxsize=4096)
-def _stretch_gain(data: LocalData) -> int | None:
-    """Free rank that one more interior copy of data adds to a stretch,
-    or None when copies of data do not collapse (module docstring)."""
-    r, v, h = data.rank, data.v, data.h
-    if not any(v) and not any(h):
-        return r + 1
-    minors = 0
-    for a in range(r):
-        for b in range(a + 1, r):
-            minors = gcd(minors, v[a] * h[b] - v[b] * h[a])
-            if minors == 1:
-                return r - 1
-    if minors:
-        return None  # rank 2, but [v; h] spans a proper sublattice
-    # rank 1: every column is an integer multiple of (x, y) / gcd(x, y),
-    # the primitive direction of the first nonzero column
-    x, y = next((x, y) for x, y in zip(v, h) if x or y)
-    g = gcd(x, y)
-    if abs(x) > g or abs(y) > g or gcd(*v, *h) != 1:
-        return None
-    return r - 1
-
-
 def _stretches(profile: SurgeryProfile, framing: Framing, i: int, a_lo: int, a_hi: int):
     """(piece, data, k) for each stretch of the A-slots a_lo..a_hi, left
     to right: the k consecutive slots s whose phi(s) lies in one piece of
@@ -273,7 +250,7 @@ def spinc_group(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0)
     plan = []
     slots = width = free = 0
     for j, data, k in _stretches(profile, framing, i, *_a_range(profile, framing, i, pad)):
-        if k >= 3 and (gain := _stretch_gain(data)) is not None:
+        if k >= 3 and (gain := _shape(data.v, data.h)[4]) is not None:
             free += (k - 2) * gain
             k = 2
         slots += k
@@ -330,12 +307,14 @@ def _reduce(pieces, plan: list[tuple[int, int]], positive: bool, slots: int, wid
 
 @functools.lru_cache(maxsize=4096)
 def _shape(v: tuple[int, ...], h: tuple[int, ...]):
-    """(cols, gy, gx, unit) of one copy of slot data v, h in the scan: its
-    nonzero columns (x, y), x on the copy's first B-row and y on its
-    second; the gcd of the y and of the x; and, when some y_j = +-1, the
+    """(cols, gy, gx, unit, gain) of one copy of slot data v, h in the
+    scan: its nonzero columns (x, y), x on the copy's first B-row and y on
+    its second; the gcd of the y and of the x; when some y_j = +-1, the
     pair (x_j, c): that column makes the second row -y_j x_j m, and the
     others then add the one relation c m, c the gcd of their
-    x - y y_j x_j."""
+    x - y y_j x_j; and the free rank that one more interior copy adds to
+    a stretch, or None when copies do not collapse (module docstring).
+    Zero columns change no 2x2 minor and no gcd."""
     cols = []
     gx = gy = 0
     for x, y in zip(v, h):
@@ -347,14 +326,27 @@ def _shape(v: tuple[int, ...], h: tuple[int, ...]):
         if yj == 1 or yj == -1:
             unit = xj, gcd(*(x - y * yj * xj for x, y in cols))
             break
-    return tuple(cols), gy, gx, unit
+    minors = gcd(*(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(cols, 2)))
+    if not cols:
+        gain = len(v) + 1
+    elif minors == 1:
+        gain = len(v) - 1
+    elif minors:
+        gain = None  # rank 2, but [v; h] spans a proper sublattice
+    else:
+        # rank 1: every column is an integer multiple of the primitive
+        # direction of the first, which must lie in {0, +-1}^2, and the
+        # multiples must have gcd 1
+        x, y = cols[0]
+        gain = len(v) - 1 if max(abs(x), abs(y)) == gcd(x, y) and gcd(gx, gy) == 1 else None
+    return tuple(cols), gy, gx, unit, gain
 
 
 def _next_row(a: int, tors: list, shape, banked: list) -> tuple[int, list, int]:
     """The state after one more B-row e and the relations x m + y e of
     shape's columns, marked by e; the third entry counts the free
     generators it banks."""
-    cols, gy, gx, unit = shape
+    cols, gy, gx, unit, _ = shape
     if not (a or tors):
         # m = 0: the row adds Z e / gcd(y) e
         if gy == 1:

@@ -41,7 +41,7 @@ from hfcone.cfk import (
 )
 from hfcone.cli import main
 from hfcone.exactla import EliminationOverflow, cancel_units
-from hfcone.profiles import LocalData, lspace_knot, unknot
+from hfcone.profiles import LocalData, lspace_knot, serialize, unknot
 
 TREFOIL_ALEX = [1, -1, 1]
 T34_ALEX = [1, -1, 0, 1, 0, -1, 1]
@@ -523,6 +523,24 @@ def _random_complex(rng, mirrored, padded):
         c = helpers.with_cancelling_arrows(c, rng)
         assert validate(c) == []
     return c
+
+
+def test_parallel_arrows_are_summed_once():
+    # T(2,7) with x1 -> x2 and its conjugate x5 -> U x4 each split into
+    # coefficients 2 and -1, the -1 halves at the end of the arrow list
+    c = staircase_from_alexander([1, -1, 1, -1, 1, -1, 1])
+    split = [(1, 2, 0), (5, 4, 1)]
+    arrows = []
+    for a in c.arrows:
+        key = (a.source, a.target, a.u_power)
+        arrows.append(Arrow(*key, 2) if key in split else a)
+    arrows += [Arrow(*key, -1) for key in split]
+    assert len(arrows) == len(c.arrows) + 2 and Arrow(1, 2, 0, 2) in arrows
+    split_c = CfkComplex(c.generators, tuple(arrows), c.conj)
+    assert validate(split_c) == []
+    assert serialize(to_profile(split_c)) == serialize(to_profile(c))
+    for s in range(-c.genus - 1, c.genus + 2):
+        assert ahat(split_c, s).differential == ahat(c, s).differential, s
 
 
 @given(st.randoms(use_true_random=False), st.booleans(), st.booleans())

@@ -709,6 +709,16 @@ def test_profile_file_not_utf8_exits_65(tmp_path, capsys):
     )
 
 
+def test_profile_file_byte_order_mark_is_skipped(tmp_path, capsys):
+    path = tmp_path / "bom.profile"
+    assert cli.main(["profile", "--show", "fig8"]) == 0
+    path.write_bytes(b"\xef\xbb\xbf" + capsys.readouterr().out.encode())
+    expected = run(capsys, "hf", "--profile", "fig8", "--framing", "-5")
+    assert expected[0] == 0
+    assert run(capsys, "hf", "--profile", f"@{path}", "--framing", "-5") == expected
+    assert run(capsys, "profile", "--check", f"@{path}")[:2] == (0, "ok: fig8 genus 1 (1 overrides)\n")
+
+
 def test_profile_file_selector(tmp_path, capsys):
     path = tmp_path / "t.profile"
     path.write_text(
@@ -783,6 +793,10 @@ _UNKNOWN_PROFILE = "; use unknot, lspace:g=G, fig8, kfam:m=M,k=K, tau:g=G, or @f
      "usage error: argument --framing-range: not allowed with argument --framing\n"),
     (["ell", "--profile", "fig8"], 64,
      "usage error: one of the arguments --framing --framing-range is required\n"),
+    (["ell", "--profile", "lspace:g=1,g=2", "--framing", "-9/2"], 64,
+     "usage error: bad profile parameter 'g=2' in 'lspace:g=1,g=2'\n"),
+    (["ell", "--profile", "kfam:m=1,k=1,m=2", "--framing", "1"], 64,
+     "usage error: bad profile parameter 'm=2' in 'kfam:m=1,k=1,m=2'\n"),
 ])
 def test_input_error_messages(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)

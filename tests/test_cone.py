@@ -151,10 +151,11 @@ PIN = LocalData(1, (0,), (1,))
         (LocalData(1, (1,), (2,)), None),  # direction (1, 2)
         (LocalData(1, (2,), (2,)), None),  # content 2
         (LocalData(2, (1, 1), (1, -1)), None),  # minors of gcd 2
+        (LocalData(3, (1, 0, 0), (0, 1, 0)), 2),  # full rank with a zero column, as in kfam
     ],
 )
 def test_stretch_collapse_rule(data, gain):
-    assert cone._stretch_gain(data) == gain
+    assert cone._shape(data.v, data.h)[4] == gain
     profile = SurgeryProfile("stretch", 2, {-1: PIN, 0: data, 1: PIN})
     groups = []
     for q in range(3, 7):  # the slot-0 stretch has q copies
