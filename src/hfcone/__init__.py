@@ -15,122 +15,82 @@ genus lower bounds, spin-c class classification, and obstructions to a
 single manifold arising from surgeries on two given knots.
 """
 
-from .cfk import (
-    Arrow,
-    CfkComplex,
-    Generator,
-    InvalidComplexError,
-    SliceComplex,
-    StaircaseError,
-    TorsionError,
-    ahat,
-    bhat,
-    homology,
-    mirror,
-    staircase_from_alexander,
-    to_profile,
-    validate,
-)
-from .cone import (
-    ConeTooLarge,
-    Framing,
-    FramingError,
-    SpincEntry,
-    SurgeryReport,
-    Window,
-    phi,
-    spinc_group,
-    spinc_runs,
-    surgery_report,
-    truncation_window,
-)
-from .exactla import AbelianGroup, EliminationOverflow, smith_normal_form
-from .obstruct import (
-    CONSISTENT,
-    NOT_APPLICABLE,
-    TAU_EXTREMAL_BOTH,
-    TAU_EXTREMAL_FIRST,
-    VIOLATED,
-    SpincClassification,
-    Verdict,
-    classify_spinc,
-    ell_formula_lspace,
-    first_kind_brute,
-    first_kind_closed_form,
-    genus_inequality,
-    gz_lower_bound,
-    k_family_obstruction,
-    pair_obstruction,
-)
-from .profiles import (
-    LocalData,
-    ProfileError,
-    ProfileParseError,
-    SurgeryProfile,
-    figure_eight,
-    k_family,
-    lspace_knot,
-    parse,
-    serialize,
-    tau_extremal,
-    unknot,
-)
+import importlib
 
-__all__ = [
-    "AbelianGroup",
-    "Arrow",
-    "CONSISTENT",
-    "CfkComplex",
-    "EliminationOverflow",
-    "ConeTooLarge",
-    "Framing",
-    "FramingError",
-    "Generator",
-    "InvalidComplexError",
-    "LocalData",
-    "NOT_APPLICABLE",
-    "ProfileError",
-    "ProfileParseError",
-    "SliceComplex",
-    "SpincClassification",
-    "SpincEntry",
-    "StaircaseError",
-    "SurgeryProfile",
-    "SurgeryReport",
-    "TAU_EXTREMAL_BOTH",
-    "TAU_EXTREMAL_FIRST",
-    "TorsionError",
-    "Verdict",
-    "VIOLATED",
-    "Window",
-    "ahat",
-    "bhat",
-    "classify_spinc",
-    "ell_formula_lspace",
-    "figure_eight",
-    "first_kind_brute",
-    "first_kind_closed_form",
-    "genus_inequality",
-    "gz_lower_bound",
-    "homology",
-    "k_family",
-    "k_family_obstruction",
-    "lspace_knot",
-    "mirror",
-    "pair_obstruction",
-    "parse",
-    "phi",
-    "serialize",
-    "smith_normal_form",
-    "spinc_group",
-    "spinc_runs",
-    "staircase_from_alexander",
-    "surgery_report",
-    "tau_extremal",
-    "to_profile",
-    "truncation_window",
-    "unknot",
-    "validate",
-]
+# public name -> the module that defines it, in the order of __all__. A
+# name is imported on first use (PEP 562), so a command loads only the
+# modules it runs: hf, ell and profile never import cfk or obstruct.
+_HOMES = {
+    "AbelianGroup": "exactla",
+    "Arrow": "cfk",
+    "CONSISTENT": "obstruct",
+    "CfkComplex": "cfk",
+    "EliminationOverflow": "exactla",
+    "ConeTooLarge": "cone",
+    "Framing": "cone",
+    "FramingError": "cone",
+    "Generator": "cfk",
+    "InvalidComplexError": "exactla",
+    "LocalData": "profiles",
+    "NOT_APPLICABLE": "obstruct",
+    "ProfileError": "profiles",
+    "ProfileParseError": "profiles",
+    "SliceComplex": "cfk",
+    "SpincClassification": "obstruct",
+    "SpincEntry": "cone",
+    "StaircaseError": "exactla",
+    "SurgeryProfile": "profiles",
+    "SurgeryReport": "cone",
+    "TAU_EXTREMAL_BOTH": "obstruct",
+    "TAU_EXTREMAL_FIRST": "obstruct",
+    "TorsionError": "exactla",
+    "Verdict": "obstruct",
+    "VIOLATED": "obstruct",
+    "Window": "cone",
+    "ahat": "cfk",
+    "bhat": "cfk",
+    "classify_spinc": "obstruct",
+    "ell_formula_lspace": "obstruct",
+    "figure_eight": "profiles",
+    "first_kind_brute": "obstruct",
+    "first_kind_closed_form": "obstruct",
+    "genus_inequality": "obstruct",
+    "gz_lower_bound": "obstruct",
+    "homology": "cfk",
+    "k_family": "profiles",
+    "k_family_obstruction": "obstruct",
+    "lspace_knot": "profiles",
+    "mirror": "cfk",
+    "pair_obstruction": "obstruct",
+    "parse": "profiles",
+    "phi": "cone",
+    "serialize": "profiles",
+    "smith_normal_form": "exactla",
+    "spinc_group": "cone",
+    "spinc_runs": "cone",
+    "staircase_from_alexander": "cfk",
+    "surgery_report": "cone",
+    "tau_extremal": "profiles",
+    "to_profile": "cfk",
+    "truncation_window": "cone",
+    "unknot": "profiles",
+    "validate": "cfk",
+}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+        globals()[name] = value  # later lookups skip this hook
+        return value
+    if name in _HOMES.values():
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

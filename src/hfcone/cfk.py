@@ -80,12 +80,16 @@ there is one pass over B's arrows.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from .exactla import (
     AbelianGroup,
+    ComplexTooLarge,
     EliminationOverflow,
+    InvalidComplexError,
+    StaircaseError,
+    TorsionError,
     _checked,
     cancel_units,
     schur_update,
@@ -97,22 +101,6 @@ from .profiles import LocalData, SurgeryProfile
 # the complex and changes at every s is reduced in full at each, though a
 # staircase reduces a few generators a slice (T(2,2001) has 4,004,001)
 SLICE_BUDGET = 5 * 10**6
-
-
-class InvalidComplexError(ValueError):
-    """The complex violates its structural invariants."""
-
-
-class TorsionError(ValueError):
-    """Homology has torsion where a free group is required."""
-
-
-class StaircaseError(ValueError):
-    """Coefficients do not describe a staircase complex."""
-
-
-class ComplexTooLarge(ValueError):
-    """More generators x slices than SLICE_BUDGET, the most to_profile may reduce."""
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ generators x slices), 70 internal arithmetic overflow.
 
 Profile selectors: built-in names with parameters (unknot, lspace:g=3,
 fig8, kfam:m=2,k=1, tau:g=2) or @path to a profile file.
+
+Each subcommand imports only the modules it runs: staircase imports cfk,
+and bound, spinc, pair and kfam import obstruct, when they start; hf, ell
+and profile load neither. The errors of a complex (InvalidComplexError,
+TorsionError, StaircaseError, ComplexTooLarge) live in exactla, so main
+catches them without importing cfk.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ import functools
 import re
 import sys
 
-from . import cfk, obstruct, profiles
+from . import profiles
 from .cone import ConeTooLarge, Framing, FramingError, run_counts, spinc_runs
-from .exactla import EliminationOverflow
+from .exactla import (
+    ComplexTooLarge, EliminationOverflow, InvalidComplexError, StaircaseError, TorsionError,
+)
 from .profiles import ProfileError, SurgeryProfile, ascii_int
 
 EXIT_OK = 0
@@ -254,6 +262,8 @@ def _cmd_ell(ns) -> int:
 
 
 def _cmd_bound(ns) -> int:
+    from . import obstruct
+
     try:
         bound = obstruct.gz_lower_bound(ns.h1, ns.ell)
     except ValueError as e:
@@ -266,6 +276,8 @@ def _cmd_bound(ns) -> int:
 
 
 def _cmd_spinc(ns) -> int:
+    from . import obstruct
+
     framing = _parse_framing(ns.framing)
     p, q = abs(framing.p), framing.q
     try:
@@ -299,6 +311,8 @@ def _verdict_exit(verdict) -> int:
 
 
 def _cmd_pair(ns) -> int:
+    from . import obstruct
+
     mode = (
         obstruct.TAU_EXTREMAL_FIRST if ns.mode == "first" else obstruct.TAU_EXTREMAL_BOTH
     )
@@ -308,6 +322,8 @@ def _cmd_pair(ns) -> int:
 
 
 def _cmd_kfam(ns) -> int:
+    from . import obstruct
+
     verdict = obstruct.k_family_obstruction(ns.m, ns.n, ns.q1, ns.q2, ns.p)
     if verdict.status == obstruct.NOT_APPLICABLE:
         print(f"not_applicable: {verdict.detail}")
@@ -319,6 +335,8 @@ def _cmd_kfam(ns) -> int:
 
 
 def _cmd_staircase(ns) -> int:
+    from . import cfk
+
     text = ns.alexander.strip()
     coeff_part, _, top_part = text.partition(":")
     try:
@@ -441,8 +459,8 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (
-        InputDataError, ProfileError, FramingError, ConeTooLarge, cfk.StaircaseError,
-        cfk.InvalidComplexError, cfk.TorsionError, cfk.ComplexTooLarge,
+        InputDataError, ProfileError, FramingError, ConeTooLarge, StaircaseError,
+        InvalidComplexError, TorsionError, ComplexTooLarge,
     ) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -31,9 +31,9 @@ bit bound of its state.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
 
 _LIMIT = 2**63
 
@@ -48,6 +48,24 @@ STATE_BITS = 4096
 
 class EliminationOverflow(OverflowError):
     """An entry left the checked magnitude window during elimination."""
+
+
+# the input errors of cfk's complexes live here, where the command line
+# can name them without importing cfk; cfk re-exports them
+class InvalidComplexError(ValueError):
+    """The complex violates its structural invariants."""
+
+
+class TorsionError(ValueError):
+    """Homology has torsion where a free group is required."""
+
+
+class StaircaseError(ValueError):
+    """Coefficients do not describe a staircase complex."""
+
+
+class ComplexTooLarge(ValueError):
+    """More generators x slices than cfk.SLICE_BUDGET, the most to_profile may reduce."""
 
 
 def _checked(x: int) -> int:

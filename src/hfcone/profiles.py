@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from math import inf
-from typing import Iterable, Iterator
 
 from .exactla import _LIMIT
 

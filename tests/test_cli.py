@@ -218,25 +218,29 @@ def test_hf_spinc_cost_does_not_grow_with_p(capsys):
     }
 
 
-# runs the CLI, then saves its own /proc/self/status: the child's
-# ru_maxrss would also count the pages of this process it was forked from,
-# while VmHWM belongs to the image that exec started
+# runs the CLI, then saves its own /proc/self/status and the names of the
+# modules it loaded: the child's ru_maxrss would also count the pages of
+# this process it was forked from, while VmHWM belongs to the image that
+# exec started
 _CHILD = """\
 import sys
 from hfcone.cli import main
 code = main(sys.argv[2:])
-with open("/proc/self/status") as src, open(sys.argv[1], "w") as dst:
+with open("/proc/self/status") as src, open(sys.argv[1] + "/status", "w") as dst:
     dst.write(src.read())
+with open(sys.argv[1] + "/modules", "w") as dst:
+    dst.write("\\n".join(sys.modules))
 sys.exit(code)
 """
 
 
-def _child_command(tmp_path, argv):
-    """The command and environment of one CLI run in a fresh interpreter
-    that saves its /proc/self/status under tmp_path."""
+def _child_command(tmp_path, argv, flags=()):
+    """The command and environment of one CLI run in a fresh interpreter,
+    started with the given interpreter flags, that saves its
+    /proc/self/status and its module names under tmp_path."""
     path = [str(Path(hfcone.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return [sys.executable, "-c", _CHILD, str(tmp_path / "status"), *argv], env
+    return [sys.executable, *flags, "-c", _CHILD, str(tmp_path), *argv], env
 
 
 def _child_hwm_mb(tmp_path) -> float:
@@ -255,6 +259,32 @@ def run_child(tmp_path, *argv, timeout=60, stdout=subprocess.PIPE):
     )
     seconds = time.perf_counter() - t0
     return proc.returncode, proc.stdout, proc.stderr, seconds, _child_hwm_mb(tmp_path)
+
+
+def _child_modules(tmp_path, argv, flags=()):
+    """(exit code, names of the loaded modules) of one CLI run in a fresh
+    interpreter."""
+    command, env = _child_command(tmp_path, argv, flags)
+    code = subprocess.run(command, capture_output=True, env=env, timeout=60).returncode
+    return code, set((tmp_path / "modules").read_text().split())
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    unused = {"hfcone.cfk", "hfcone.obstruct", "fractions", "decimal"}
+    for argv in (
+        ["hf", "--profile", "fig8", "--framing", "-5"],
+        ["ell", "--profile", "fig8", "--framing", "-5"],
+        ["profile", "--show", "fig8"],
+    ):
+        code, modules = _child_modules(tmp_path, argv)
+        assert (code, modules & unused) == (0, set()), argv
+    code, modules = _child_modules(tmp_path, ["staircase", "--alexander", "1,-1,1"])
+    assert (code, "hfcone.cfk" in modules, "hfcone.obstruct" in modules) == (0, True, False)
+    code, modules = _child_modules(tmp_path, ["bound", "--h1", "7", "--ell", "3"])
+    assert (code, "hfcone.obstruct" in modules, "hfcone.cfk" in modules) == (0, True, False)
+    # -S skips site, whose .pth files may import typing on their own
+    code, modules = _child_modules(tmp_path, ["hf", "--profile", "fig8", "--framing", "-5"], ["-S"])
+    assert (code, "typing" in modules) == (0, False)
 
 
 def test_cost_does_not_grow_with_q(tmp_path):
