@@ -20,17 +20,17 @@ The two maps to B are, on the chain level,
 
 A slice holds one sparse {target: coeff} column per generator, built
 straight from the arrows that survive on it; parallel arrows are summed
-once, up front, for the checks and every slice (``_tally``). homology()
-cancels every +-1 arrow with ``exactla.cancel_units`` and keeps its
-cancellations. The generators that survive are a basis of the homology.
-H(B) is Z, so v_s and h_s are each one cochain read on cycles of A_s:
-the cochain of B that reads a cycle's class (B's cancellations replayed
-backwards), pulled back along the chain map and carried forward through
-A_s's cancellations, the transpose of lifting each survivor to a cycle.
-The reader of B is evaluated only on the generators that carry reads. A
-slice with arrows left over (torsion, or only non-unit coefficients as
-in d x = 2y + 3z) has no such basis and is refused with TorsionError
-rather than guessing a convention; validate() reads only its group.
+once per complex (``_tally``), for the checks, B and the sweep. _reduce
+cancels every +-1 arrow with ``exactla.cancel_units``; the survivors are
+a basis of the homology. H(B) is Z, so v_s and h_s are each one cochain
+read on cycles of A_s: the cochain of B that reads a cycle's class (B's
+cancellations replayed backwards), pulled back along the chain map and
+carried forward through A_s's cancellations, the transpose of lifting
+each survivor to a cycle; _carry moves both at once. The reader of B is
+evaluated only on the generators that carry reads. A slice with arrows
+left over (torsion, or only non-unit coefficients as in d x = 2y + 3z)
+has no such basis and is refused with TorsionError rather than guessing
+a convention; validate() reads only its group.
 
 to_profile sweeps s from -g to g instead of building each A_s anew. The
 arrow x -> U^a y survives on A_s iff max(0, A(x) - s) + a =
@@ -73,9 +73,9 @@ max(i, j - s) <= -1 a subcomplex of that, and A_s is the quotient. Its
 differential is d restricted and projected, so d^2 = 0 on A_s follows
 from d^2 = 0 on C. validate() checks that once, over Z[U] on the i = 0
 generators, which covers their U-translates. to_profile reduces the
-slices A_s with _reduce, which skips the check; B, which is A_s for
-s >= g, is reduced once, by validate() through homology(), whose check
-there is one pass over B's arrows.
+parts of A_s with _reduce, which skips the check and builds no group
+unless an arrow is left; B, which is A_s for s >= g, is reduced once, by
+validate() through homology(), whose check is one pass over B's arrows.
 """
 
 from __future__ import annotations
@@ -130,11 +130,11 @@ class CfkComplex:
 
 def validate(c: CfkComplex) -> list[str]:
     """All invariant violations, as human-readable strings; [] means valid."""
-    return _validate(c)[0]
+    return _validate(c, _tally(c))[0]
 
 
-def _validate(c: CfkComplex) -> tuple[list[str], SliceHomology | None]:
-    """validate(c), and B's reduction once the checks before it pass."""
+def _validate(c: CfkComplex, tally: dict) -> tuple[list[str], SliceHomology | None]:
+    """validate(c) from its _tally, and B's reduction once the checks before it pass."""
     out: list[str] = []
     n = len(c.generators)
     if n == 0:
@@ -162,7 +162,6 @@ def _validate(c: CfkComplex) -> tuple[list[str], SliceHomology | None]:
     if out:
         return out, None
     # d^2 = 0 over Z[U]: group compositions by (source, target, total U power)
-    tally = _tally(c)
     leaving: dict[int, list[tuple[int, int, int]]] = {}
     for (x, y, a), e in tally.items():
         leaving.setdefault(x, []).append((y, a, e))
@@ -188,7 +187,7 @@ def _validate(c: CfkComplex) -> tuple[list[str], SliceHomology | None]:
     if out:
         return out, None
     # the central complex must have the homology of the three-sphere
-    hb = homology(bhat(c), _allow_torsion=True)
+    hb = homology(_slice(c, [0] * n, tally), _allow_torsion=True)
     if not hb.group.is_z:
         out.append(f"H(B) is {hb.group.describe()}, expected Z")
     return out, hb
@@ -225,17 +224,17 @@ class SliceComplex:
 def ahat(c: CfkComplex, s: int) -> SliceComplex:
     """The hook complex A_s."""
     shifts = [max(0, g.alexander - s) for g in c.generators]
-    return _slice(c, shifts)
+    return _slice(c, shifts, _tally(c))
 
 
 def bhat(c: CfkComplex) -> SliceComplex:
     """The central complex B: the i = 0 column."""
-    return _slice(c, [0] * len(c.generators))
+    return _slice(c, [0] * len(c.generators), _tally(c))
 
 
-def _slice(c: CfkComplex, shifts: Sequence[int]) -> SliceComplex:
+def _slice(c: CfkComplex, shifts: Sequence[int], tally: dict) -> SliceComplex:
     cols: list[dict[int, int]] = [{} for _ in c.generators]
-    for (x, y, a), e in _tally(c).items():
+    for (x, y, a), e in tally.items():
         # the arrow U^{b_x} x -> U^{b_x + a} y survives iff it lands on the slice
         if shifts[x] + a == shifts[y]:
             cols[x][y] = _checked(e)
@@ -244,13 +243,10 @@ def _slice(c: CfkComplex, shifts: Sequence[int]) -> SliceComplex:
 
 @dataclass(frozen=True)
 class SliceHomology:
-    """Homology of a slice, reduced by cancelling its +-1 arrows.
-
-    The generators no cancellation removed (``_survivors``) form the free
-    basis when no arrow is left over (see :func:`_basis`); ``_steps`` are
-    the cancellations, in order, that :class:`_Reader` and :func:`_carry`
-    replay.
-    """
+    """Homology of a slice, reduced by cancelling its +-1 arrows: the
+    generators no cancellation removed (``_survivors``) are its free basis
+    when no arrow is left over (:func:`_basis`), and ``_steps`` are the
+    cancellations, in order, for :class:`_Reader` and :func:`_carry`."""
 
     group: AbelianGroup
     _steps: tuple[tuple[int, int, int, dict[int, int], dict[int, int]], ...]
@@ -274,28 +270,28 @@ def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
     d = s.differential
     if any(_image(d, col) for col in d):
         raise ValueError("slice differential does not square to zero")
-    h = _reduce({k: dict(col) for k, col in enumerate(d)})
+    cols = {k: dict(col) for k, col in enumerate(d)}
+    h = _record(cols, *_reduce(cols))
     return h if _allow_torsion else _basis(h)
 
 
-def _reduce(cols: dict[int, dict[int, int]]) -> SliceHomology:
-    """The homology of the complex with differential cols ({generator:
-    column}, in ascending order, closed under the arrows), which it
-    consumes, without checking d^2 = 0.
-
-    Unit arrows are cancelled first; the columns left over go to the
-    Smith form for the group. The survivors, in generator order, are a
-    basis only when no arrow is left over, that is when there are
-    free_rank of them.
-    """
-    n = len(cols)
+def _reduce(cols: dict[int, dict[int, int]]) -> tuple[list[tuple], list[int]]:
+    """The cancellations of the unit arrows of the complex with
+    differential cols ({generator: column}, in ascending order, closed
+    under the arrows), without checking d^2 = 0, and the generators that
+    survive them, in generator order. cols is left with the arrows among
+    the survivors: with none, they are a basis of the homology."""
     steps = cancel_units(cols)
     gone = {k for x, y, *_ in steps for k in (x, y)}
-    survivors = tuple(k for k in cols if k not in gone)
-    rest = [cols[k] for k in survivors if cols[k]]
-    divisors = smith_normal_form(rest) if rest else []
-    group = AbelianGroup(n - 2 * (len(steps) + len(divisors)), tuple(e for e in divisors if e > 1))
-    return SliceHomology(group, tuple(steps), survivors)
+    return steps, [k for k in cols if k not in gone]
+
+
+def _record(cols: dict[int, dict[int, int]], steps, survivors) -> SliceHomology:
+    """The reduction _reduce gave, with its group: the survivors, less
+    the Smith form of the arrows it left among them in cols."""
+    divisors = smith_normal_form([cols[k] for k in survivors if cols[k]])
+    group = AbelianGroup(len(survivors) - 2 * len(divisors), tuple(e for e in divisors if e > 1))
+    return SliceHomology(group, tuple(steps), tuple(survivors))
 
 
 def _basis(h: SliceHomology) -> SliceHomology:
@@ -316,20 +312,20 @@ class _Reader(dict):
     The quotient by span{x, dx} sends x to 0 and y to -u col, so y reads
     phi(-u col). In the chain d x_j = y_j + 2 y_{j+1} the far y is
     2^links times the generator, past the checked window, but no lift of
-    a survivor reaches it. None, the zero of a chain map, reads 0.
+    a survivor reaches it.
     """
 
     def __init__(self, h: SliceHomology, j: int):
         super().__init__((k, int(i == j)) for i, k in enumerate(h._survivors))
         self._steps = {y: (u, col) for _, y, u, col, _ in h._steps}
 
-    def __missing__(self, g: int | None) -> int:
+    def __missing__(self, g: int) -> int:
         todo = [g]
         while todo:
             y = todo.pop()
             if y in self:
                 continue
-            u, col = self._steps.get(y, (0, {}))  # an x, or None
+            u, col = self._steps.get(y, (0, {}))  # an x reads 0
             unread = [w for w in col if w not in self]
             if unread:
                 todo += [y, *unread]
@@ -338,20 +334,31 @@ class _Reader(dict):
         return self[g]
 
 
-def _carry(h: SliceHomology, phi: _Reader, at: Sequence[int | None]) -> list[int]:
-    """phi pulled back along the chain map w -> at[w], on the cycles that
-    lift each survivor.
+def _carry(steps, survivors, phi: _Reader, s: int, alexander, conj) -> list[tuple[int, int]]:
+    """phi pulled back along v_s and along h_s, on the cycles that lift
+    each survivor, as (v, h) pairs: v_s reads w where alexander[w] <= s,
+    h_s reads conj[w] where alexander[w] >= s, and each reads 0 elsewhere.
 
     A lift gives x the multiple -u b that clears b, its coefficient on y
     in d; the transpose of that, in the order of the cancellations, moves
-    the value on x onto the arrows z -> y.
+    the value on x onto the arrows z -> y, for v and h in one walk.
     """
-    moved: dict[int, int] = {}
-    for x, _, u, _, row in h._steps:
-        a = _checked(moved.get(x, 0) + phi[at[x]])
+    v: dict[int, int] = {}
+    h: dict[int, int] = {}
+    for x, _, u, _, row in steps:
+        a = _checked(v.get(x, 0) + (phi[x] if alexander[x] <= s else 0))
+        b = _checked(h.get(x, 0) + (phi[conj[x]] if alexander[x] >= s else 0))
         if a:
-            schur_update(moved, u * a, row)
-    return [_checked(moved.get(k, 0) + phi[at[k]]) for k in h._survivors]
+            schur_update(v, u * a, row)
+        if b:
+            schur_update(h, u * b, row)
+    return [
+        (
+            _checked(v.get(k, 0) + (phi[k] if alexander[k] <= s else 0)),
+            _checked(h.get(k, 0) + (phi[conj[k]] if alexander[k] >= s else 0)),
+        )
+        for k in survivors
+    ]
 
 
 def mirror(c: CfkComplex) -> CfkComplex:
@@ -425,7 +432,7 @@ def _survival(ax: int, ay: int, a: int, lo: int, hi: int) -> tuple[int, int]:
 
 
 def _sweep(
-    c: CfkComplex, g: int
+    c: CfkComplex, g: int, tally: dict
 ) -> Iterator[tuple[int, list[dict[int, int]], list[set[int]], set[int]]]:
     """(s, the columns of A_s, the sources of the arrows into each
     generator, the generators changed at s) for s = -g, ..., g: two
@@ -434,7 +441,7 @@ def _sweep(
     are those whose columns are rebuilt, with their old and new targets.
 
     Only the columns of sources whose arrows enter or leave at s are
-    rebuilt, each from the sums of _tally that survive, checked once, in
+    rebuilt, each from the sums of tally that survive, checked once, in
     its order; at s = -g every column is built. That is ahat's column,
     since one pair x, y has at most one U power a that survives on A_s:
     max(0, A(x) - s) + a = max(0, A(y) - s) fixes it.
@@ -442,7 +449,7 @@ def _sweep(
     gens = c.generators
     leaving: list[list[tuple[int, int, int, int]]] = [[] for _ in gens]
     touched: dict[int, set[int]] = {-g: set(range(len(gens)))}
-    for (x, y, a), e in _tally(c).items():
+    for (x, y, a), e in tally.items():
         first, last = _survival(gens[x].alexander, gens[y].alexander, a, -g, g)
         if first > last:
             continue
@@ -490,11 +497,11 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     changes v and h, but not the surgery groups.
 
     The slices come from one sweep over s. The components of A_s that
-    changed are reduced by one _reduce on a copy of their columns, and
-    the rest keep their values; B is reduced once, by the validation.
-    Past SLICE_BUDGET generators x slices, ComplexTooLarge is raised
-    before the validation; an EliminationOverflow or TorsionError on a
-    slice names its s."""
+    changed are reduced on a copy of their columns, with no group unless
+    an arrow is left, and carried in one walk; the rest keep their values.
+    B is reduced once, by the validation. Past SLICE_BUDGET generators x
+    slices, ComplexTooLarge is raised before the validation; an
+    EliminationOverflow or TorsionError on a slice names its s."""
     n = len(c.generators)
     slices = 2 * c.genus + 1 if n else 1  # no genus without generators; _validate says so
     if n * slices > SLICE_BUDGET:
@@ -502,30 +509,33 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
             f"{n} generators x {slices} slices = {n * slices} exceeds the budget of"
             f" {SLICE_BUDGET}"
         )
-    problems, hb = _validate(c)
+    tally = _tally(c)
+    problems, hb = _validate(c, tally)
     if problems:
         raise InvalidComplexError("; ".join(problems))
     phi = _Reader(_basis(hb), 0)
-    g = c.genus
+    g, conj = c.genus, c.conj
     alexander = [x.alexander for x in c.generators]
     graded: dict[int, list[int]] = {}
     for w, k in enumerate(alexander):
         graded.setdefault(k, []).append(w)
     read: dict[int, tuple[int, int]] = {}  # (v, h) on each survivor, signs fixed
     overrides = {}
-    for s, cols, into, changed in _sweep(c, g):
+    for s, cols, into, changed in _sweep(c, g, tally):
         # the components that changed, or hold a generator whose pullbacks change
         part = _connected(cols, into, changed.union(graded.get(s, ()), graded.get(s - 1, ())))
         if part:  # else A_s has the data of the slice before
             for x in part:
                 read.pop(x, None)
+            reduced = {x: dict(cols[x]) for x in part}
             try:
-                ha = _basis(_reduce({x: dict(cols[x]) for x in part}))
-                v = _carry(ha, phi, {w: w if alexander[w] <= s else None for w in part})
-                h = _carry(ha, phi, {w: c.conj[w] if alexander[w] >= s else None for w in part})
+                steps, survivors = _reduce(reduced)
+                if any(reduced.values()):  # no basis: refused with the part's group
+                    _basis(_record(reduced, steps, survivors))
+                pairs = _carry(steps, survivors, phi, s, alexander, conj)
             except (EliminationOverflow, TorsionError) as e:
                 raise type(e)(f"slice s={s}: {e}") from None
-            for k, x, y in zip(ha._survivors, v, h):
+            for k, (x, y) in zip(survivors, pairs):
                 read[k] = (x, y) if (x or y) >= 0 else (-x, -y)
             v, h = zip(*map(read.get, sorted(read))) if read else ((), ())
             data = LocalData(len(read), v, h)

@@ -93,9 +93,9 @@ def _resolve_profile(selector: str) -> SurgeryProfile:
             return profiles.parse(text.removeprefix("\ufeff"))
         except ProfileError as e:
             raise InputDataError(f"{path}: {e}") from None
-    name, _, params_text = selector.partition(":")
+    name, colon, params_text = selector.partition(":")
     params: dict[str, int] = {}
-    if params_text:
+    if colon:  # 'fig8:' names an empty parameter, as 'lspace:g=3,' does
         for piece in params_text.split(","):
             key, eq, value = piece.partition("=")
             if not eq or not key or key in params:
@@ -143,9 +143,9 @@ def _iter_framings(range_spec: str, spinc=None):
     outside [0, |p|) for some framing, are usage errors raised here, before
     any framing is computed; the error names the first such framing."""
     try:
-        p_part, _, q_part = range_spec.partition("/")
+        p_part, slash, q_part = range_spec.partition("/")
         p_lo, p_hi = (ascii_int(x) for x in p_part.split("..", 1))
-        q_lo, q_hi = (ascii_int(x) for x in q_part.split("..", 1)) if q_part else (1, 1)
+        q_lo, q_hi = (ascii_int(x) for x in q_part.split("..", 1)) if slash else (1, 1)
     except ValueError:
         raise UsageError(
             f"cannot parse framing range {range_spec!r}; expected 'P1..P2/Q1..Q2'"
@@ -338,10 +338,10 @@ def _cmd_staircase(ns) -> int:
     from . import cfk
 
     text = ns.alexander.strip()
-    coeff_part, _, top_part = text.partition(":")
+    coeff_part, colon, top_part = text.partition(":")
     try:
         coeffs = [ascii_int(x) for x in coeff_part.split(",")]
-        top = ascii_int(top_part) if top_part else None
+        top = ascii_int(top_part) if colon else None
     except ValueError:
         raise InputDataError(f"cannot parse alexander coefficients {text!r}") from None
     complex_ = cfk.staircase_from_alexander(coeffs, top)

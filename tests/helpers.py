@@ -8,8 +8,8 @@ property (free rank odd) holds exactly for that class.
 Also the slow references the fast paths are checked against: the dense
 cone matrix and its Smith form, hf output rendered class by class, the
 induced maps of a knot complex read through dense cycle lifts, its
-profile derived slice by slice from ahat and homology, and the command
-line parsed by argparse's two levels.
+profile derived slice by slice from ahat and homology, the complex of a
+connected sum, and the command line parsed by argparse's two levels.
 Dense matrices here are plain lists of rows; columns() turns them into
 the sparse {row: entry} columns the library takes.
 """
@@ -24,6 +24,7 @@ from hfcone import cli
 from hfcone.cfk import (
     Arrow,
     CfkComplex,
+    Generator,
     SliceComplex,
     SliceHomology,
     _carry,
@@ -292,11 +293,10 @@ def slice_maps(
 ) -> tuple[SliceHomology, list[int], list[int]]:
     """H(A_s) and the rows of v_s and h_s on its basis, phi reading H(B):
     A_s built by ahat and reduced by homology, d^2 check included."""
-    a = ahat(c, s)
-    ha = homology(a)
-    v = [w if b == 0 else None for w, b in a.basis]
-    h = [c.conj[w] if g.alexander >= s else None for w, g in enumerate(c.generators)]
-    return ha, _carry(ha, phi, v), _carry(ha, phi, h)
+    ha = homology(ahat(c, s))
+    alexander = [g.alexander for g in c.generators]
+    pairs = _carry(ha._steps, ha._survivors, phi, s, alexander, c.conj)
+    return ha, [v for v, _ in pairs], [h for _, h in pairs]
 
 
 def reference_profile(c: CfkComplex) -> SurgeryProfile:
@@ -313,6 +313,33 @@ def reference_profile(c: CfkComplex) -> SurgeryProfile:
                 v[j], h[j] = -v[j], -h[j]
         overrides[s] = LocalData(ha.group.free_rank, tuple(v), tuple(h))
     return SurgeryProfile(f"derived:g={g}", g, overrides)
+
+
+def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:
+    """The complex of a connected sum: the tensor product of the complexes
+    of its two summands (Ozsvath-Szabo, arXiv:math/0209056, section 7).
+
+    The pair (x, y) is generator x * len(c2.generators) + y, at grading
+    A(x) + A(y). Each arrow of c1 is carried along every y, and each arrow
+    of c2 along every x, signed (-1)^|x|. |x| is the parity of x's index,
+    a Z/2 grading that every arrow changes when c1 is a staircase or its
+    mirror. conj is the product of the two conjugations."""
+    m, xs, ys = len(c2.generators), range(len(c1.generators)), range(len(c2.generators))
+    gens = tuple(
+        Generator(f"{x.name}.{y.name}", x.alexander + y.alexander)
+        for x in c1.generators
+        for y in c2.generators
+    )
+    arrows = [
+        Arrow(a.source * m + y, a.target * m + y, a.u_power, a.coeff) for a in c1.arrows for y in ys
+    ]
+    arrows += [
+        Arrow(x * m + b.source, x * m + b.target, b.u_power, (-1) ** x * b.coeff)
+        for x in xs
+        for b in c2.arrows
+    ]
+    conj = tuple(c1.conj[x] * m + c2.conj[y] for x in xs for y in ys)
+    return CfkComplex(gens, tuple(arrows), conj)
 
 
 def with_cancelling_arrows(c: CfkComplex, rng: random.Random) -> CfkComplex:

@@ -28,9 +28,11 @@ from hfcone.cfk import (
     _connected,
     _Reader,
     _carry,
+    _record,
     _reduce,
     _survival,
     _sweep,
+    _tally,
     ahat,
     bhat,
     homology,
@@ -40,6 +42,7 @@ from hfcone.cfk import (
     validate,
 )
 from hfcone.cli import main
+from hfcone.cone import Framing, surgery_report
 from hfcone.exactla import EliminationOverflow, cancel_units
 from hfcone.profiles import LocalData, lspace_knot, serialize, unknot
 
@@ -272,8 +275,12 @@ def _assert_lifts_read(sl, h):
         assert [sum(phi[k] * a for k, a in enumerate(w) if a) for w in lifts] == [
             int(i == j) for i in range(r)
         ]
-    psi = [k % 5 - 2 for k in range(len(sl.differential))]
-    assert _carry(h, psi, range(len(psi))) == [sum(x * a for x, a in zip(psi, w)) for w in lifts]
+    n = len(sl.differential)
+    psi = [k % 5 - 2 for k in range(n)]
+    # every grading at s = 0 and conj the identity: v and h both read psi itself
+    assert _carry(h._steps, h._survivors, psi, 0, [0] * n, range(n)) == [
+        (e, e) for e in (sum(x * a for x, a in zip(psi, w)) for w in lifts)
+    ]
 
 
 def _assert_dual_bases(sl, h):
@@ -473,8 +480,10 @@ def test_components_reduce_as_the_whole_slice(rng):
     parts = _components(cols)
     assert sorted(x for part in parts for x in part) == list(range(n))
     assert all(len({block_of[x] for x in part}) == 1 for part in parts)
-    psi = {x: rng.randint(-3, 3) for x in range(n)} | {None: 0}
-    _assert_reduced_by_components(cols, psi, [rng.choice((x, None)) for x in range(n)])
+    psi = {x: rng.randint(-3, 3) for x in range(n)}
+    # gradings about s = 0 pick where v and h read; conj is any permutation
+    alexander = [rng.choice((-1, 0, 1)) for _ in range(n)]
+    _assert_reduced_by_components(cols, psi, alexander, rng.sample(range(n), n))
 
 
 def test_a_waiting_column_leaves_other_components_alone():
@@ -483,25 +492,28 @@ def test_a_waiting_column_leaves_other_components_alone():
     # pushed back whenever any column waited, the cancellations of the
     # other component would come in another order and leave x1, not x3
     cols = [{}, {2: 1}, {}, {0: -1}, {6: -1, 4: -1}, {2: -1, 0: 1}, {6: 1, 4: 1}]
-    assert _reduce({x: dict(col) for x, col in enumerate(cols)})._survivors == (3,)
-    _assert_reduced_by_components(cols, {x: x + 1 for x in range(7)} | {None: 0}, range(7))
+    assert _reduce({x: dict(col) for x, col in enumerate(cols)})[1] == [3]
+    _assert_reduced_by_components(cols, {x: x + 1 for x in range(7)}, [0] * 7, range(7))
 
 
-def _assert_reduced_by_components(cols, psi, at):
+def _assert_reduced_by_components(cols, psi, alexander, conj):
     """Reduced and carried one component at a time, cols give the
     survivors, in generator order, the values of psi pulled back along
-    at and the free rank of one reduction of them all."""
-    whole = _reduce({x: dict(col) for x, col in enumerate(cols)})
+    v_0 and h_0 of the gradings alexander and conj, and the free rank of
+    one reduction of them all."""
+    whole = {x: dict(col) for x, col in enumerate(cols)}
+    steps, kept = _reduce(whole)
     survivors, values, free_rank = [], [], 0
     for part in _components(cols):
-        h = _reduce({x: dict(cols[x]) for x in part})
-        survivors += h._survivors
-        values += _carry(h, psi, at)
-        free_rank += h.group.free_rank
+        reduced = {x: dict(cols[x]) for x in part}
+        part_steps, part_kept = _reduce(reduced)
+        survivors += part_kept
+        values += _carry(part_steps, part_kept, psi, 0, alexander, conj)
+        free_rank += _record(reduced, part_steps, part_kept).group.free_rank
     order = sorted(range(len(survivors)), key=survivors.__getitem__)
-    assert [survivors[k] for k in order] == list(whole._survivors)
-    assert [values[k] for k in order] == _carry(whole, psi, at)
-    assert free_rank == whole.group.free_rank
+    assert [survivors[k] for k in order] == kept
+    assert [values[k] for k in order] == _carry(steps, kept, psi, 0, alexander, conj)
+    assert free_rank == _record(whole, steps, kept).group.free_rank
 
 
 @pytest.mark.parametrize("lo, hi", [(-6, 6), (-2, 1)])
@@ -549,7 +561,7 @@ def test_sweep_columns_match_ahat(rng, mirrored, padded):
     c = _random_complex(rng, mirrored, padded)
     g = c.genus
     swept = []
-    for s, cols, into, changed in _sweep(c, g):
+    for s, cols, into, changed in _sweep(c, g, _tally(c)):
         swept.append(s)
         expected = ahat(c, s).differential
         assert [list(col.items()) for col in cols] == [list(col.items()) for col in expected]
@@ -573,6 +585,37 @@ def test_to_profile_matches_per_slice_reference(rng, mirrored, padded):
     assert profile == helpers.reference_profile(c)
     if not mirrored:
         assert profile == lspace_knot(c.genus)
+
+
+def test_connected_sums_of_staircases():
+    # the slices of a connected sum have rank > 1, with nonzero v and h
+    # once one summand is mirrored: T(2,5) mirrored, then T(2,3)
+    t23, t25 = staircase_from_alexander(TREFOIL_ALEX), staircase_from_alexander([1, -1, 1, -1, 1])
+    profile = to_profile(helpers.tensor(t23, t23))
+    assert [profile.local(s).rank for s in range(-2, 3)] == [1, 1, 3, 1, 1]
+    c = helpers.tensor(mirror(t25), t23)
+    assert validate(c) == []
+    assert to_profile(c).local(0) == LocalData(5, (1, 0, 0, 0, 0), (0, 0, 0, 0, 1))
+    t2_21 = staircase_from_alexander([(-1) ** k for k in range(21)])
+    c = helpers.tensor(t2_21, t2_21)
+    assert (len(c.generators), c.genus) == (441, 20)
+    assert to_profile(c) == helpers.reference_profile(c)
+
+
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_connected_sums_match_reference_and_mirror(rng, mirror_first, mirror_second):
+    # surgery p/q on K has the ell and total rank of surgery -p/q on its mirror
+    c1, c2 = (staircase_from_alexander(helpers.random_lspace_alexander(rng, 3)) for _ in "12")
+    c = helpers.tensor(mirror(c1) if mirror_first else c1, mirror(c2) if mirror_second else c2)
+    assert validate(c) == []
+    profile, dual = to_profile(c), to_profile(mirror(c))
+    assert profile == helpers.reference_profile(c)
+    for _ in range(8):
+        framing = helpers.random_framing(rng, pmax=12, qmax=4)
+        ours = surgery_report(profile, framing)
+        theirs = surgery_report(dual, Framing(-framing.p, framing.q))
+        assert (ours.ell, ours.total_rank) == (theirs.ell, theirs.total_rank), framing
 
 
 def _failing_on(c, s, failure):
@@ -671,7 +714,7 @@ def test_budget_checked_before_validation(monkeypatch):
         to_profile(CfkComplex((), (), ()))
 
     # T(2,20001) is refused on its size alone, without validating it
-    def fail(c):
+    def fail(c, tally):
         raise AssertionError("validated a complex over the budget")
 
     c = staircase_from_alexander([(-1) ** k for k in range(20001)])

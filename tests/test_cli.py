@@ -827,6 +827,19 @@ _UNKNOWN_PROFILE = "; use unknot, lspace:g=G, fig8, kfam:m=M,k=K, tau:g=G, or @f
      "usage error: bad profile parameter 'g=2' in 'lspace:g=1,g=2'\n"),
     (["ell", "--profile", "kfam:m=1,k=1,m=2", "--framing", "1"], 64,
      "usage error: bad profile parameter 'm=2' in 'kfam:m=1,k=1,m=2'\n"),
+    # an empty field after a separator is refused, as a bad one is
+    (["hf", "--profile", "fig8:", "--framing", "1"], 64,
+     "usage error: bad profile parameter '' in 'fig8:'\n"),
+    (["hf", "--profile", "lspace:g=3,", "--framing", "1"], 64,
+     "usage error: bad profile parameter '' in 'lspace:g=3,'\n"),
+    (["hf", "--profile", "fig8", "--framing-range", "1..3/"], 64,
+     "usage error: cannot parse framing range '1..3/'; expected 'P1..P2/Q1..Q2'\n"),
+    (["hf", "--profile", "fig8", "--framing", "5/"], 64,
+     "usage error: cannot parse framing '5/'; expected 'p' or 'p/q'\n"),
+    (["staircase", "--alexander", "1,-1,1:"], 65,
+     "input error: cannot parse alexander coefficients '1,-1,1:'\n"),
+    (["staircase", "--alexander", "1,-1,1:x"], 65,
+     "input error: cannot parse alexander coefficients '1,-1,1:x'\n"),
 ])
 def test_input_error_messages(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)
