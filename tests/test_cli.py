@@ -430,6 +430,41 @@ def test_hf_runs_across_chunks_match_reference(tmp_path, fmt):
                 assert _main_stdout(argv) == expected, argv
 
 
+@st.composite
+def write_runs_st(draw):
+    """(classes, before, after) runs whose ends fall on and beside decade
+    and chunk boundaries, negative, positive, across 0 or empty, with
+    chunks on both sides of the 100 classes from which decades are used."""
+    chunk = cli._CHUNK
+    # shifting both ends by a multiple of 10 keeps each decade a decade
+    shift = draw(st.sampled_from([0, 0, 10**6, -(10**6), 10**12, -(10**12)]))
+    base = draw(st.sampled_from([0, 10, 20, 100, 990, chunk, 2 * chunk]))
+    start = shift + draw(st.sampled_from([1, -1])) * base + draw(st.integers(-12, 12))
+    length = draw(st.sampled_from([0, 10, 90, chunk, chunk + 90, 2 * chunk]))
+    length += draw(st.integers(0, 12))
+    classes = range(start, start + length)
+    before = draw(st.sampled_from(["", "i=", "local ", '\n    {\n      "i": ']))
+    after = draw(st.sampled_from(["", ": Z^1 (L)\n", " rank 1 v 0 h 0\n", "\n    }"]))
+    return classes, before, after
+
+
+@given(st.lists(write_runs_st(), max_size=3), st.sampled_from(["", ","]))
+@settings(max_examples=300, deadline=None)
+def test_write_runs_matches_per_entry_rendering(runs, sep):
+    # the decade joins against one before + str(i) + after per entry
+    for classes, _, _ in runs:
+        event(
+            "empty" if not classes
+            else "across 0" if classes.start < 0 < classes.stop - 1
+            else "negative" if classes.start < 0 else "non-negative"
+        )
+    entries = [f"{before}{i}{after}" for classes, before, after in runs for i in classes]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        count = cli._write_runs(runs, sep)
+    assert (out.getvalue(), count) == (sep.join(entries), len(entries))
+
+
 _CLASS_LINE = re.compile(r' *(?:i=|"i": )([0-9]+)')
 
 
@@ -697,9 +732,12 @@ def test_profile_show_keeps_memory_flat(tmp_path):
         )
     assert (code, err) == (0, "")
     assert rss_mb < 40
-    lines, last = 0, None
+    # every line, so a decade written out of order cannot pass
     with open(path) as out:
-        for last in out:
+        assert next(out) == "profile lspace:g=1000000 genus 1000000\n"
+        lines, last = 1, None
+        for s, last in enumerate(out, -999999):
+            assert last == f"local {s} rank 1 v 0 h 0\n"
             lines += 1
     path.unlink()
     assert lines == 2 * 10**6
