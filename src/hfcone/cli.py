@@ -5,7 +5,8 @@ Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 spinc --oracle disagreement, 2 obstruction violated (pair/kfam, for
 scripting), 64 usage error, 65 input data error (also a cone over
 cone.COLUMN_BUDGET columns, or a complex over cfk.SLICE_BUDGET
-generators x slices), 70 internal arithmetic overflow.
+generators x slices), 70 internal arithmetic overflow, 74 the reader
+closed stdout early (nothing on stderr).
 
 Profile selectors: built-in names with parameters (unknot, lspace:g=3,
 fig8, kfam:m=2,k=1, tau:g=2) or @path to a profile file.
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 
 from . import profiles
-from .cone import ConeTooLarge, Framing, FramingError, run_counts, spinc_runs
+from .cone import ConeTooLarge, Framing, FramingError, surgery_report
 from .exactla import (
     ComplexTooLarge, EliminationOverflow, InvalidComplexError, StaircaseError, TorsionError,
 )
@@ -173,13 +175,6 @@ def _framings_from_args(ns, spinc=None):
     return [framing]
 
 
-def _clip(runs, spinc):
-    """The runs of spinc_runs, or only class spinc when it is given."""
-    if spinc is None:
-        return runs
-    return [(range(spinc, spinc + 1), group) for run, group in runs if spinc in run]
-
-
 # classes per write, whole decades: one string per chunk of a run, not
 # one per class, and memory that does not grow with the run
 _CHUNK = 1000
@@ -238,9 +233,9 @@ def _json_runs(runs, indent: str):
 
 
 def _cmd_hf(ns) -> int:
-    # renders from the runs of spinc_runs: the cones cost O(genus) per
-    # framing, each run is described or fills the JSON template once, and
-    # _write_runs writes the classes, so --spinc costs O(genus) at any |p|.
+    # renders from report.runs, never report.spinc: the cones cost O(genus)
+    # per framing, each run is described or fills the JSON template once,
+    # and _write_runs writes the classes, so --spinc costs O(genus) at any |p|.
     # Both formats stream: each framing is written before the next one is
     # computed, a JSON range as one list element per framing (a framing is
     # digits, "-" and "/", which JSON does not escape).
@@ -250,9 +245,10 @@ def _cmd_hf(ns) -> int:
     is_json, is_range = ns.format == "json", ns.framing_range is not None
     pad = "  " if is_range else ""
     for idx, framing in enumerate(framings):
-        runs = spinc_runs(profile, framing)
-        ell, total_rank = run_counts(runs)
-        shown = _clip(runs, ns.spinc)
+        report = surgery_report(profile, framing)
+        ell, total_rank, shown = report.ell, report.total_rank, report.runs
+        if ns.spinc is not None:
+            shown = [(range(ns.spinc, ns.spinc + 1), g) for run, g in shown if ns.spinc in run]
         if is_json:
             if is_range:
                 out.write(",\n" if idx else "[\n")
@@ -278,11 +274,10 @@ def _cmd_hf(ns) -> int:
 
 def _cmd_ell(ns) -> int:
     profile = _resolve_profile(ns.profile)
-    framings = _framings_from_args(ns)
-    for framing in framings:
-        ell, total_rank = run_counts(spinc_runs(profile, framing))
+    for framing in _framings_from_args(ns):
+        report = surgery_report(profile, framing)
         prefix = f"{framing} " if ns.framing_range is not None else ""
-        print(f"{prefix}ell={ell} total_rank={total_rank}")
+        print(f"{prefix}ell={report.ell} total_rank={report.total_rank}")
     return EXIT_OK
 
 
@@ -475,11 +470,11 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        ns = _parse_args(list(argv))
-        return ns.func(ns)
+        ns = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        code = ns.func(ns)
+        sys.stdout.flush()  # in the try: a reader that left may show only here
+        return code
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -492,6 +487,13 @@ def main(argv=None) -> int:
     except EliminationOverflow as e:
         print(f"overflow: {e}", file=sys.stderr)
         return EXIT_OVERFLOW
+    except BrokenPipeError:  # the reader closed stdout: 74, EX_IOERR, quietly
+        try:  # stdout to devnull, or the flush at exit fails again (docs: SIGPIPE)
+            fd = sys.stdout.fileno()
+        except ValueError:  # io.UnsupportedOperation: no real fd, as under capture
+            return 74
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 74
 
 
 if __name__ == "__main__":

@@ -452,12 +452,17 @@ class SpincEntry:
 
 @dataclass(frozen=True)
 class SurgeryReport:
-    """Per-spin-c groups for one surgery, plus the aggregate counts."""
+    """The (classes, group) runs of spinc_runs and their counts, O(runs)
+    at any |p|; spinc, one SpincEntry per class, is built on first read."""
 
     framing: Framing
-    spinc: tuple[SpincEntry, ...]
+    runs: tuple[tuple[range, AbelianGroup], ...]
     ell: int
     total_rank: int
+
+    @functools.cached_property
+    def spinc(self) -> tuple[SpincEntry, ...]:
+        return tuple(SpincEntry(i, group, group.is_z) for run, group in self.runs for i in run)
 
 
 def spinc_runs(profile: SurgeryProfile, framing: Framing) -> list[tuple[range, AbelianGroup]]:
@@ -497,18 +502,11 @@ def spinc_runs(profile: SurgeryProfile, framing: Framing) -> list[tuple[range, A
     ]
 
 
-def run_counts(runs: list[tuple[range, AbelianGroup]]) -> tuple[int, int]:
-    """(ell, total_rank) of spinc_runs output: the number of classes whose
-    group is exactly Z, and the free rank summed over all classes."""
+def surgery_report(profile: SurgeryProfile, framing: Framing) -> SurgeryReport:
+    """The report of the runs of spinc_runs, one spinc_group call each; ell
+    counts the classes whose group is Z, total_rank sums every free rank."""
+    runs = tuple(spinc_runs(profile, framing))
     # run.stop - run.start, not len(run): len overflows past 2^63 classes
     ell = sum(run.stop - run.start for run, group in runs if group.is_z)
-    return ell, sum((run.stop - run.start) * group.free_rank for run, group in runs)
-
-
-def surgery_report(profile: SurgeryProfile, framing: Framing) -> SurgeryReport:
-    """The group of every class i in ascending order, from one spinc_group
-    call per run of spinc_runs; ell counts the classes whose group is Z."""
-    runs = spinc_runs(profile, framing)
-    ell, total_rank = run_counts(runs)
-    entries = tuple(SpincEntry(i, group, group.is_z) for run, group in runs for i in run)
-    return SurgeryReport(framing=framing, spinc=entries, ell=ell, total_rank=total_rank)
+    total_rank = sum((run.stop - run.start) * group.free_rank for run, group in runs)
+    return SurgeryReport(framing, runs, ell, total_rank)

@@ -287,6 +287,37 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert (code, "typing" in modules) == (0, False)
 
 
+def test_reader_closing_stdout_exits_74_quietly(tmp_path, monkeypatch):
+    # as '| head -1': the listing outgrows the pipe, so a later write fails
+    # with EPIPE, and the flush at exit must not fail again
+    _, env = _child_command(tmp_path, [])
+    env.pop("PYTHONUNBUFFERED", None)  # a short listing is written by a flush
+    hf = [sys.executable, "-m", "hfcone.cli", "hf", "--profile", "fig8", "--framing"]
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "env": env}
+    for fmt, first in (("text", b"framing -100000/1\n"), ("json", b"{\n")):
+        proc = subprocess.Popen([*hf, "-100000", "--format", fmt], **pipes)
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), line, err) == (74, first, b""), fmt
+    # a reader gone before anything is written: the short listing fails only
+    # when stdout is flushed
+    proc = subprocess.Popen([*hf, "-5"], **pipes)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (74, b"")
+
+    # a stdout with no file descriptor is left as it is
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert cli.main(["ell", "--profile", "fig8", "--framing", "-5"]) == 74
+
+
 def test_cost_does_not_grow_with_q(tmp_path):
     # fig8's middle slot fills one stretch of q copies, collapsed to two
     cases = [

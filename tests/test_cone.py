@@ -19,6 +19,7 @@ from hfcone.cone import (
     ConeTooLarge,
     Framing,
     FramingError,
+    SpincEntry,
     Window,
     phi,
     spinc_group,
@@ -338,21 +339,35 @@ def test_scan_matches_dense_oracle_with_torsion(profile, framing, i_raw):
     assert spinc_group(profile, framing, i) == dense
 
 
-def _assert_runs_match_dense(profile, framing):
+def _assert_runs_match_dense(profile, framing, report):
     runs = spinc_runs(profile, framing)
     assert len(runs) <= 2 * max(profile.genus, 1)
     assert [i for run, _ in runs for i in run] == list(range(abs(framing.p)))
     assert all(len(run) for run, _ in runs)
+    assert report.runs == tuple(runs)
     for run, group in runs:
         for i in run:
-            assert group == helpers.dense_spinc_group(profile, framing, i), i
+            dense = helpers.dense_spinc_group(profile, framing, i)
+            assert group == dense, i
+            assert report.spinc[i] == SpincEntry(i, dense, dense.is_z), i
 
 
 @given(profiles_st(), framings_st(qmax=12))
 @settings(max_examples=150, deadline=None)
 def test_spinc_runs_match_dense_per_class(profile, framing):
     event(f"p {'positive' if framing.p > 0 else 'negative'}")
-    _assert_runs_match_dense(profile, framing)
+    _assert_runs_match_dense(profile, framing, surgery_report(profile, framing))
+
+
+def test_report_is_counted_from_its_runs():
+    # spinc is built on first read, so counting a report costs O(runs); the
+    # cheap check comes first, before the class count that would exhaust
+    # memory were every class listed
+    assert "spinc" not in vars(surgery_report(figure_eight(), Framing(-10**6)))
+    t0 = time.perf_counter()
+    report = surgery_report(figure_eight(), Framing(-10**12))
+    assert (report.ell, report.total_rank) == (10**12 - 1, 10**12 + 2)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_spinc_runs_with_edge_overrides():
@@ -371,7 +386,7 @@ def test_spinc_runs_with_edge_overrides():
         },
     )
     for framing in (Framing(37, 3), Framing(-37, 3), Framing(29, 1), Framing(-31, 11)):
-        _assert_runs_match_dense(profile, framing)
+        _assert_runs_match_dense(profile, framing, surgery_report(profile, framing))
     assert len(spinc_runs(profile, Framing(10**30 + 1, 7))) <= 6
 
 
