@@ -339,6 +339,20 @@ def test_to_profile_reproduces_builtins():
     assert to_profile(unknot_complex()) == unknot()
 
 
+def test_arrow_with_u_power_and_j_drop_never_survives():
+    # p -> q and p -> U q on a trefoil: the second has a = 1 and j-drop 1,
+    # so it lies on no A_s and B drops it too; p and q cancel everywhere
+    c = staircase_from_alexander(TREFOIL_ALEX)
+    n = len(c.generators)
+    c = CfkComplex(
+        c.generators + (Generator("p", 0), Generator("q", 0)),
+        c.arrows + (Arrow(n, n + 1, 0, 1), Arrow(n, n + 1, 1, 1)),
+        c.conj + (n, n + 1),
+    )
+    assert validate(c) == []
+    assert to_profile(c) == lspace_knot(1) == helpers.reference_profile(c)
+
+
 def test_to_profile_rejects_invalid_complex():
     c = trefoil()
     broken = CfkComplex(c.generators, (Arrow(1, 2, 0, 1),), c.conj)  # J-symmetry gone

@@ -322,6 +322,16 @@ def torsion_profiles_st(draw):
 
 
 @given(torsion_profiles_st(), framings_st(pmax=6, qmax=12), st.integers(0, 10**9))
+@example(
+    # _quotient falls through to _general with a free generator and a
+    # marked summand: Z + (Z/3)^4 + Z/36
+    SurgeryProfile("torsion:g=3", 3, {
+        s: LocalData(1, (v,), (h,))
+        for s, v, h in ((-2, 0, -3), (-1, 3, 0), (0, 2, -1), (1, -1, -3), (2, 3, 1))
+    }),
+    Framing(-5, 9),
+    3,
+)
 @settings(max_examples=300, deadline=None)
 def test_scan_matches_dense_oracle_with_torsion(profile, framing, i_raw):
     # the scan's closed forms and its tracked Smith form, on both signs of
