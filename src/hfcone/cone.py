@@ -123,8 +123,8 @@ from .profiles import SurgeryProfile, ascii_int
 # columns (A-generators) one cone may emit after collapsing stretches:
 # about 500 times the largest cone of the tests and the benchmark. The
 # scan builds no columns: at the budget a cone peaks at 17-34 MB (the
-# more when every column banks a Z/2) and takes 1.5-2 s, or 12 s when
-# every slot needs the Smith form (rank 2, v 2,3 h 3,2)
+# more when every column banks a Z/2) and takes 1.5-2 s, or 9-10 s when
+# every slot needs the Smith form (rank 2, v 2,3 h 3,2, at -1/499000)
 COLUMN_BUDGET = 10**6
 
 # reduced plans one profile keeps (a key of two ints per stretch and a

@@ -12,8 +12,16 @@ Z^(n - 2(k + m)) + sum Z/d_i. The remainder goes, still as columns, to
 row instead, and hands the same routine the small relation matrices of
 the steps that have no closed form, with the new row tracked through the
 row operations. Those matrices are small, so the Smith form favours
-simplicity and auditability over asymptotics: dense integer elimination,
-pivoting on the entry of smallest nonzero absolute value.
+simplicity and auditability over asymptotics: one dense loop over the
+pivot position t. The smallest nonzero |entry| of the block right of and
+below (t, t) pivots. Row operations reduce column t mod it, and a
+remainder pivots next; once column t is clear, column operations change
+row t alone, leaving its entries mod the pivot, and again a remainder
+pivots next. When none is left, a row holding an entry the pivot does
+not divide is added to row t, whose remainders then pivot; else t
+advances. Each pivot is the smallest entry of its block, so
+entries grow slowly: the 25 x 25 matrix with entries in -2..2 of
+``test_exactla`` keeps them within the 52 bits of its determinant.
 :func:`invariant_factors` turns the cyclic summands a reduction leaves
 into the divisor chain of an :class:`AbelianGroup`.
 
@@ -22,11 +30,11 @@ integer of a reduction is bounded by its size, STATE_BITS bits, so that a
 pathological input fails fast instead of degrading into a bignum crawl;
 and what is reported, the Smith form's divisors and the invariant
 factors, must lie within 2^63. Working entries may pass 2^63 on the way
-to a small answer: the 7 x 7 matrix of ``test_exactla`` with invariant
-factors 1 (six times) and 1,866,006 does. Either check raises
-:class:`EliminationOverflow`. The slices' columns come in within 2^63
-(each summed entry passes :func:`_checked`), the cone scan's within the
-bit bound of its state.
+to a small answer: on a 3 x 3 matrix of ``test_exactla``, clearing 2^40
+below a pivot 1 writes -2^80 on the way to the divisors 1, 1, 1. Either
+check raises :class:`EliminationOverflow`. The slices' columns come in
+within 2^63 (each summed entry passes :func:`_checked`), the cone scan's
+within the bit bound of its state.
 """
 
 from __future__ import annotations
@@ -124,6 +132,8 @@ def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, d
     is there, so a component has the same cancellations alone as in any
     larger complex.
     """
+    if not any(cols.values()):
+        return []  # no arrow: nothing to cancel
     # the columns that have had an entry on each row
     on_row: dict[int, set[int]] = {z: set() for z in cols}
     for z, col in cols.items():
@@ -226,86 +236,55 @@ def smith_normal_form(cols: Sequence[dict[int, int]], track: dict[int, int] | No
     divisors and the rest are free. The divisors are then a working state,
     not an answer, and are not held to 2^63.
     """
-    rows = {r for col in cols for r in col}
-    if track is not None:
-        rows.update(track)
-    index = {r: k for k, r in enumerate(sorted(rows))}
-    nrows, ncols = len(index), len(cols)
     # the tracked vector rides along as one more column, which no column
     # operation touches
-    a = [[0] * (ncols + (track is not None)) for _ in range(nrows)]
-    for j, col in enumerate(cols):
+    full = cols if track is None else [*cols, track]
+    index = {r: k for k, r in enumerate(sorted({r for col in full for r in col}))}
+    nrows, ncols = len(index), len(cols)
+    a = [[0] * len(full) for _ in index]
+    for j, col in enumerate(full):
         for r, x in col.items():
             a[index[r]][j] = x
-    if track is not None:
-        for r, x in track.items():
-            a[index[r]][ncols] = x
 
-    def row_add(i: int, j: int, k: int) -> None:
-        # row i += k * row j
-        a[i] = _bounded([x + k * y for x, y in zip(a[i], a[j])])
-
-    def col_swap(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # pivot: smallest nonzero absolute value in the remaining block
-        best = None
+    t, n = 0, min(nrows, ncols)
+    while t < n:
+        # the smallest nonzero |entry| of the block right of and below
+        # (t, t) becomes the pivot, positive, at (t, t)
+        d = 0
         for i in range(t, nrows):
-            row = a[i]
-            for j in range(t, ncols):
-                x = row[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+            for j, x in enumerate(a[i][t:ncols], t):
+                if x and (not d or abs(x) < d):
+                    d, pi, pj = abs(x), i, j
+        if not d:
             break
-        _, pi, pj = best
         a[t], a[pi] = a[pi], a[t]
         if pj != t:
-            col_swap(t, pj)
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-        while True:
-            changed = False
-            for i in range(t + 1, nrows):
-                # per-entry Euclid on (pivot, a[i][t]); swaps shrink the pivot
-                while a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        row_add(i, t, -q)
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        changed = True
-            for j in range(t + 1, ncols):
-                while a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                        _bounded([row[j] for row in a])
-                    if a[t][j]:
-                        col_swap(t, j)
-                        changed = True
-            if changed:
-                # a swap dragged fresh entries into the pivot row/column
-                continue
-            d = a[t][t]
-            offender = None
-            for i in range(t + 1, nrows):
-                row = a[i]
-                for j in range(t + 1, ncols):
-                    if row[j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            # fold the non-divisible row into the pivot row and re-reduce
-            row_add(t, offender, 1)
-        t += 1
+        p = a[t]
+        # row operations reduce column t mod d: every nonzero entry there
+        # is at least d, so each moves, and a remainder is the next pivot
+        left = False
+        for i in range(t + 1, nrows):
+            if q := a[i][t] // d:
+                a[i] = _bounded([x - q * y for x, y in zip(a[i], p)])
+                left = left or a[i][t]
+        if left:
+            continue
+        # column t is clear below d, so column operations change row t
+        # alone, leaving its entries mod d; a remainder is the next pivot
+        p[t + 1:ncols] = [x % d for x in p[t + 1:ncols]]
+        if any(p[t + 1:ncols]):
+            continue
+        # d must divide the rest of the block; a row where it does not is
+        # added to row t, whose remainders mod d then pivot
+        rest = d > 1 and next((row for row in a[t + 1:] if any(x % d for x in row[t + 1:ncols])), None)
+        if rest:
+            a[t] = _bounded([x + y for x, y in zip(p, rest)])
+        else:
+            t += 1
     divisors = [a[k][k] for k in range(t)]
     if track is not None:
         return divisors, [row[ncols] for row in a]

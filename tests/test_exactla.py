@@ -4,6 +4,9 @@ Matrices are written as plain lists of rows and handed to the library as
 sparse {row: entry} columns through helpers.columns.
 """
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from helpers import columns
+from hfcone import exactla
 from hfcone.cfk import Arrow, CfkComplex, Generator, bhat
 from hfcone.exactla import (
     STATE_BITS,
@@ -113,9 +117,16 @@ def test_overflow_is_detected():
         _snf([[3, big], [big, 3]])
 
 
-def test_working_entries_may_pass_2_63():
-    # det -1,866,006; the elimination's entries pass 2^63 on the way, so
-    # working entries are bounded in bits and only divisors by 2^63
+def test_working_entries_may_pass_2_63(monkeypatch):
+    # clearing B = 2^40 below the pivot 1 writes -B^2 on the way to det
+    # -1, so working entries are bounded in bits and only divisors by 2^63
+    peak = []
+    bounded = exactla._bounded
+    monkeypatch.setattr(exactla, "_bounded", lambda xs: peak.append(max(map(abs, xs))) or bounded(xs))
+    big = 2**40
+    assert _snf([[1, big, 0], [big, 0, 1], [0, 1, 0]]) == [1, 1, 1]
+    assert max(peak) > 2**63
+    # det -1,866,006
     rows = [
         [0, -2, 6, 6, 1, 3, 0],
         [4, -1, 8, 2, -9, 6, 8],
@@ -126,6 +137,16 @@ def test_working_entries_may_pass_2_63():
         [1, 0, -2, 8, 6, -1, 6],
     ]
     assert _snf(rows) == [1] * 6 + [1866006]
+
+
+def test_entries_stay_small_on_a_25_by_25_matrix():
+    # each pivot is the smallest entry of its block, so entries within
+    # -2..2 grow no faster than the determinant, 2,791,535,759,854,638
+    rng = random.Random(2)
+    rows = [[rng.randint(-2, 2) for _ in range(25)] for _ in range(25)]
+    divisors = _snf(rows)
+    assert len(divisors) == 25
+    assert math.prod(divisors) == abs(Matrix(rows).det(method="bareiss")) == 2791535759854638
 
 
 def test_working_entries_are_bounded_in_bits():
