@@ -30,7 +30,7 @@ _HOMES = {
     "Framing": "cone",
     "FramingError": "cone",
     "Generator": "cfk",
-    "InvalidComplexError": "exactla",
+    "InvalidComplexError": "cfk",
     "LocalData": "profiles",
     "NOT_APPLICABLE": "obstruct",
     "ProfileError": "profiles",
@@ -38,12 +38,12 @@ _HOMES = {
     "SliceComplex": "cfk",
     "SpincClassification": "obstruct",
     "SpincEntry": "cone",
-    "StaircaseError": "exactla",
+    "StaircaseError": "cfk",
     "SurgeryProfile": "profiles",
     "SurgeryReport": "cone",
     "TAU_EXTREMAL_BOTH": "obstruct",
     "TAU_EXTREMAL_FIRST": "obstruct",
-    "TorsionError": "exactla",
+    "TorsionError": "cfk",
     "Verdict": "obstruct",
     "VIOLATED": "obstruct",
     "Window": "cone",

@@ -20,17 +20,23 @@ The two maps to B are, on the chain level,
 
 A slice holds one sparse {target: coeff} column per generator, built
 straight from the arrows that survive on it; parallel arrows are summed
-once per complex (``_tally``), for the checks, B and the sweep. _reduce
-cancels every +-1 arrow with ``exactla.cancel_units``; the survivors are
-a basis of the homology. H(B) is Z, so v_s and h_s are each one cochain
-read on cycles of A_s: the cochain of B that reads a cycle's class (B's
-cancellations replayed backwards), pulled back along the chain map and
-carried forward through A_s's cancellations, the transpose of lifting
-each survivor to a cycle; _carry moves both at once. The reader of B is
-evaluated only on the generators that carry reads. A slice with arrows
-left over (torsion, or only non-unit coefficients as in d x = 2y + 3z)
-has no such basis and is refused with TorsionError rather than guessing
-a convention; validate() reads only its group.
+once per complex (``_tally``), for the checks, B and the sweep. A slice
+is a based complex, and _reduce hands it to cancel_units, which cancels
+its +-1 arrows by the Gaussian elimination lemma, each cancellation a
+schur_update on the columns that meet the pivot row. A complex on n
+generators with k cancellations and a unit-free remainder of elementary
+divisors d_1, ..., d_m has homology Z^(n - 2(k + m)) + sum Z/d_i; the
+remainder goes, still as columns, to ``exactla.smith_normal_form``.
+With no remainder, the survivors are a basis of the homology. H(B) is
+Z, so v_s and h_s are each one cochain read on cycles of A_s: the
+cochain of B that reads a cycle's class (B's cancellations replayed
+backwards), pulled back along the chain map and carried forward through
+A_s's cancellations, the transpose of lifting each survivor to a cycle;
+_carry moves both at once. The reader of B is evaluated only on the
+generators that carry reads. A slice with arrows left over (torsion, or
+only non-unit coefficients as in d x = 2y + 3z) has no such basis and
+is refused with TorsionError rather than guessing a convention;
+validate() reads only its group.
 
 to_profile sweeps s from -g to g instead of building each A_s anew. The
 arrow x -> U^a y survives on A_s iff max(0, A(x) - s) + a =
@@ -53,7 +59,7 @@ none; a valid arrow never takes the point. It enters and leaves the
 sweep at most once, so between consecutive slices only the columns of
 the sources of arrows that enter or leave are rebuilt (``_sweep``).
 
-``exactla.cancel_units`` gives each connected component of a complex the
+cancel_units gives each connected component of a complex the
 cancellations it has alone, so to_profile keeps the v and h values of
 every survivor and at each s reduces again only the components of A_s
 that hold a changed generator: a rebuilt column, an old or new target
@@ -83,24 +89,29 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .exactla import (
-    AbelianGroup,
-    ComplexTooLarge,
-    EliminationOverflow,
-    InvalidComplexError,
-    StaircaseError,
-    TorsionError,
-    _checked,
-    cancel_units,
-    schur_update,
-    smith_normal_form,
-)
-from .profiles import LocalData, SurgeryProfile
+from .exactla import AbelianGroup, EliminationOverflow, _checked, smith_normal_form
+from .profiles import InputError, LocalData, SurgeryProfile
 
 # generators x slices one to_profile may reduce: a component that spans
 # the complex and changes at every s is reduced in full at each, though a
 # staircase reduces a few generators a slice (T(2,2001) has 4,004,001)
 SLICE_BUDGET = 5 * 10**6
+
+
+class InvalidComplexError(InputError):
+    """The complex violates its structural invariants."""
+
+
+class TorsionError(InputError):
+    """Homology has torsion where a free group is required."""
+
+
+class StaircaseError(InputError):
+    """Coefficients do not describe a staircase complex."""
+
+
+class ComplexTooLarge(InputError):
+    """More generators x slices than SLICE_BUDGET, the most to_profile may reduce."""
 
 
 @dataclass(frozen=True)
@@ -251,6 +262,100 @@ class SliceHomology:
     group: AbelianGroup
     _steps: tuple[tuple[int, int, int, dict[int, int], dict[int, int]], ...]
     _survivors: tuple[int, ...]
+
+
+def schur_update(dst: dict[int, int], k: int, src: dict[int, int]) -> None:
+    """dst -= k * src on sparse {index: entry} vectors, every entry checked
+    and zeros dropped: the update one unit cancellation makes to each
+    column that meets its pivot row."""
+    for r, x in src.items():
+        y = _checked(dst.get(r, 0) - k * x)
+        if y:
+            dst[r] = y
+        else:
+            dst.pop(r, None)
+
+
+def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, dict, dict]]:
+    """Cancel +-1 arrows x -> y (x != y) of a based complex until none is
+    left, by the Gaussian elimination lemma; returns the cancellations in
+    order and leaves in cols the differential of what survives.
+
+    cols maps each generator x, in ascending order, to d(x) as {y: coeff},
+    every y a key of cols. Each step is (x, y, u, column, row): the unit u,
+    d(x) without x and y, and the arrows z -> y, as they stood then. x and
+    y leave the complex, and each z -> y, x -> w pair adds
+    -d(z->y) u d(x->w) to z -> w, a schur_update of z by x.
+
+    That update multiplies the other entries of x by the entry of z on y.
+    So a pivot whose column has a non-unit entry, on a row that another
+    column shares, waits until no other pivot is left: it is tried again
+    whenever a cancellation changes an entry on one of its rows or in its
+    column, and when nothing else can pivot, the last to wait is taken
+    anyway. A chain of such columns (d x_j = y_j + 2 y_{j+1}) is then
+    cancelled from its free end, and its entries never grow; taken from
+    the other end, they would double at every step. Of several unit rows
+    the one on the fewest columns is taken, so the fewest columns are
+    updated.
+
+    Every choice looks only at the connected component of its column, and
+    the work list visits a component's columns in one order whatever else
+    is there, so a component has the same cancellations alone as in any
+    larger complex.
+    """
+    if not any(cols.values()):
+        return []  # no arrow: nothing to cancel
+    # the columns that have had an entry on each row
+    on_row: dict[int, set[int]] = {z: set() for z in cols}
+    for z, col in cols.items():
+        for w in col:
+            on_row[w].add(z)
+    steps = []
+    work = list(cols)
+    waiting: dict[int, None] = {}  # the columns that wait, in the order they came
+    force = False
+    while work or waiting:
+        if not work:
+            work.append(waiting.popitem()[0])
+            force = True
+        x = work.pop()
+        waiting.pop(x, None)
+        col = cols[x]
+        units = [w for w, a in col.items() if w != x and (a == 1 or a == -1)]
+        if not units:
+            continue  # cancelled already, or holds no unit (yet)
+        y = units[0]
+        for w in units[1:]:
+            if len(on_row[w]) < len(on_row[y]):
+                y = w
+        if (
+            not force
+            and len(units) < len(col)
+            and any(z != x and y in cols[z] for z in on_row[y])
+        ):
+            waiting[x] = None
+            continue
+        force = False
+        u = col.pop(y)
+        col.pop(x, None)
+        cols[y].clear()
+        row = {}
+        for z in on_row[y]:
+            a = cols[z].pop(y, 0)
+            if a:  # else x, y, or stale: z has left row y
+                row[z] = a
+                schur_update(cols[z], a * u, col)
+                for w in col:
+                    on_row[w].add(z)
+                work.append(z)
+        for z in on_row[x]:
+            cols[z].pop(x, None)  # arrows into x leave with it
+        if waiting:
+            # the rows of x changed: a pivot there may wait no more
+            work.extend(z for w in (x, *col) for z in on_row[w] if z in waiting)
+        steps.append((x, y, u, col, row))
+        cols[x] = {}
+    return steps
 
 
 def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:

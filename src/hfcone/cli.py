@@ -13,9 +13,10 @@ fig8, kfam:m=2,k=1, tau:g=2) or @path to a profile file.
 
 Each subcommand imports only the modules it runs: staircase imports cfk,
 and bound, spinc, pair and kfam import obstruct, when they start; hf, ell
-and profile load neither. The errors of a complex (InvalidComplexError,
-TorsionError, StaircaseError, ComplexTooLarge) live in exactla, so main
-catches them without importing cfk.
+and profile load neither. Every refusal of input data, here or in the
+library (a profile, a complex, a cone or complex past its budget), is a
+profiles.InputError, so main decides exit 65 without importing cfk; a
+bad framing is a usage error.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import re
 import sys
 
 from . import profiles
-from .cone import ConeTooLarge, Framing, FramingError, surgery_report
-from .exactla import (
-    ComplexTooLarge, EliminationOverflow, InvalidComplexError, StaircaseError, TorsionError,
-)
-from .profiles import ProfileError, SurgeryProfile, ascii_int
+from .cone import Framing, FramingError, surgery_report
+from .exactla import EliminationOverflow
+from .profiles import InputError, ProfileError, SurgeryProfile, ascii_int
 
 EXIT_OK = 0
 EXIT_VIOLATED = 2
@@ -41,10 +40,6 @@ EXIT_OVERFLOW = 70
 
 
 class UsageError(Exception):
-    pass
-
-
-class InputDataError(Exception):
     pass
 
 
@@ -90,11 +85,11 @@ def _resolve_profile(selector: str) -> SurgeryProfile:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as e:
-            raise InputDataError(f"cannot read profile file {path}: {e}") from None
+            raise InputError(f"cannot read profile file {path}: {e}") from None
         try:
             return profiles.parse(text.removeprefix("\ufeff"))
         except ProfileError as e:
-            raise InputDataError(f"{path}: {e}") from None
+            raise InputError(f"{path}: {e}") from None
     name, colon, params_text = selector.partition(":")
     params: dict[str, int] = {}
     if colon:  # 'fig8:' names an empty parameter, as 'lspace:g=3,' does
@@ -115,8 +110,8 @@ def _resolve_profile(selector: str) -> SurgeryProfile:
     try:
         # looked up at each call, so a wrapper set on the module sees it
         return getattr(profiles, function)(*(params[key] for key in keys))
-    except (ValueError, ProfileError) as e:
-        raise InputDataError(f"{selector}: {e}") from None
+    except ValueError as e:
+        raise InputError(f"{selector}: {e}") from None
 
 
 def _grid(ps: range, qs: range):
@@ -287,7 +282,7 @@ def _cmd_bound(ns) -> int:
     try:
         bound = obstruct.gz_lower_bound(ns.h1, ns.ell)
     except ValueError as e:
-        raise InputDataError(str(e)) from None
+        raise InputError(str(e)) from None
     if bound is None:
         print("not_applicable: ell equals h1 (L-space, bound degenerates)")
     else:
@@ -303,7 +298,7 @@ def _cmd_spinc(ns) -> int:
     try:
         first = obstruct.first_kind_range(ns.genus, p, q)
     except ValueError as e:
-        raise InputDataError(str(e)) from None
+        raise InputError(str(e)) from None
     # the second kind is the rest of range(p), below and above the first
     second = (range(first.start), range(first.stop, p)) if first else (range(p),)
     _write_set("first_kind", (first,))
@@ -363,7 +358,7 @@ def _cmd_staircase(ns) -> int:
         coeffs = [ascii_int(x) for x in coeff_part.split(",")]
         top = ascii_int(top_part) if colon else None
     except ValueError:
-        raise InputDataError(f"cannot parse alexander coefficients {text!r}") from None
+        raise InputError(f"cannot parse alexander coefficients {text!r}") from None
     complex_ = cfk.staircase_from_alexander(coeffs, top)
     profile = cfk.to_profile(complex_, name=f"staircase-g{complex_.genus}")
     if ns.emit_profile:
@@ -382,7 +377,7 @@ def _cmd_profile(ns) -> int:
         return EXIT_OK
     try:
         profile = _resolve_profile(ns.check)
-    except InputDataError as e:
+    except InputError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return EXIT_DATA
     print(f"ok: {profile.name} genus {profile.genus} ({len(profile.overrides)} overrides)")
@@ -478,10 +473,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        InputDataError, ProfileError, FramingError, ConeTooLarge, StaircaseError,
-        InvalidComplexError, TorsionError, ComplexTooLarge,
-    ) as e:
+    except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_DATA
     except EliminationOverflow as e:

@@ -19,7 +19,8 @@ rank D is the row count less the free rank of coker D, so only coker D
 is computed, one B-row at a time, left to right (``_reduce``). The state
 is the cokernel of the rows seen so far, marked by the class m of the
 last row: at most one free generator, on which m is a >= 0, and the
-summands Z/d on which m is b != 0 mod d. A summand m does not touch is
+summands Z/d on which m is b != 0 mod d, kept as gcd(b, d) (``_marked``),
+so that equal states take equal steps. A summand m does not touch is
 banked: no later relation involves it, so it stays a direct summand. An
 A-slot with columns (x, y) adds a row e and the relations x m + y e, and
 e is the new mark. Closed forms take the common steps: m = 0 adds
@@ -115,10 +116,11 @@ from .exactla import (
     STATE_BITS,
     AbelianGroup,
     EliminationOverflow,
+    _overflow,
     invariant_factors,
     smith_normal_form,
 )
-from .profiles import SurgeryProfile, ascii_int
+from .profiles import InputError, SurgeryProfile, ascii_int
 
 # columns (A-generators) one cone may emit after collapsing stretches:
 # about 500 times the largest cone of the tests and the benchmark. The
@@ -133,11 +135,11 @@ COLUMN_BUDGET = 10**6
 PLAN_CACHE = 4096
 
 
-class FramingError(ValueError):
+class FramingError(InputError):
     """Not a valid surgery slope."""
 
 
-class ConeTooLarge(ValueError):
+class ConeTooLarge(InputError):
     """The cone of a class would emit more than COLUMN_BUDGET columns."""
 
 
@@ -290,9 +292,7 @@ def _reduce(pieces, plan: list[tuple[int, int]], positive: bool, slots: int, wid
             a, tors, f = _next_row(a, tors, shape, banked)
             free += f
             if a >> STATE_BITS:
-                raise EliminationOverflow(
-                    f"integer magnitude exceeded 2^{STATE_BITS} during elimination"
-                )
+                raise _overflow(STATE_BITS)
         left -= k
     if positive:
         # the last slot's h row lies outside the window: its columns only
@@ -421,13 +421,15 @@ def _general(a: int, tors: list, cols, banked: list, scale: int | None = None):
 
 
 def _marked(a: int, tors: list, banked: list) -> list:
-    """tors with each b reduced mod d, and mod gcd(a, d) when m is a > 0
-    on a free generator g (g -> g + c t moves b by a c); a summand left
-    with b = 0 is banked."""
+    """tors with each b made canonical: b matters mod g, g = d, or
+    gcd(a, d) when m is a > 0 on a free generator f (f -> f + c t moves b
+    by a c), and a unit of Z/d that rescales t moves it to gcd(b, g). A
+    summand with b = 0 mod g, that is gcd(b, g) = g, is banked."""
     out = []
     for d, b in tors:
-        b %= gcd(a, d) if a else d
-        if b:
+        g = gcd(a, d) if a else d
+        b = gcd(b, g)
+        if b != g:
             out.append((d, b))
         elif d > 1:
             banked.append(d)

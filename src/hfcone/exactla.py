@@ -1,17 +1,12 @@
 """Exact integer linear algebra on sparse {row: entry} columns, the one
-matrix format of the package: unit cancellation, the Smith form and
-invariant factors.
+matrix format of the package: the algebra that the cone and ``cfk``
+share, which is checked integers, :class:`AbelianGroup`, the Smith form
+and invariant factors.
 
-The slices of ``cfk`` are based complexes, and :func:`cancel_units`
-reduces them: it cancels +-1 arrows by the Gaussian elimination lemma,
-each cancellation a :func:`schur_update` on the columns that meet the
-pivot row. A complex on n generators with k cancellations and a
-unit-free remainder of elementary divisors d_1, ..., d_m has homology
-Z^(n - 2(k + m)) + sum Z/d_i. The remainder goes, still as columns, to
-:func:`smith_normal_form`. The surgery cone of ``cone`` is scanned row by
-row instead, and hands the same routine the small relation matrices of
-the steps that have no closed form, with the new row tracked through the
-row operations. Those matrices are small, so the Smith form favours
+:func:`smith_normal_form` takes what ``cfk`` leaves of a slice after its
+unit cancellations, and the small relation matrices of the cone scan's
+steps that have no closed form, with the new row tracked through the row
+operations. Those matrices are small, so the Smith form favours
 simplicity and auditability over asymptotics: one dense loop over the
 pivot position t. The smallest nonzero |entry| of the block right of and
 below (t, t) pivots. Row operations reduce column t mod it, and a
@@ -58,133 +53,21 @@ class EliminationOverflow(OverflowError):
     """An entry left the checked magnitude window during elimination."""
 
 
-# the input errors of cfk's complexes live here, where the command line
-# can name them without importing cfk; cfk re-exports them
-class InvalidComplexError(ValueError):
-    """The complex violates its structural invariants."""
-
-
-class TorsionError(ValueError):
-    """Homology has torsion where a free group is required."""
-
-
-class StaircaseError(ValueError):
-    """Coefficients do not describe a staircase complex."""
-
-
-class ComplexTooLarge(ValueError):
-    """More generators x slices than cfk.SLICE_BUDGET, the most to_profile may reduce."""
-
-
 def _checked(x: int) -> int:
     if x > _LIMIT or x < -_LIMIT:
         raise _overflow()
     return x
 
 
-def _overflow() -> EliminationOverflow:
-    return EliminationOverflow("integer magnitude exceeded 2^63 during elimination")
+def _overflow(bits: int = 63) -> EliminationOverflow:
+    return EliminationOverflow(f"integer magnitude exceeded 2^{bits} during elimination")
 
 
 def _bounded(entries: list[int]) -> list[int]:
     """entries, unless one of them exceeds STATE_BITS bits."""
     if max(map(abs, entries)) >> STATE_BITS:
-        raise EliminationOverflow(f"integer magnitude exceeded 2^{STATE_BITS} during elimination")
+        raise _overflow(STATE_BITS)
     return entries
-
-
-def schur_update(dst: dict[int, int], k: int, src: dict[int, int]) -> None:
-    """dst -= k * src on sparse {index: entry} vectors, every entry checked
-    and zeros dropped: the update one unit cancellation makes to each
-    column that meets its pivot row."""
-    for r, x in src.items():
-        y = _checked(dst.get(r, 0) - k * x)
-        if y:
-            dst[r] = y
-        else:
-            dst.pop(r, None)
-
-
-def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, dict, dict]]:
-    """Cancel +-1 arrows x -> y (x != y) of a based complex until none is
-    left, by the Gaussian elimination lemma; returns the cancellations in
-    order and leaves in cols the differential of what survives.
-
-    cols maps each generator x, in ascending order, to d(x) as {y: coeff},
-    every y a key of cols. Each step is (x, y, u, column, row): the unit u,
-    d(x) without x and y, and the arrows z -> y, as they stood then. x and
-    y leave the complex, and each z -> y, x -> w pair adds
-    -d(z->y) u d(x->w) to z -> w, a schur_update of z by x.
-
-    That update multiplies the other entries of x by the entry of z on y.
-    So a pivot whose column has a non-unit entry, on a row that another
-    column shares, waits until no other pivot is left: it is tried again
-    whenever a cancellation changes an entry on one of its rows or in its
-    column, and when nothing else can pivot, the last to wait is taken
-    anyway. A chain of such columns (d x_j = y_j + 2 y_{j+1}) is then
-    cancelled from its free end, and its entries never grow; taken from
-    the other end, they would double at every step. Of several unit rows
-    the one on the fewest columns is taken, so the fewest columns are
-    updated.
-
-    Every choice looks only at the connected component of its column, and
-    the work list visits a component's columns in one order whatever else
-    is there, so a component has the same cancellations alone as in any
-    larger complex.
-    """
-    if not any(cols.values()):
-        return []  # no arrow: nothing to cancel
-    # the columns that have had an entry on each row
-    on_row: dict[int, set[int]] = {z: set() for z in cols}
-    for z, col in cols.items():
-        for w in col:
-            on_row[w].add(z)
-    steps = []
-    work = list(cols)
-    waiting: dict[int, None] = {}  # the columns that wait, in the order they came
-    force = False
-    while work or waiting:
-        if not work:
-            work.append(waiting.popitem()[0])
-            force = True
-        x = work.pop()
-        waiting.pop(x, None)
-        col = cols[x]
-        units = [w for w, a in col.items() if w != x and (a == 1 or a == -1)]
-        if not units:
-            continue  # cancelled already, or holds no unit (yet)
-        y = units[0]
-        for w in units[1:]:
-            if len(on_row[w]) < len(on_row[y]):
-                y = w
-        if (
-            not force
-            and len(units) < len(col)
-            and any(z != x and y in cols[z] for z in on_row[y])
-        ):
-            waiting[x] = None
-            continue
-        force = False
-        u = col.pop(y)
-        col.pop(x, None)
-        cols[y].clear()
-        row = {}
-        for z in on_row[y]:
-            a = cols[z].pop(y, 0)
-            if a:  # else x, y, or stale: z has left row y
-                row[z] = a
-                schur_update(cols[z], a * u, col)
-                for w in col:
-                    on_row[w].add(z)
-                work.append(z)
-        for z in on_row[x]:
-            cols[z].pop(x, None)  # arrows into x leave with it
-        if waiting:
-            # the rows of x changed: a pivot there may wait no more
-            work.extend(z for w in (x, *col) for z in on_row[w] if z in waiting)
-        steps.append((x, y, u, col, row))
-        cols[x] = {}
-    return steps
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,13 @@ from math import inf
 from .exactla import _LIMIT
 
 
-class ProfileError(ValueError):
+class InputError(ValueError):
+    """Input data the package refuses: a profile, a framing, a complex, or
+    a cone or complex past its budget. cli.main exits 65 on it (a framing
+    it reads is a usage error before that)."""
+
+
+class ProfileError(InputError):
     """A profile violates its structural invariants. Only the first 20
     violations are kept, then a count of the rest; an int among the
     violations stands for that many more that are not spelled out."""

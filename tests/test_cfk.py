@@ -35,6 +35,7 @@ from hfcone.cfk import (
     _tally,
     ahat,
     bhat,
+    cancel_units,
     homology,
     mirror,
     staircase_from_alexander,
@@ -43,7 +44,7 @@ from hfcone.cfk import (
 )
 from hfcone.cli import main
 from hfcone.cone import Framing, surgery_report
-from hfcone.exactla import EliminationOverflow, cancel_units
+from hfcone.exactla import EliminationOverflow
 from hfcone.profiles import LocalData, lspace_knot, serialize, unknot
 
 TREFOIL_ALEX = [1, -1, 1]

@@ -666,6 +666,10 @@ def test_kfam_not_applicable(capsys):
         capsys, "kfam", "--m", "0", "--n", "1", "--p", "7", "--q1", "1", "--q2", "2"
     )
     assert (code, out, err) == (0, "not_applicable: m and n must be >= 1\n", "")
+    code, out, err = run(
+        capsys, "kfam", "--m", "1", "--n", "1", "--q1", "0", "--q2", "1", "--p", "5"
+    )
+    assert (code, out, err) == (0, "not_applicable: q1 must be positive\n", "")
 
 
 def test_pair_modes(capsys):
@@ -700,6 +704,13 @@ def test_spinc_classification(capsys):
         "second_kind: 0,1 (count 2)",
         "oracle: agree",
     ]
+
+
+def test_spinc_oracle_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(obstruct, "first_kind_brute", lambda g, p, q: frozenset({0}))
+    code, out, _ = run(capsys, "spinc", "--genus", "1", "--framing", "5/2", "--oracle")
+    assert code == 1
+    assert out.splitlines()[-1] == "oracle: DISAGREE"
 
 
 def test_spinc_lists_match_sorted_set_rendering():

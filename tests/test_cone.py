@@ -51,6 +51,8 @@ def test_phi_examples():
         assert phi(0, 1, 1, s) == s
     assert phi(2, 5, 2, -1) == -2
     assert phi(0, -5, 1, 1) == -5
+    with pytest.raises(ValueError, match="q must be positive"):
+        phi(0, 1, 0, 0)
 
 
 def test_framing_parse_and_normalize():
@@ -637,6 +639,21 @@ def test_scan_mark_stops_at_state_bits():
     assert str(e.value) == (
         "framing -1/862, class i=0: integer magnitude exceeded 2^4096 during elimination"
     )
+
+
+def test_marks_are_canonical():
+    # b and any unit multiple of it mark Z/5 alike: both become gcd(b, 5)
+    assert cone._marked(0, [(5, 4)], []) == [(5, 1)]
+    assert cone._marked(0, [(5, 1)], []) == [(5, 1)]
+    # with a = 6 on the free generator, b matters mod gcd(6, 4) = 2
+    banked = []
+    assert cone._marked(6, [(4, 2), (4, 3)], banked) == [(4, 1)]
+    assert banked == [4]
+
+
+def test_spinc_group_rejects_negative_pad():
+    with pytest.raises(ValueError, match="pad must be nonnegative"):
+        spinc_group(figure_eight(), Framing(-5), 0, pad=-1)
 
 
 def test_many_equal_summands_are_linear():

@@ -179,3 +179,5 @@ def test_k_family_obstruction_guards():
     assert k_family_obstruction(2, 1, 1, 1, 3).status == NOT_APPLICABLE
     assert k_family_obstruction(1, 2, 1, 1, 3).status == NOT_APPLICABLE
     assert k_family_obstruction(1, 1, 2, 1, 6).status == NOT_APPLICABLE
+    verdict = k_family_obstruction(1, 1, 0, 1, 5)
+    assert (verdict.status, verdict.detail) == (NOT_APPLICABLE, "q1 must be positive")

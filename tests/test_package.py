@@ -1,11 +1,16 @@
 """The package surface: the names ``hfcone`` exports, resolved on first use."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import hfcone
-from hfcone import cfk, exactla
+from hfcone import cfk, cli, cone, exactla, profiles
+from hfcone.profiles import InputError
 
 # the names and order of __all__, as the package has always exported them
 PUBLIC = """
@@ -56,7 +61,10 @@ def test_submodules_resolve_as_attributes():
 
 def test_complex_errors_are_one_class_each():
     for name in ("InvalidComplexError", "TorsionError", "StaircaseError", "ComplexTooLarge"):
-        assert getattr(cfk, name) is getattr(exactla, name), name
+        error = getattr(cfk, name)
+        assert error.__module__ == "hfcone.cfk", name
+        assert issubclass(error, InputError), name
+        assert not hasattr(exactla, name), name
     assert cfk.TorsionError is hfcone.TorsionError
     # d x = 2 y + 3 z: H(B) = Z, but no unit arrow gives a basis
     gens = tuple(cfk.Generator(x, 0) for x in "xyz")
@@ -67,3 +75,32 @@ def test_complex_errors_are_one_class_each():
         assert isinstance(e, hfcone.TorsionError)
     else:
         pytest.fail("to_profile accepted a slice with no unit basis")
+
+
+def test_every_input_data_refusal_is_an_input_error():
+    # cli.main exits 65 on InputError alone: every refusal of input data is one
+    for error in (
+        profiles.ProfileError, profiles.ProfileParseError, cone.FramingError,
+        cone.ConeTooLarge, cfk.StaircaseError, cfk.InvalidComplexError,
+        cfk.TorsionError, cfk.ComplexTooLarge,
+    ):
+        assert issubclass(error, InputError), error
+    assert cli.InputError is InputError
+    assert not hasattr(cli, "InputDataError")
+    assert not issubclass(exactla.EliminationOverflow, InputError)
+    assert not issubclass(cli.UsageError, InputError)
+
+
+def test_submodule_resolves_through_the_hook_in_a_fresh_interpreter():
+    # here every submodule is imported already, so hfcone.obstruct is a
+    # plain attribute; a fresh interpreter reaches it through __getattr__
+    code = """
+import sys
+import hfcone
+assert "hfcone.obstruct" not in sys.modules and "obstruct" not in vars(hfcone)
+assert hfcone.obstruct is sys.modules["hfcone.obstruct"]
+"""
+    path = [str(Path(hfcone.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
