@@ -87,9 +87,8 @@ validate() through homology(), whose check is one pass over B's arrows.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
-from .exactla import AbelianGroup, EliminationOverflow, _checked, smith_normal_form
+from .exactla import AbelianGroup, EliminationOverflow, Record, _checked, smith_normal_form
 from .profiles import InputError, LocalData, SurgeryProfile
 
 # generators x slices one to_profile may reduce: a component that spans
@@ -114,25 +113,19 @@ class ComplexTooLarge(InputError):
     """More generators x slices than SLICE_BUDGET, the most to_profile may reduce."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    alexander: int
+class Generator(Record):
+    def __init__(self, name: str, alexander: int):
+        self.__dict__.update(name=name, alexander=alexander)
 
 
-@dataclass(frozen=True)
-class Arrow:
-    source: int
-    target: int
-    u_power: int
-    coeff: int
+class Arrow(Record):
+    def __init__(self, source: int, target: int, u_power: int, coeff: int):
+        self.__dict__.update(source=source, target=target, u_power=u_power, coeff=coeff)
 
 
-@dataclass(frozen=True)
-class CfkComplex:
-    generators: tuple[Generator, ...]
-    arrows: tuple[Arrow, ...]
-    conj: tuple[int, ...]
+class CfkComplex(Record):
+    def __init__(self, generators: tuple[Generator, ...], arrows: tuple[Arrow, ...], conj: tuple):
+        self.__dict__.update(generators=generators, arrows=arrows, conj=conj)
 
     @property
     def genus(self) -> int:
@@ -220,16 +213,15 @@ def _tally(c: CfkComplex) -> dict[tuple[int, int, int], int]:
     return {key: e for key, e in tally.items() if e}
 
 
-@dataclass(frozen=True)
-class SliceComplex:
-    """Finite complex on basis U^b x, one element per generator.
+class SliceComplex(Record):
+    """Finite complex on basis U^b x, one (generator index, u power b) per generator.
 
     differential[k] is d(basis[k]) as a sparse {target: coeff} column over
     the basis indices, with no zero entries.
     """
 
-    basis: tuple[tuple[int, int], ...]  # (generator index, u power b)
-    differential: tuple[dict[int, int], ...]
+    def __init__(self, basis: tuple[tuple[int, int], ...], differential: tuple[dict, ...]):
+        self.__dict__.update(basis=basis, differential=differential)
 
 
 def ahat(c: CfkComplex, s: int) -> SliceComplex:
@@ -252,16 +244,14 @@ def _slice(c: CfkComplex, shifts: Sequence[int], tally: dict) -> SliceComplex:
     return SliceComplex(basis=tuple(enumerate(shifts)), differential=tuple(cols))
 
 
-@dataclass(frozen=True)
-class SliceHomology:
+class SliceHomology(Record):
     """Homology of a slice, reduced by cancelling its +-1 arrows: the
     generators no cancellation removed (``_survivors``) are its free basis
     when no arrow is left over (:func:`_basis`), and ``_steps`` are the
     cancellations, in order, for :class:`_Reader` and :func:`_carry`."""
 
-    group: AbelianGroup
-    _steps: tuple[tuple[int, int, int, dict[int, int], dict[int, int]], ...]
-    _survivors: tuple[int, ...]
+    def __init__(self, group: AbelianGroup, _steps: tuple[tuple, ...], _survivors: tuple[int, ...]):
+        self.__dict__.update(group=group, _steps=_steps, _survivors=_survivors)
 
 
 def schur_update(dst: dict[int, int], k: int, src: dict[int, int]) -> None:
@@ -626,6 +616,7 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
         graded.setdefault(k, []).append(w)
     read: dict[int, tuple[int, int]] = {}  # (v, h) on each survivor, signs fixed
     overrides = {}
+    data = None
     for s, cols, into, changed in _sweep(c, g, tally):
         # the components that changed, or hold a generator whose pullbacks change
         part = _connected(cols, into, changed.union(graded.get(s, ()), graded.get(s - 1, ())))
@@ -643,6 +634,7 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
             for k, (x, y) in zip(survivors, pairs):
                 read[k] = (x, y) if (x or y) >= 0 else (-x, -y)
             v, h = zip(*map(read.get, sorted(read))) if read else ((), ())
-            data = LocalData(len(read), v, h)
+            if data is None or data.v != v or data.h != h:  # else the slice before's data
+                data = LocalData(len(read), v, h)
         overrides[s] = data
     return SurgeryProfile(name or f"derived:g={g}", g, overrides)

@@ -4,9 +4,10 @@ Subcommands: hf, ell, bound, spinc, pair, kfam, staircase, profile.
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 spinc --oracle disagreement, 2 obstruction violated (pair/kfam, for
 scripting), 64 usage error, 65 input data error (also a cone over
-cone.COLUMN_BUDGET columns, or a complex over cfk.SLICE_BUDGET
-generators x slices), 70 internal arithmetic overflow, 74 the reader
-closed stdout early (nothing on stderr).
+cone.COLUMN_BUDGET columns, a complex over cfk.SLICE_BUDGET
+generators x slices, or a profile file over PROFILE_BYTES bytes), 70
+internal arithmetic overflow, 74 the reader closed stdout early (nothing
+on stderr).
 
 Profile selectors: built-in names with parameters (unknot, lspace:g=3,
 fig8, kfam:m=2,k=1, tau:g=2) or @path to a profile file.
@@ -78,12 +79,26 @@ _BUILTIN_USAGE = ", ".join(
 )
 
 
+# bytes read from a profile file, past which it is refused unread: about
+# 180,000 `local` lines of rank 1, which parse in about 1 s and 80 MB
+# (2-core x86-64, Python 3.11); a file that never ends, as @/dev/zero,
+# stops here
+PROFILE_BYTES = 2**22
+
+
 def _resolve_profile(selector: str) -> SurgeryProfile:
     if selector.startswith("@"):
         path = selector[1:]
         try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                # a read allocates what it asks for: most files fit in the
+                # first 64 KiB, and only a longer one asks for the budget
+                data = fh.read(1 << 16)
+                if len(data) == 1 << 16:
+                    data += fh.read(PROFILE_BYTES + 1 - len(data))
+            if len(data) > PROFILE_BYTES:
+                raise InputError(f"profile file {path} exceeds {PROFILE_BYTES} bytes")
+            text = data.decode("utf-8")
         except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read profile file {path}: {e}") from None
         try:

@@ -109,13 +109,13 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left, bisect_right
 from itertools import combinations
-from dataclasses import dataclass
 from math import gcd
 
 from .exactla import (
     STATE_BITS,
     AbelianGroup,
     EliminationOverflow,
+    Record,
     _overflow,
     invariant_factors,
     smith_normal_form,
@@ -143,23 +143,19 @@ class ConeTooLarge(InputError):
     """The cone of a class would emit more than COLUMN_BUDGET columns."""
 
 
-@dataclass(frozen=True)
-class Framing:
+class Framing(Record):
     """Reduced slope p/q with q >= 1; the sign lives in p."""
 
-    p: int
-    q: int = 1
-
-    def __post_init__(self) -> None:
-        if self.q < 0:
-            object.__setattr__(self, "p", -self.p)
-            object.__setattr__(self, "q", -self.q)
-        if self.q == 0:
+    def __init__(self, p: int, q: int = 1):
+        if q < 0:
+            p, q = -p, -q
+        if q == 0:
             raise FramingError("q must be nonzero")
-        if self.p == 0:
+        if p == 0:
             raise FramingError("p must be nonzero (0-surgery is not a rational homology sphere)")
-        if gcd(abs(self.p), self.q) != 1:
-            raise FramingError(f"{self.p}/{self.q} is not reduced")
+        if gcd(abs(p), q) != 1:
+            raise FramingError(f"{p}/{q} is not reduced")
+        self.__dict__.update(p=p, q=q)
 
     @staticmethod
     def parse(text: str) -> "Framing":
@@ -186,14 +182,11 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """Truncation window: A-slots [a_lo, a_hi], B-slots [b_lo, b_hi]."""
 
-    a_lo: int
-    a_hi: int
-    b_lo: int
-    b_hi: int
+    def __init__(self, a_lo: int, a_hi: int, b_lo: int, b_hi: int):
+        self.__dict__.update(a_lo=a_lo, a_hi=a_hi, b_lo=b_lo, b_hi=b_hi)
 
 
 def truncation_window(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0) -> Window:
@@ -445,22 +438,37 @@ def _xgcd(x: int, y: int) -> tuple[int, int]:
     return (r0, t0) if r0 >= 0 else (-r0, -t0)
 
 
-@dataclass(frozen=True)
-class SpincEntry:
-    i: int
-    group: AbelianGroup
-    is_l_structure: bool
+class SpincEntry(Record):
+    def __init__(self, i: int, group: AbelianGroup, is_l_structure: bool):
+        self.__dict__.update(i=i, group=group, is_l_structure=is_l_structure)
 
 
-@dataclass(frozen=True)
-class SurgeryReport:
+class SurgeryReport(Record):
     """The (classes, group) runs of spinc_runs and their counts, O(runs)
-    at any |p|; spinc, one SpincEntry per class, is built on first read."""
+    at any |p|; spinc, one SpincEntry per class, is built on first read
+    and kept beside the fields, which alone compare, hash and show."""
 
-    framing: Framing
-    runs: tuple[tuple[range, AbelianGroup], ...]
-    ell: int
-    total_rank: int
+    def __init__(self, framing: Framing, runs: tuple[tuple[range, AbelianGroup], ...],
+                 ell: int, total_rank: int):
+        self.__dict__.update(framing=framing, runs=runs, ell=ell, total_rank=total_rank)
+
+    def _compared(self) -> tuple:
+        return self.framing, self.runs, self.ell, self.total_rank
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared() == other._compared()
+        return NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not Record's
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return f"SurgeryReport(framing={self.framing!r}, runs={self.runs!r}, " + (
+            f"ell={self.ell!r}, total_rank={self.total_rank!r})"
+        )
 
     @functools.cached_property
     def spinc(self) -> tuple[SpincEntry, ...]:

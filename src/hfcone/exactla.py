@@ -1,7 +1,7 @@
 """Exact integer linear algebra on sparse {row: entry} columns, the one
 matrix format of the package: the algebra that the cone and ``cfk``
 share, which is checked integers, :class:`AbelianGroup`, the Smith form
-and invariant factors.
+and invariant factors; and :class:`Record`, the base of every value type.
 
 :func:`smith_normal_form` takes what ``cfk`` leaves of a slice after its
 unit cancellations, and the small relation matrices of the cone scan's
@@ -35,7 +35,6 @@ within the bit bound of its state.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import gcd
 
 _LIMIT = 2**63
@@ -70,27 +69,54 @@ def _bounded(entries: list[int]) -> list[int]:
     return entries
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class Record:
+    """An immutable value, whose fields its own __init__ sets once in
+    __dict__, in the order of its parameters. Records of one class are
+    equal when their fields are, and a record hashes as the tuple of its
+    fields; no field may be assigned or deleted."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __ne__(self, other):  # the inherited one would call __eq__ through one more lookup
+        if other.__class__ is self.__class__:
+            return self.__dict__ != other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__qualname__}")
+
+
+class AbelianGroup(Record):
     """Finitely generated abelian group: free rank plus torsion divisors.
 
     torsion is the invariant-factor chain d1 | d2 | ... with every di >= 2;
     the group is Z^free_rank + Z/d1 + Z/d2 + ...
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free_rank must be nonnegative")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError(f"torsion divisor {d} < 2")
             if prev is not None and d % prev:
                 raise ValueError(f"torsion divisors not in divisibility order: {prev}, {d}")
             prev = d
+        self.__dict__.update(free_rank=free_rank, torsion=torsion)
 
     @property
     def is_z(self) -> bool:

@@ -16,36 +16,33 @@ as the witness (s_i, phi(s_i)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .cone import Framing, _ceil_div, phi
+from .exactla import Record
 
 CONSISTENT = "consistent"
 VIOLATED = "violated"
 NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    lhs: Fraction | None = None
-    rhs: Fraction | None = None
-    detail: str = ""
+class Verdict(Record):
+    def __init__(self, status: str, lhs: Fraction | None = None, rhs: Fraction | None = None,
+                 detail: str = ""):
+        self.__dict__.update(status=status, lhs=lhs, rhs=rhs, detail=detail)
 
     @property
     def is_violated(self) -> bool:
         return self.status == VIOLATED
 
 
-@dataclass(frozen=True)
-class SpincClassification:
+class SpincClassification(Record):
     """Partition of the residues [0, p): first kind (always Z) and second
     kind with the unique interior slot witness i -> (s_i, phi(s_i))."""
 
-    first_kind: frozenset[int]
-    second_kind: dict[int, tuple[int, int]]
+    def __init__(self, first_kind: frozenset[int], second_kind: dict[int, tuple[int, int]]):
+        self.__dict__.update(first_kind=first_kind, second_kind=second_kind)
 
 
 def genus_inequality(g: int, framing: Framing, ell: int) -> Verdict:

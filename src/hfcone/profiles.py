@@ -39,11 +39,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
 from itertools import chain
 from math import inf
 
-from .exactla import _LIMIT
+from .exactla import _LIMIT, Record
 
 
 class InputError(ValueError):
@@ -78,23 +77,17 @@ class ProfileParseError(ProfileError):
         super().__init__([f"line {line_no}: {message}"])
 
 
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(Record):
     """Rank of H(A_s) and the 1 x rank rows of the induced maps v_s, h_s."""
 
-    rank: int
-    v: tuple[int, ...]
-    h: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ProfileError([f"rank {self.rank} < 1"])
-        if len(self.v) != self.rank or len(self.h) != self.rank:
-            raise ProfileError(
-                [f"v/h widths ({len(self.v)}, {len(self.h)}) != rank {self.rank}"]
-            )
-        if max(map(abs, self.v + self.h)) > _LIMIT:
+    def __init__(self, rank: int, v: tuple[int, ...], h: tuple[int, ...]):
+        if rank < 1:
+            raise ProfileError([f"rank {rank} < 1"])
+        if len(v) != rank or len(h) != rank:
+            raise ProfileError([f"v/h widths ({len(v)}, {len(h)}) != rank {rank}"])
+        if max(map(abs, v + h)) > _LIMIT:
             raise ProfileError(["v/h entries must lie within +-2^63"])
+        self.__dict__.update(rank=rank, v=v, h=h)
 
 
 RIGHT_EDGE = LocalData(1, (1,), (0,))  # s > g: v is a unit, h vanishes
@@ -114,14 +107,10 @@ def _inside(g: int) -> tuple[int, int]:
     return (1 - g, g) if g else (0, 1)
 
 
-@dataclass(frozen=True, init=False)
-class SurgeryProfile:
-    name: str = field(compare=False)
-    genus: int
-    cuts: tuple[int, ...]
-    pieces: tuple[LocalData, ...]
-    # the cone's reductions of this profile, keyed by plan (cone.spinc_group)
-    plans: dict = field(compare=False, repr=False)
+class SurgeryProfile(Record):
+    """Data by pieces, pieces[k] on cuts[k-1] <= s < cuts[k] (module
+    docstring), and plans, the cone's reductions of this profile keyed by
+    plan (cone.spinc_group); equality and hash read genus, cuts and pieces."""
 
     def __init__(self, name: str, genus: int, overrides: Mapping[int, LocalData]):
         self._build(name, genus, ((s, s + 1, d) for s, d in sorted(overrides.items())))
@@ -141,13 +130,29 @@ class SurgeryProfile:
         if genus < 0:
             raise ProfileError([f"genus {genus} < 0"])
         cuts, pieces = _partition(genus, runs)
-        for key, value in (("name", name), ("genus", genus), ("cuts", cuts),
-                           ("pieces", pieces), ("plans", {})):
-            object.__setattr__(self, key, value)
+        self.__dict__.update(name=name, genus=genus, cuts=cuts, pieces=pieces, plans={})
         violations = _check(self)
         first = next(violations, None)
         if first is not None:
             raise ProfileError(chain((first,), violations))
+
+    def _compared(self) -> tuple:
+        return self.genus, self.cuts, self.pieces
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared() == other._compared()
+        return NotImplemented
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not Record's
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return f"SurgeryProfile(name={self.name!r}, genus={self.genus!r}, " + (
+            f"cuts={self.cuts!r}, pieces={self.pieces!r})"
+        )
 
     def local(self, s: int) -> LocalData:
         """Effective data at slot s."""

@@ -285,6 +285,17 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     # -S skips site, whose .pth files may import typing on their own
     code, modules = _child_modules(tmp_path, ["hf", "--profile", "fig8", "--framing", "-5"], ["-S"])
     assert (code, "typing" in modules) == (0, False)
+    # the value types are plain classes: no command loads dataclasses, and
+    # so none loads inspect (with ast, dis and tokenize) either
+    for argv in (
+        ["hf", "--profile", "fig8", "--framing", "-5"],
+        ["ell", "--profile", "lspace:g=2", "--framing-range", "-3..3/1..2"],
+        ["profile", "--show", "kfam:m=2,k=1"],
+        ["staircase", "--alexander", "1,-1,0,1,0,-1,1", "--emit-profile"],
+        ["bound", "--h1", "7", "--ell", "3"],
+    ):
+        code, modules = _child_modules(tmp_path, argv, ["-S"])
+        assert (code, modules & {"dataclasses", "inspect"}) == (0, set()), argv
 
 
 def test_reader_closing_stdout_exits_74_quietly(tmp_path, monkeypatch):
@@ -363,6 +374,44 @@ def test_cone_over_column_budget_exits_65(tmp_path):
     assert err.startswith("input error: framing 1/1000000000000, class i=0: ")
     assert seconds < 2.0
     assert rss_mb < 100
+
+
+def test_profile_file_over_byte_budget_exits_65(tmp_path):
+    # a file that never ends is refused once PROFILE_BYTES are read
+    code, out, err, seconds, rss_mb = run_child(
+        tmp_path, "hf", "--profile", "@/dev/zero", "--framing", "1"
+    )
+    assert (code, out, err) == (
+        65, "", f"input error: profile file /dev/zero exceeds {cli.PROFILE_BYTES} bytes\n"
+    )
+    assert seconds < 2.0
+    assert rss_mb < 100
+
+
+def test_profile_file_byte_budget_is_inclusive(tmp_path, capsys):
+    # a valid profile padded with a comment to exactly PROFILE_BYTES is read
+    text = serialize(figure_eight())
+    path = tmp_path / "padded.profile"
+    path.write_bytes(("#" * (cli.PROFILE_BYTES - len(text) - 1) + "\n" + text).encode())
+    assert path.stat().st_size == cli.PROFILE_BYTES
+    expected = run(capsys, "ell", "--profile", "fig8", "--framing", "-7")
+    assert run(capsys, "ell", "--profile", f"@{path}", "--framing", "-7") == expected
+    with path.open("ab") as fh:
+        fh.write(b"\n")
+    assert run(capsys, "profile", "--check", f"@{path}") == (
+        65, "", f"invalid: profile file {path} exceeds {cli.PROFILE_BYTES} bytes\n"
+    )
+
+
+def test_profile_read_from_a_pipe(tmp_path):
+    command, env = _child_command(tmp_path, ["hf", "--profile", "@/dev/stdin", "--framing", "-3"])
+    proc = subprocess.run(
+        command, input=serialize(figure_eight()).replace("\n", "\r\n"), capture_output=True,
+        text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "framing -3/1\ni=0: Z^3\ni=1: Z^1 (L)\ni=2: Z^1 (L)\nell=2 total_rank=5\n", ""
+    )
 
 
 def test_complex_over_slice_budget_exits_65(tmp_path):

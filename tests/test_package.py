@@ -1,7 +1,9 @@
 """The package surface: the names ``hfcone`` exports, resolved on first use."""
 
+import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hfcone
-from hfcone import cfk, cli, cone, exactla, profiles
+from hfcone import cfk, cli, cone, exactla, obstruct, profiles
 from hfcone.profiles import InputError
 
 # the names and order of __all__, as the package has always exported them
@@ -104,3 +106,169 @@ assert hfcone.obstruct is sys.modules["hfcone.obstruct"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _trefoil():
+    return cfk.staircase_from_alexander([1, -1, 1])
+
+
+# each value type: (the value, the same value built by keywords, the fields
+# that compare and hash, the repr the package has always printed)
+VALUES = {
+    "AbelianGroup": lambda: (
+        exactla.AbelianGroup(3, (2, 4)), exactla.AbelianGroup(torsion=(2, 4), free_rank=3),
+        (3, (2, 4)), "AbelianGroup(free_rank=3, torsion=(2, 4))",
+    ),
+    "LocalData": lambda: (
+        profiles.LocalData(1, (0,), (1,)), profiles.LocalData(h=(1,), v=(0,), rank=1),
+        (1, (0,), (1,)), "LocalData(rank=1, v=(0,), h=(1,))",
+    ),
+    "SurgeryProfile": lambda: (
+        profiles.figure_eight(),
+        profiles.SurgeryProfile(
+            overrides={0: profiles.LocalData(3, (1, 0, 0), (1, 0, 0))}, genus=1, name="fig8"
+        ),
+        (1, (0, 1), (profiles.LEFT_EDGE, profiles.LocalData(3, (1, 0, 0), (1, 0, 0)),
+                     profiles.RIGHT_EDGE)),
+        "SurgeryProfile(name='fig8', genus=1, cuts=(0, 1), pieces=(LocalData(rank=1, v=(0,),"
+        " h=(1,)), LocalData(rank=3, v=(1, 0, 0), h=(1, 0, 0)), LocalData(rank=1, v=(1,),"
+        " h=(0,))))",
+    ),
+    "Framing": lambda: (
+        cone.Framing(3, -2), cone.Framing(q=2, p=-3), (-3, 2), "Framing(p=-3, q=2)",
+    ),
+    "Window": lambda: (
+        cone.Window(-1, 2, 0, 2), cone.Window(a_lo=-1, a_hi=2, b_lo=0, b_hi=2), (-1, 2, 0, 2),
+        "Window(a_lo=-1, a_hi=2, b_lo=0, b_hi=2)",
+    ),
+    "SpincEntry": lambda: (
+        cone.SpincEntry(0, exactla.AbelianGroup(1), True),
+        cone.SpincEntry(is_l_structure=True, group=exactla.AbelianGroup(1), i=0),
+        (0, exactla.AbelianGroup(1), True),
+        "SpincEntry(i=0, group=AbelianGroup(free_rank=1, torsion=()), is_l_structure=True)",
+    ),
+    "SurgeryReport": lambda: (
+        cone.surgery_report(profiles.figure_eight(), cone.Framing(-2)),
+        cone.SurgeryReport(
+            total_rank=4, ell=1, framing=cone.Framing(-2),
+            runs=((range(0, 1), exactla.AbelianGroup(3)), (range(1, 2), exactla.AbelianGroup(1))),
+        ),
+        (cone.Framing(-2), ((range(0, 1), exactla.AbelianGroup(3)),
+                            (range(1, 2), exactla.AbelianGroup(1))), 1, 4),
+        "SurgeryReport(framing=Framing(p=-2, q=1), runs=((range(0, 1), AbelianGroup(free_rank=3,"
+        " torsion=())), (range(1, 2), AbelianGroup(free_rank=1, torsion=()))), ell=1,"
+        " total_rank=4)",
+    ),
+    "Generator": lambda: (
+        cfk.Generator("x", 1), cfk.Generator(alexander=1, name="x"), ("x", 1),
+        "Generator(name='x', alexander=1)",
+    ),
+    "Arrow": lambda: (
+        cfk.Arrow(1, 0, 2, -1), cfk.Arrow(coeff=-1, u_power=2, target=0, source=1), (1, 0, 2, -1),
+        "Arrow(source=1, target=0, u_power=2, coeff=-1)",
+    ),
+    "CfkComplex": lambda: (
+        _trefoil(),
+        cfk.CfkComplex(conj=(2, 1, 0), arrows=_trefoil().arrows, generators=_trefoil().generators),
+        (_trefoil().generators, _trefoil().arrows, (2, 1, 0)),
+        "CfkComplex(generators=(Generator(name='x0', alexander=1), Generator(name='x1',"
+        " alexander=0), Generator(name='x2', alexander=-1)), arrows=(Arrow(source=1, target=2,"
+        " u_power=0, coeff=1), Arrow(source=1, target=0, u_power=1, coeff=1)), conj=(2, 1, 0))",
+    ),
+    "SliceComplex": lambda: (
+        cfk.bhat(_trefoil()),
+        cfk.SliceComplex(differential=({}, {2: 1}, {}), basis=((0, 0), (1, 0), (2, 0))),
+        (((0, 0), (1, 0), (2, 0)), ({}, {2: 1}, {})),
+        "SliceComplex(basis=((0, 0), (1, 0), (2, 0)), differential=({}, {2: 1}, {}))",
+    ),
+    "SliceHomology": lambda: (
+        cfk.homology(cfk.bhat(_trefoil())),
+        cfk.SliceHomology(
+            _survivors=(0,), _steps=((1, 2, 1, {}, {}),), group=exactla.AbelianGroup(1)
+        ),
+        (exactla.AbelianGroup(1), ((1, 2, 1, {}, {}),), (0,)),
+        "SliceHomology(group=AbelianGroup(free_rank=1, torsion=()), _steps=((1, 2, 1, {}, {}),),"
+        " _survivors=(0,))",
+    ),
+    "Verdict": lambda: (
+        obstruct.Verdict(obstruct.NOT_APPLICABLE, detail="d"),
+        obstruct.Verdict(detail="d", status="not_applicable", rhs=None),
+        ("not_applicable", None, None, "d"),
+        "Verdict(status='not_applicable', lhs=None, rhs=None, detail='d')",
+    ),
+    "SpincClassification": lambda: (
+        obstruct.classify_spinc(1, 5, 1),
+        obstruct.SpincClassification(second_kind={0: (0, 0)}, first_kind=frozenset({1, 2, 3, 4})),
+        (frozenset({1, 2, 3, 4}), {0: (0, 0)}),
+        "SpincClassification(first_kind=frozenset({1, 2, 3, 4}), second_kind={0: (0, 0)})",
+    ),
+}
+
+
+class _Other(exactla.Record):
+    """A record of another class, given the same fields."""
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_types_are_frozen_records(name):
+    value, by_keywords, fields, text = VALUES[name]()
+    assert type(value).__name__ == name
+    assert isinstance(value, exactla.Record)
+    # equal only within a class: not to the tuple of its fields, nor to a
+    # record of another class with the same fields
+    assert value == by_keywords and not value != by_keywords
+    assert value != fields and not value == fields
+    other = _Other.__new__(_Other)
+    other.__dict__.update(value.__dict__)
+    assert value != other and not value == other
+    try:
+        expected = hash(fields)
+    except TypeError:  # a dict among the fields, as the dataclasses had
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(by_keywords) == expected
+    assert repr(value) == repr(by_keywords) == text
+    field = next(iter(value.__dict__))
+    before = dict(value.__dict__)
+    with pytest.raises(AttributeError, match=repr(field)):
+        setattr(value, field, 0)
+    with pytest.raises(AttributeError, match=repr(field)):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.new_field = 0
+    assert value.__dict__ == before
+    for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value)
+        assert copied == value and repr(copied) == text
+
+
+def test_record_defaults():
+    assert exactla.AbelianGroup(1) == exactla.AbelianGroup(1, ())
+    assert cone.Framing(5) == cone.Framing(5, 1) == cone.Framing(p=5)
+    assert cone.Framing(3, 2) != (3, 2)
+    verdict = obstruct.Verdict(obstruct.VIOLATED, detail="x")
+    assert (verdict.lhs, verdict.rhs, verdict.detail) == (None, None, "x")
+    assert obstruct.Verdict("s").detail == ""
+
+
+def test_report_compares_the_same_after_spinc_is_read():
+    report = cone.surgery_report(profiles.figure_eight(), cone.Framing(-3))
+    fresh = cone.surgery_report(profiles.figure_eight(), cone.Framing(-3))
+    key = hash(report)
+    assert len(report.spinc) == 3 and "spinc" in report.__dict__
+    assert report == fresh and not report != fresh
+    assert hash(report) == key == hash(fresh)
+    assert repr(report) == repr(fresh)
+    assert copy.deepcopy(report) == report
+
+
+def test_profile_equality_ignores_name_and_plans():
+    profile = profiles.figure_eight()
+    renamed = profiles.SurgeryProfile("other", profile.genus, profile.overrides)
+    cone.surgery_report(profile, cone.Framing(-3))
+    assert profile.plans and not renamed.plans
+    assert profile == renamed and not profile != renamed
+    assert hash(profile) == hash(renamed)
+    assert "plans" not in repr(profile) and repr(renamed).startswith("SurgeryProfile(name='other'")
+    assert profile != profiles.lspace_knot(1) and profile != profile.pieces
