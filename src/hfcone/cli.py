@@ -80,9 +80,10 @@ _BUILTIN_USAGE = ", ".join(
 
 
 # bytes read from a profile file, past which it is refused unread: about
-# 180,000 `local` lines of rank 1, which parse in about 1 s and 80 MB
-# (2-core x86-64, Python 3.11); a file that never ends, as @/dev/zero,
-# stops here
+# 150,000 `local` lines of rank 1, which `profile --check` reads in about
+# 0.5 s and 50 MB when the lines repeat one slot's data, and 135,000 in
+# about 1.8 s and 115 MB when every line differs (2-core x86-64, Python
+# 3.11); a file that never ends, as @/dev/zero, stops here
 PROFILE_BYTES = 2**22
 
 
@@ -395,7 +396,8 @@ def _cmd_profile(ns) -> int:
     except InputError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return EXIT_DATA
-    print(f"ok: {profile.name} genus {profile.genus} ({len(profile.overrides)} overrides)")
+    # the count by __len__ itself: len() refuses one past sys.maxsize
+    print(f"ok: {profile.name} genus {profile.genus} ({profile.overrides.__len__()} overrides)")
     return EXIT_OK
 
 
@@ -467,16 +469,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_exact(command: argparse.ArgumentParser, name: str, words: list[str]):
+    """command.parse_args(words, Namespace(command=name)) for words that are
+    exact flags of command, each followed by its value if it takes one, read
+    from command's own action table; None for anything else (help, a
+    prefix, --flag=value, --, an unknown flag, a value argparse would read
+    as a flag, and every error), which argparse then reads."""
+    table, is_number = command._option_string_actions, command._negative_number_matcher.match
+    seen, present, values = set(), set(), {}
+    words = iter(words)
+    for flag in words:
+        action = table.get(flag)
+        if not isinstance(action, (argparse._StoreAction, argparse._StoreConstAction)):
+            return None
+        if action.nargs == 0:
+            value = action.const
+            present.add(action)  # argparse's value here is [], never the default
+        else:
+            # a value is a word argparse reads as one: empty, without a
+            # leading dash, or taken for a number by _Parser's matcher
+            word = next(words, None)
+            if action.nargs is not None or word is None or word[:1] == "-" and not is_number(word):
+                return None
+            try:
+                value = word if action.type is None else action.type(word)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            if value is not action.default:
+                present.add(action)
+        seen.add(action)
+        values[action.dest] = value
+    for group in command._mutually_exclusive_groups:
+        count = len(present.intersection(group._group_actions))
+        if count > 1 or group.required and not count:
+            return None
+    namespace = argparse.Namespace(command=name)
+    fields = vars(namespace)  # filled as argparse fills it, in the same order
+    for action in command._actions:
+        if action not in seen and (
+            # a str default argparse would convert through the action's type
+            action.required or action.type and isinstance(action.default, str)
+        ):
+            return None
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            fields.setdefault(action.dest, action.default)
+    for dest, value in command._defaults.items():
+        fields.setdefault(dest, value)
+    fields.update(values)
+    return namespace
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     # build_parser().parse_args(argv), one argparse level deep: the top level
     # has only -h and the command positional, whose nargs=PARSER hands the
     # subparser argv[1:] whole (-h and -- included) and copies its namespace
-    # out, and leftovers raise 'unrecognized arguments' via _Parser.error
+    # out, and leftovers raise 'unrecognized arguments' via _Parser.error;
+    # an argv of exact flags and values skips argparse's parse (_parse_exact)
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    namespace = _parse_exact(command, argv[0], argv[1:])
+    if namespace is None:
+        namespace = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return namespace
 
 
 def main(argv=None) -> int:

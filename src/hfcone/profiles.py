@@ -422,8 +422,11 @@ def _parse_row(tok: str, line_no: int, what: str) -> tuple[int, ...]:
 
 _INT = _ASCII_INT.pattern
 # a `local` line that passes every check of _local_tokens, its tokens
-# joined by single spaces, unless int() refuses one of its integers as too long
-_LOCAL = re.compile(rf"local ({_INT}) rank ({_INT}) v ({_INT}(?:,{_INT})*) h ({_INT}(?:,{_INT})*)")
+# joined by single spaces, unless int() refuses one of its integers as too
+# long; group 2, the text after the slot, decides the slot's data
+_LOCAL = re.compile(
+    rf"local ({_INT}) (rank ({_INT}) v ({_INT}(?:,{_INT})*) h ({_INT}(?:,{_INT})*))"
+)
 
 
 def _new_slot(s: int, overrides: dict, line_no: int) -> int:
@@ -452,28 +455,40 @@ def parse(text: str) -> SurgeryProfile:
     G, S, R are [+-]?[0-9]+ and a ROW is such integers joined by commas."""
     header: tuple[str, int] | None = None
     overrides: dict[int, LocalData] = {}
+    known: dict[str, LocalData] = {}  # by _LOCAL's group 2: equal lines share one
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split()
-        if not toks or toks[0].startswith("#"):
-            continue
-        if header is None:
-            if len(toks) != 4 or toks[0] != "profile" or toks[2] != "genus":
-                raise ProfileParseError(line_no, "expected 'profile <name> genus <g>'")
-            header = (toks[1], _parse_int(toks[3], line_no, "genus"))
-            continue
-        m = _LOCAL.fullmatch(" ".join(toks))
+        # a `local` line in _LOCAL's spelling is read as it stands
+        m = None if header is None else _LOCAL.fullmatch(raw)
+        if m is None:
+            toks = raw.split()
+            if not toks or toks[0].startswith("#"):
+                continue
+            if header is None:
+                if len(toks) != 4 or toks[0] != "profile" or toks[2] != "genus":
+                    raise ProfileParseError(line_no, "expected 'profile <name> genus <g>'")
+                header = (toks[1], _parse_int(toks[3], line_no, "genus"))
+                continue
+            m = _LOCAL.fullmatch(" ".join(toks))
+        data = None
         if m is not None:
             try:
-                s, rank = _new_slot(int(m[1]), overrides, line_no), int(m[2])
-                v, h = tuple(map(int, m[3].split(","))), tuple(map(int, m[4].split(",")))
+                s = _new_slot(int(m[1]), overrides, line_no)
+                data = known.get(m[2])
+                if data is None:
+                    rank = int(m[3])
+                    v, h = tuple(map(int, m[4].split(","))), tuple(map(int, m[5].split(",")))
             except ValueError:  # an integer past int()'s digit limit
                 m = None
         if m is None:
-            s, rank, v, h = _local_tokens(toks, line_no, overrides)
-        try:
-            overrides[s] = LocalData(rank, v, h)
-        except ProfileError as e:
-            raise ProfileParseError(line_no, f"s={s}: {e}") from None
+            s, rank, v, h = _local_tokens(raw.split(), line_no, overrides)
+        if data is None:
+            try:
+                data = LocalData(rank, v, h)
+            except ProfileError as e:
+                raise ProfileParseError(line_no, f"s={s}: {e}") from None
+            if m is not None:
+                known[m[2]] = data
+        overrides[s] = data
     if header is None:
         raise ProfileParseError(0, "empty profile text")
     return SurgeryProfile(header[0], header[1], overrides)

@@ -114,6 +114,28 @@ def random_argv(rng: random.Random) -> list[str]:
     return argv
 
 
+# values where a parse of exact flags can go wrong: the empty and a blank
+# word, a lone dash, --, and dash-led words that argparse reads as a number
+# ("-1x", an Arabic-Indic three) or as a flag (a superscript two)
+_EXACT_VALUES = ["", " ", "-", "-1x", "--", "-\u0663", "-\u00b2"]
+
+
+def exact_argv(rng: random.Random) -> list[str]:
+    """An argv of a subcommand and its exact flags, each followed by its
+    value if it takes one: flags left out (required ones too), repeated,
+    both of a group, and now and then a value from _EXACT_VALUES."""
+    command = rng.choice(list(_FLAGS))
+    pairs = [pair for pair in _FLAGS[command] if rng.random() < 0.75]
+    pairs += rng.choices(_FLAGS[command], k=rng.choice((0, 0, 1, 2)))
+    rng.shuffle(pairs)
+    argv = [command]
+    for flag, value in pairs:
+        argv.append(flag)
+        if value is not None:
+            argv.append(rng.choice(_EXACT_VALUES) if rng.random() < 0.1 else value)
+    return argv
+
+
 def parse_outcome(parse, argv: list[str]) -> tuple:
     """What parse(argv) does: ("ns", its vars) or ("usage", the UsageError
     text) or ("exit", the SystemExit code), with what it printed."""

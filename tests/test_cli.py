@@ -1,6 +1,7 @@
 """End-to-end command-line behavior through main(argv); the scaling,
 budget and memory tests run a fresh interpreter, to read its peak RSS."""
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -146,16 +147,53 @@ def test_repeated_main_calls_match_fresh_runs(capsys):
     assert [code for code, _, _ in fresh] == [0, 0, 0, 64]
 
 
-def test_direct_dispatch_matches_two_level_parse():
-    # main parses argv[1:] with the subcommand's own parser; argparse's two
-    # levels must give the same namespace, the same usage error, or the
-    # same exit with the same help text
-    rng = random.Random(18)
+def test_direct_dispatch_matches_two_level_parse(monkeypatch):
+    # main parses argv[1:] with the subcommand's own parser, or from its
+    # action table when argv is exact flags and values (_parse_exact);
+    # argparse's two levels must give the same namespace, the same usage
+    # error, or the same exit with the same help text
+    parse_exact, taken = cli._parse_exact, []
+
+    def counted(*args):
+        namespace = parse_exact(*args)
+        taken.append(namespace is not None)
+        return namespace
+
+    monkeypatch.setattr(cli, "_parse_exact", counted)
     parser = cli.build_parser()
-    for _ in range(3000):
-        argv = helpers.random_argv(rng)
-        direct = helpers.parse_outcome(cli._parse_args, argv)
-        assert direct == helpers.parse_outcome(parser.parse_args, argv), argv
+    for make, seed in ((helpers.random_argv, 18), (helpers.exact_argv, 19)):
+        rng, taken[:] = random.Random(seed), []
+        for _ in range(3000):
+            argv = make(rng)
+            direct = helpers.parse_outcome(cli._parse_args, argv)
+            assert direct == helpers.parse_outcome(parser.parse_args, argv), argv
+        # the fast path is exercised, not only declined
+        assert sum(taken) >= (100 if make is helpers.random_argv else 900), make
+
+
+def test_well_formed_argv_skips_argparse(tmp_path, capsys, monkeypatch):
+    # one argv of each benchmark shape, exact flags and values, is read
+    # from the action table: argparse's parse never runs
+    path = tmp_path / "mix.profile"
+    path.write_text(
+        "profile mix genus 2\nlocal -1 rank 1 v 0 h 1\n"
+        "local 0 rank 3 v 1,2,0 h 1,0,-2\nlocal 1 rank 1 v 1 h 0\n"
+    )
+    argvs = [
+        ["hf", "--profile", "fig8", "--framing", "-3/25"],
+        ["hf", "--profile", f"@{path}", "--framing", "-7/3", "--format", "json"],
+        ["ell", "--profile", "kfam:m=2,k=1", "--framing", "1000/7"],
+        ["staircase", "--alexander", "1,-1,0,1,0,-1,1", "--emit-profile"],
+        ["profile", "--show", "tau:g=3"],
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 and out and not err for code, out, err in expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == expected
 
 
 @pytest.mark.parametrize("value", ["-5", "-1/20", "-3..-1/1..2", "-1,3,-1"])
@@ -355,6 +393,10 @@ def test_cost_does_not_grow_with_genus(tmp_path):
         (["ell", "--profile", f"tau:g={g}", "--framing", "-7"], "ell=0 total_rank=4000000005\n"),
         (["profile", "--check", f"lspace:g={g}"],
          f"ok: lspace:g={g} genus {g} (1999999999 overrides)\n"),
+        # more overrides than len() can return
+        (["profile", "--check", "lspace:g=9223372036854775807"],
+         "ok: lspace:g=9223372036854775807 genus 9223372036854775807"
+         " (18446744073709551613 overrides)\n"),
     ]
     for argv, expected in cases:
         code, out, err, seconds, rss_mb = run_child(tmp_path, *argv)

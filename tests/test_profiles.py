@@ -190,6 +190,14 @@ def test_parse_rejects_empty_input():
         parse("# only a comment\n")
 
 
+def test_equal_local_lines_share_one_slot_data():
+    # lines with the same text after the slot are read once, adjacent or not
+    parsed = parse(serialize(k_family(3, 1)))
+    assert parsed == k_family(3, 1)
+    assert len(parsed.pieces) == 7
+    assert len({id(data) for data in parsed.pieces[1:-1]}) == 2
+
+
 def _parsed(text: str):
     """parse(text), or the type and text of the error it raises."""
     try:
