@@ -81,9 +81,9 @@ _BUILTIN_USAGE = ", ".join(
 
 # bytes read from a profile file, past which it is refused unread: about
 # 150,000 `local` lines of rank 1, which `profile --check` reads in about
-# 0.5 s and 50 MB when the lines repeat one slot's data, and 135,000 in
-# about 1.8 s and 115 MB when every line differs (2-core x86-64, Python
-# 3.11); a file that never ends, as @/dev/zero, stops here
+# 0.5 s and 50 MB when each line repeats the data of the line before, and
+# 132,000 in about 1.0-1.8 s and 98 MB when every line differs (2-core
+# x86-64, Python 3.11); a file that never ends, as @/dev/zero, stops here
 PROFILE_BYTES = 2**22
 
 

@@ -455,40 +455,34 @@ def parse(text: str) -> SurgeryProfile:
     G, S, R are [+-]?[0-9]+ and a ROW is such integers joined by commas."""
     header: tuple[str, int] | None = None
     overrides: dict[int, LocalData] = {}
-    known: dict[str, LocalData] = {}  # by _LOCAL's group 2: equal lines share one
+    tail, last = None, None  # _LOCAL's group 2 of the line before, and its data
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        # a `local` line in _LOCAL's spelling is read as it stands
-        m = None if header is None else _LOCAL.fullmatch(raw)
-        if m is None:
-            toks = raw.split()
-            if not toks or toks[0].startswith("#"):
-                continue
-            if header is None:
-                if len(toks) != 4 or toks[0] != "profile" or toks[2] != "genus":
-                    raise ProfileParseError(line_no, "expected 'profile <name> genus <g>'")
-                header = (toks[1], _parse_int(toks[3], line_no, "genus"))
-                continue
-            m = _LOCAL.fullmatch(" ".join(toks))
-        data = None
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
+            continue
+        if header is None:
+            if len(toks) != 4 or toks[0] != "profile" or toks[2] != "genus":
+                raise ProfileParseError(line_no, "expected 'profile <name> genus <g>'")
+            header = (toks[1], _parse_int(toks[3], line_no, "genus"))
+            continue
+        m = _LOCAL.fullmatch(" ".join(toks))
         if m is not None:
             try:
                 s = _new_slot(int(m[1]), overrides, line_no)
-                data = known.get(m[2])
-                if data is None:
-                    rank = int(m[3])
-                    v, h = tuple(map(int, m[4].split(","))), tuple(map(int, m[5].split(",")))
+                if m[2] == tail:  # the same data as the line before: share it
+                    overrides[s] = last
+                    continue
+                rank = int(m[3])
+                v, h = tuple(map(int, m[4].split(","))), tuple(map(int, m[5].split(",")))
             except ValueError:  # an integer past int()'s digit limit
                 m = None
         if m is None:
-            s, rank, v, h = _local_tokens(raw.split(), line_no, overrides)
-        if data is None:
-            try:
-                data = LocalData(rank, v, h)
-            except ProfileError as e:
-                raise ProfileParseError(line_no, f"s={s}: {e}") from None
-            if m is not None:
-                known[m[2]] = data
-        overrides[s] = data
+            s, rank, v, h = _local_tokens(toks, line_no, overrides)
+        try:
+            overrides[s] = last = LocalData(rank, v, h)
+        except ProfileError as e:
+            raise ProfileParseError(line_no, f"s={s}: {e}") from None
+        tail = None if m is None else m[2]
     if header is None:
         raise ProfileParseError(0, "empty profile text")
     return SurgeryProfile(header[0], header[1], overrides)

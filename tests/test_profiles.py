@@ -190,12 +190,17 @@ def test_parse_rejects_empty_input():
         parse("# only a comment\n")
 
 
-def test_equal_local_lines_share_one_slot_data():
-    # lines with the same text after the slot are read once, adjacent or not
-    parsed = parse(serialize(k_family(3, 1)))
-    assert parsed == k_family(3, 1)
-    assert len(parsed.pieces) == 7
-    assert len({id(data) for data in parsed.pieces[1:-1]}) == 2
+def test_equal_adjacent_local_lines_share_one_slot_data():
+    # a line with the same text after the slot as the line before reuses its data
+    parsed = parse(
+        "profile p genus 2\n"
+        "local -1 rank 3 v 1,0,0 h 0,1,0\n"
+        "local 1 rank 3 v 1,0,0 h 0,1,0\n"
+        "local 0 rank 1 v 1 h 1\n"
+    )
+    assert len(parsed.pieces) == 5
+    assert parsed.pieces[1] is parsed.pieces[3]
+    assert parsed.pieces[1] == LocalData(3, (1, 0, 0), (0, 1, 0))
 
 
 def _parsed(text: str):
