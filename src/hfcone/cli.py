@@ -31,7 +31,7 @@ import sys
 from . import profiles
 from .cone import Framing, FramingError, surgery_report
 from .exactla import EliminationOverflow
-from .profiles import InputError, ProfileError, SurgeryProfile, ascii_int
+from .profiles import InputError, ProfileError, SurgeryProfile, ascii_int, quoted
 
 EXIT_OK = 0
 EXIT_VIOLATED = 2
@@ -82,8 +82,9 @@ _BUILTIN_USAGE = ", ".join(
 # bytes read from a profile file, past which it is refused unread: about
 # 150,000 `local` lines of rank 1, which `profile --check` reads in about
 # 0.5 s and 50 MB when each line repeats the data of the line before, and
-# 132,000 in about 1.0-1.8 s and 98 MB when every line differs (2-core
-# x86-64, Python 3.11); a file that never ends, as @/dev/zero, stops here
+# 132,000 in about 1.0-1.8 s and 98 MB when every line differs, or one
+# line of rank 10^6 in about 0.6 s and 66-75 MB (2-core x86-64, Python
+# 3.11); a file that never ends, as @/dev/zero, stops here
 PROFILE_BYTES = 2**22
 
 
@@ -112,17 +113,19 @@ def _resolve_profile(selector: str) -> SurgeryProfile:
         for piece in params_text.split(","):
             key, eq, value = piece.partition("=")
             if not eq or not key or key in params:
-                raise UsageError(f"bad profile parameter {piece!r} in {selector!r}")
+                raise UsageError(f"bad profile parameter {quoted(piece)} in {quoted(selector)}")
             try:
                 params[key] = ascii_int(value)
             except ValueError:
-                raise UsageError(f"bad profile parameter {piece!r} in {selector!r}") from None
+                raise UsageError(
+                    f"bad profile parameter {quoted(piece)} in {quoted(selector)}"
+                ) from None
     if name not in _BUILTINS:
-        raise UsageError(f"unknown profile {selector!r}; use {_BUILTIN_USAGE}, or @file")
+        raise UsageError(f"unknown profile {quoted(selector)}; use {_BUILTIN_USAGE}, or @file")
     function, keys = _BUILTINS[name]
     if set(params) != set(keys):
         wanted = ",".join(sorted(keys)) or "none"
-        raise UsageError(f"profile {selector!r} takes parameters: {wanted}")
+        raise UsageError(f"profile {quoted(selector)} takes parameters: {wanted}")
     try:
         # looked up at each call, so a wrapper set on the module sees it
         return getattr(profiles, function)(*(params[key] for key in keys))
@@ -161,13 +164,13 @@ def _iter_framings(range_spec: str, spinc=None):
         q_lo, q_hi = (ascii_int(x) for x in q_part.split("..", 1)) if slash else (1, 1)
     except ValueError:
         raise UsageError(
-            f"cannot parse framing range {range_spec!r}; expected 'P1..P2/Q1..Q2'"
+            f"cannot parse framing range {quoted(range_spec)}; expected 'P1..P2/Q1..Q2'"
         ) from None
     if q_lo < 1:
         raise UsageError("framing range requires q >= 1")
     ps, qs = range(p_lo, p_hi + 1), range(q_lo, q_hi + 1)
     if next(_grid(ps, qs), None) is None:
-        raise UsageError(f"framing range {range_spec!r} contains no reduced slopes")
+        raise UsageError(f"framing range {quoted(range_spec)} contains no reduced slopes")
     if spinc is not None:
         # the framings that fail have |p| <= spinc: a sub-grid in the same order
         failing = ps if spinc < 0 else range(max(p_lo, -spinc), min(p_hi, spinc) + 1)
@@ -374,7 +377,7 @@ def _cmd_staircase(ns) -> int:
         coeffs = [ascii_int(x) for x in coeff_part.split(",")]
         top = ascii_int(top_part) if colon else None
     except ValueError:
-        raise InputError(f"cannot parse alexander coefficients {text!r}") from None
+        raise InputError(f"cannot parse alexander coefficients {quoted(text)}") from None
     complex_ = cfk.staircase_from_alexander(coeffs, top)
     profile = cfk.to_profile(complex_, name=f"staircase-g{complex_.genus}")
     if ns.emit_profile:

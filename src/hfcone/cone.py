@@ -23,17 +23,20 @@ summands Z/d on which m is b != 0 mod d, kept as gcd(b, d) (``_marked``),
 so that equal states take equal steps. A summand m does not touch is
 banked: no later relation involves it, so it stays a direct summand. An
 A-slot with columns (x, y) adds a row e and the relations x m + y e, and
-e is the new mark. Closed forms take the common steps: m = 0 adds
-Z/gcd(y); a unit y substitutes e = -y x m; one column on a torsion-free
-state is an extended gcd; a slot whose y all vanish banks the old state
-whole. Any other step reduces its small relation matrix with the Smith
-form of ``exactla``, tracking e through the row operations. So the cost
-per class is linear in the window, whatever the entries. The banked
-summands become invariant factors by gcd/lcm swaps, and only those
-factors must lie within 2^63: the state may pass that on the way to a
-small answer (the chain of v 3 h 2 slots at -1/20 is Z, and its mark
-reaches 96 bits on the way). The state is bounded by STATE_BITS bits
-instead, so that huge input still fails fast.
+e is the new mark. Unimodular operations on one copy's columns keep the
+relations' span and the kernel rank, and one extended-gcd pass
+(``_shape``) brings them to (u, g), (c, 0) and zeros: g = gcd(y), c >= 0
+and u mod c. Closed forms take the common steps: m = 0 adds Z/g; g = 1
+substitutes e = -u m, leaving the old group over c m; g = 0 banks the
+old state over c m whole; c = 0 on a torsion-free state is an extended
+gcd. Any other step reduces the relations of the two columns with the
+Smith form of ``exactla``, tracking e through the row operations. So the
+cost per class is linear in the window and in the slots' ranks, whatever
+the entries. The banked summands become invariant factors by gcd/lcm
+swaps, and only those factors must lie within 2^63: the state may pass
+that on the way to a small answer (the chain of v 3 h 2 slots at -1/20
+is Z, and its mark reaches 96 bits on the way). The state is bounded by
+STATE_BITS bits instead, so that huge input still fails fast.
 
 Slot direction convention: h raises the B-slot index by one. The
 opposite choice swaps the roles of +p and -p (it computes the mirror
@@ -60,21 +63,22 @@ slots for collapsible data at any q and any genus. The argument below uses only
 that the k copies are consecutive A-slots with equal data, not which
 phi they come from. Removing one interior copy, with one of the rows
 only the stretch touches, changes the group by exactly Z^gain(d) when d
-(rank r, rows v and h over the copy's two rows) is
-  * zero, v = h = 0: gain r + 1, the copy's r columns are kernel and
+(rank r, its columns (u, g), (c, 0) and zeros over the copy's two rows)
+is
+  * zero, g = c = 0: gain r + 1, the copy's r columns are kernel and
     the removed row is hit by nothing;
-  * of full rank, with the 2x2 minors of [v; h] of gcd 1: gain r - 1.
-    Column operations bring each copy to (e_top, e_bottom, 0, ...). The
-    interior copy's two units clear its two rows and turn one unit of
-    each neighbour into a zero column; without the copy the neighbours
-    share one row, where one unit pivots and the other becomes zero;
-  * of rank 1 with unit direction, every column a multiple of one
-    (x, y) in {0, +-1}^2 and the multiples of gcd 1: gain r - 1. Column
-    operations leave one column x e_top + y e_bottom and r - 1 zeros. A
-    zero x or y makes the column a unit alone on its row; otherwise its
+  * of full rank with span Z^2, g = c = 1 (so u = 0): gain r - 1. The
+    columns are (e_bottom, e_top, 0, ...). The interior copy's two units
+    clear its two rows and turn one unit of each neighbour into a zero
+    column; without the copy the neighbours share one row, where one
+    unit pivots and the other becomes zero;
+  * of rank 1 with unit direction, g = 0 and c = 1, or g = 1, c = 0 and
+    |u| <= 1: gain r - 1. One column u e_top + g e_bottom is left. A zero
+    u or g makes the column a unit alone on its row; otherwise its
     unit pivot merges the two rows up to a sign, and since the
     stretch's interior rows meet nothing else the cone is a path there,
     so negating every row and column on one side absorbs the sign.
+So g, c and |u| at most 1, not all of g and c zero, give r - 1.
 Any other stretch keeps every copy: after a unit alone on a stretch's
 first row, k copies of the column (2, 3) leave Z/3^k. The collapsed
 cone goes to the same scan. The emitted columns are counted stretch by
@@ -108,7 +112,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
-from itertools import combinations
 from math import gcd
 
 from .exactla import (
@@ -120,13 +123,14 @@ from .exactla import (
     invariant_factors,
     smith_normal_form,
 )
-from .profiles import InputError, SurgeryProfile, ascii_int
+from .profiles import InputError, SurgeryProfile, ascii_int, quoted
 
 # columns (A-generators) one cone may emit after collapsing stretches:
 # about 500 times the largest cone of the tests and the benchmark. The
-# scan builds no columns: at the budget a cone peaks at 17-34 MB (the
-# more when every column banks a Z/2) and takes 1.5-2 s, or 9-10 s when
-# every slot needs the Smith form (rank 2, v 2,3 h 3,2, at -1/499000)
+# scan builds no columns: at the budget a cone peaks at 15-31 MB (the
+# more when every column banks a Z/2) and takes 0.5-2.2 s, or 12-15 s
+# when every slot needs the Smith form (v 3,3 h 2,0 at -1/499990, v 2
+# h 2 at 1/999990; 2-core x86-64, Python 3.11)
 COLUMN_BUDGET = 10**6
 
 # reduced plans one profile keeps (a key of two ints per stretch and a
@@ -163,7 +167,7 @@ class Framing(Record):
         try:
             slope = ascii_int(p), ascii_int(q) if slash else 1
         except ValueError:
-            raise FramingError(f"cannot parse framing {text!r}; expected 'p' or 'p/q'") from None
+            raise FramingError(f"cannot parse framing {quoted(text)}; expected 'p' or 'p/q'") from None
         return Framing(*slope)
 
     def __str__(self) -> str:
@@ -290,7 +294,7 @@ def _reduce(pieces, plan: list[tuple[int, int]], positive: bool, slots: int, wid
     if positive:
         # the last slot's h row lies outside the window: its columns only
         # add the relations x m, that is gx m
-        a, tors, f = _quotient(a, tors, shape[2], banked)
+        a, tors, f = _quotient(a, tors, shape[3], banked)
         free += f
     if tors:
         banked.extend(d for d, b in tors)
@@ -300,68 +304,57 @@ def _reduce(pieces, plan: list[tuple[int, int]], positive: bool, slots: int, wid
 
 @functools.lru_cache(maxsize=4096)
 def _shape(v: tuple[int, ...], h: tuple[int, ...]):
-    """(cols, gy, gx, unit, gain) of one copy of slot data v, h in the
-    scan: its nonzero columns (x, y), x on the copy's first B-row and y on
-    its second; the gcd of the y and of the x; when some y_j = +-1, the
-    pair (x_j, c): that column makes the second row -y_j x_j m, and the
-    others then add the one relation c m, c the gcd of their
-    x - y y_j x_j; and the free rank that one more interior copy adds to
-    a stretch, or None when copies do not collapse (module docstring).
-    Zero columns change no 2x2 minor and no gcd."""
-    cols = []
-    gx = gy = 0
+    """(u, g, c, gx, gain) of one copy of slot data v, h in the scan: its
+    columns (x, y), x on the copy's first B-row and y on its second, as
+    unimodular column operations leave them, (u, g), (c, 0) and zeros,
+    with g = gcd(y) >= 0, c >= 0 and u mod c; gx = gcd(u, c), the gcd of
+    the x; and the free rank that one more interior copy adds to a
+    stretch, or None when copies do not collapse (module docstring)."""
+    u = g = c = 0
     for x, y in zip(v, h):
-        if x or y:
-            cols.append((x, y))
-            gx, gy = gcd(gx, x), gcd(gy, y)
-    unit = None
-    for xj, yj in cols:
-        if yj == 1 or yj == -1:
-            unit = xj, gcd(*(x - y * yj * xj for x, y in cols))
-            break
-    minors = gcd(*(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(cols, 2)))
-    if not cols:
+        if y:
+            # (u, g), (x, y) -> (s u + t x, g0), ((g x - y u) / g0, 0); when
+            # g | y, s = 1 and t = 0, so u keeps its size
+            g0, t, s = _xgcd(y, g)
+            u, x, g = s * u + t * x, (g * x - y * u) // g0, g0
+        c = gcd(c, x)
+    if c:
+        u %= c
+    if not (g or c):
         gain = len(v) + 1
-    elif minors == 1:
+    elif max(g, c, abs(u)) <= 1:
         gain = len(v) - 1
-    elif minors:
-        gain = None  # rank 2, but [v; h] spans a proper sublattice
     else:
-        # rank 1: every column is an integer multiple of the primitive
-        # direction of the first, which must lie in {0, +-1}^2, and the
-        # multiples must have gcd 1
-        x, y = cols[0]
-        gain = len(v) - 1 if max(abs(x), abs(y)) == gcd(x, y) and gcd(gx, gy) == 1 else None
-    return tuple(cols), gy, gx, unit, gain
+        gain = None
+    return u, g, c, gcd(u, c), gain
 
 
 def _next_row(a: int, tors: list, shape, banked: list) -> tuple[int, list, int]:
     """The state after one more B-row e and the relations x m + y e of
     shape's columns, marked by e; the third entry counts the free
     generators it banks."""
-    cols, gy, gx, unit, _ = shape
+    u, g, c, _, _ = shape
     if not (a or tors):
-        # m = 0: the row adds Z e / gcd(y) e
-        if gy == 1:
+        # m = 0: the row adds Z e / g e
+        if g == 1:
             return 0, [], 0
-        return (0, [(gy, 1)], 0) if gy else (1, [], 0)
-    if unit is not None:
-        # e = -y_j x_j m: the old group over c m, marked by x_j m up to sign
-        return _quotient(a, tors, unit[1], banked, unit[0])
-    if not gy:
-        # no column meets e: the old group over gx m is banked whole, and
+        return (0, [(g, 1)], 0) if g else (1, [], 0)
+    if g == 1:
+        # e = -u m: the old group over c m, marked by u m up to sign
+        return _quotient(a, tors, c, banked, u)
+    if not g:
+        # no column meets e: the old group over c m is banked whole, and
         # e is a new free generator
-        a, tors, f = _quotient(a, tors, gx, banked)
+        a, tors, f = _quotient(a, tors, c, banked)
         banked.extend(d for d, b in tors)
         return 1, [], f + (a > 0)
-    if len(cols) == 1 and not tors:
-        # Z g + Z e over x a g + y e: g0 = gcd(x a, y) = s x a + t y is its
-        # one divisor, and e is t on Z/g0 and x a / g0 on the free generator
-        x, y = cols[0]
-        g0, t = _xgcd(x * a, y)
-        a = abs(x * a) // g0
+    if not (c or tors):
+        # Z f + Z e over u a f + g e: g0 = gcd(u a, g) = s u a + t g is its
+        # one divisor, and e is t on Z/g0 and u a / g0 on f
+        g0, _, t = _xgcd(u * a, g)
+        a = abs(u * a) // g0
         return a, _marked(a, [(g0, t)], banked), a == 0
-    return _general(a, tors, cols, banked)
+    return _general(a, tors, ((u, g), (c, 0)) if c else ((u, g),), banked)
 
 
 def _quotient(a: int, tors: list, c: int, banked: list, scale: int = 1) -> tuple[int, list, int]:
@@ -429,13 +422,13 @@ def _marked(a: int, tors: list, banked: list) -> list:
     return out
 
 
-def _xgcd(x: int, y: int) -> tuple[int, int]:
-    """(g, t) with g = gcd(x, y) = s x + t y for some s."""
-    r0, r1, t0, t1 = x, y, 0, 1
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(x, y) = s x + t y."""
+    r0, r1, s0, s1, t0, t1 = x, y, 1, 0, 0, 1
     while r1:
         q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    return (r0, t0) if r0 >= 0 else (-r0, -t0)
+        r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+    return (r0, s0, t0) if r0 >= 0 else (-r0, -s0, -t0)
 
 
 class SpincEntry(Record):

@@ -260,7 +260,7 @@ def _check(p: SurgeryProfile) -> Iterator[str | int]:
     rule walks the pieces, so a long piece costs what a short one does."""
     g = p.genus
     if p.name.split() != [p.name]:  # empty, or with whitespace
-        yield f"name {p.name!r} must be nonempty without whitespace"
+        yield f"name {quoted(p.name)} must be nonempty without whitespace"
     # the _MISSING pieces are the gaps inside the window, one per gap
     missing, wrong = [], []
     beyond = "s={s}: override beyond genus contradicts the edge pattern"
@@ -301,10 +301,10 @@ def _check(p: SurgeryProfile) -> Iterator[str | int]:
     if g >= 1:
         right = p.local(g)
         if isinstance(right, LocalData) and (right.rank != 1 or not _is_unit_row(right.v)):
-            yield f"s={g}: rank must be 1 with v = [+-1] (got {right})"
+            yield f"s={g}: rank must be 1 with v = [+-1] (got {quoted(right)})"
         left = p.local(-g)
         if isinstance(left, LocalData) and (left.rank != 1 or not _is_unit_row(left.h)):
-            yield f"s={-g}: rank must be 1 with h = [+-1] (got {left})"
+            yield f"s={-g}: rank must be 1 with h = [+-1] (got {quoted(left)})"
     elif isinstance(centre := p.local(0), LocalData):
         if centre.rank != 1 or not _is_unit_row(centre.v) or not _is_unit_row(centre.h):
             yield f"s=0: genus 0 needs rank 1 with v = [+-1] and h = [+-1]"
@@ -398,6 +398,14 @@ def serialize(p: SurgeryProfile) -> str:
     return "".join(f"{b}{s}{a}" for slots, b, a in serialize_runs(p) for s in slots)
 
 
+def quoted(value) -> str:
+    """repr(value) as an error message quotes input: whole up to 100
+    characters, else its first 100 and the length of the whole, so that
+    a line quoting a huge token stays short."""
+    text = repr(value)
+    return text if len(text) <= 100 else f"{text[:100]}… ({len(text)} characters)"
+
+
 _ASCII_INT = re.compile(r"[+-]?[0-9]+")
 
 
@@ -405,7 +413,7 @@ def ascii_int(text: str) -> int:
     """The integer spelled [+-]?[0-9]+; int() alone would also take '1_0',
     surrounding spaces and non-ASCII digits. Raises ValueError."""
     if not _ASCII_INT.fullmatch(text):
-        raise ValueError(f"expected integer, got {text!r}")
+        raise ValueError(f"expected integer, got {quoted(text)}")
     return int(text)
 
 
@@ -421,12 +429,13 @@ def _parse_row(tok: str, line_no: int, what: str) -> tuple[int, ...]:
 
 
 _INT = _ASCII_INT.pattern
-# a `local` line that passes every check of _local_tokens, its tokens
-# joined by single spaces, unless int() refuses one of its integers as too
-# long; group 2, the text after the slot, decides the slot's data
-_LOCAL = re.compile(
-    rf"local ({_INT}) (rank ({_INT}) v ({_INT}(?:,{_INT})*) h ({_INT}(?:,{_INT})*))"
-)
+# a `local` line in the shape _local_tokens checks, its tokens joined by
+# single spaces; group 2, the text after the slot, decides the slot's
+# data. A row is matched as one run of [-+0-9,], since a repeated group
+# would keep state for each entry, and int() refuses the entries that
+# ascii_int refuses ('', '1-2', '+-1'), as it refuses an integer past its
+# digit limit: such a line is read again by _local_tokens
+_LOCAL = re.compile(rf"local ({_INT}) (rank ({_INT}) v ([-+0-9,]+) h ([-+0-9,]+))")
 
 
 def _new_slot(s: int, overrides: dict, line_no: int) -> int:
@@ -474,7 +483,7 @@ def parse(text: str) -> SurgeryProfile:
                     continue
                 rank = int(m[3])
                 v, h = tuple(map(int, m[4].split(","))), tuple(map(int, m[5].split(",")))
-            except ValueError:  # an integer past int()'s digit limit
+            except ValueError:  # a bad row entry, or past int()'s digit limit
                 m = None
         if m is None:
             s, rank, v, h = _local_tokens(toks, line_no, overrides)

@@ -1101,6 +1101,78 @@ def test_non_unit_cone_cost_is_linear(tmp_path):
     assert rss_mb < 100
 
 
+def _wide_slot_text(slot: int, v: list[str], h: list[str]) -> str:
+    """A genus-1 profile file whose slot `slot` has the rows v and h, and
+    slot 0 (if another) zero rank-1 data."""
+    zero = "local 0 rank 1 v 0 h 0\n" if slot else ""
+    rows = f"rank {len(v)} v {','.join(v)} h {','.join(h)}"
+    return f"profile wide genus 1\n{zero}local {slot} {rows}\n"
+
+
+def test_wide_slot_cost_is_linear(tmp_path):
+    # one slot of rank 12,000 (a 48 KB file) whose h entries have gcd 1
+    # and no unit: one pass over its columns, no pairwise minors
+    n = 12000
+    path = tmp_path / "wide.profile"
+    path.write_text(_wide_slot_text(0, ["1"] * n, ["2", "3"] * (n // 2)))
+    code, out, err, seconds, rss_mb = run_child(
+        tmp_path, "hf", "--profile", f"@{path}", "--framing", "1", timeout=10
+    )
+    assert (code, out, err) == (0, f"framing 1/1\ni=0: Z^{n}\nell=0 total_rank={n}\n", "")
+    assert seconds < 1.0
+    assert rss_mb < 100
+
+
+def test_gcd_one_rows_without_a_unit_take_the_unit_step(tmp_path):
+    # h = (3, 2) has gcd 1 and no entry +-1: each of the 499,990 copies
+    # substitutes its new row, with no Smith form
+    path = tmp_path / "v23.profile"
+    path.write_text("profile v23 genus 1\nlocal 0 rank 2 v 2,3 h 3,2\n")
+    code, out, err, seconds, _ = run_child(
+        tmp_path, "ell", "--profile", f"@{path}", "--framing", "-1/499990", timeout=10
+    )
+    assert (code, out, err) == (0, "ell=0 total_rank=499989\n", "")
+    assert seconds < 2.0
+
+
+def test_wide_local_line_parses_in_linear_memory(tmp_path):
+    # one `local` line of rank 10^6, a 4 MB file
+    n = 10**6
+    path = tmp_path / "wide.profile"
+    path.write_text(_wide_slot_text(0, ["1"] * n, ["0"] * n))
+    code, out, err, seconds, rss_mb = run_child(
+        tmp_path, "profile", "--check", f"@{path}", timeout=10
+    )
+    assert (code, out, err) == (0, "ok: wide genus 1 (1 overrides)\n", "")
+    assert seconds < 1.0
+    assert rss_mb < 100
+
+
+def test_error_lines_quoting_huge_input_are_short(tmp_path, capsys):
+    token = "1" * 2999999 + "x"
+    quoted = f"'{token[:99]}… (3000002 characters)"
+    texts = [
+        (f"profile t genus 1\nlocal {token} rank 1 v 0 h 0\n",
+         f"line 2: slot: expected integer, got {quoted}"),
+        (f"profile t genus {token}\n", f"line 1: genus: expected integer, got {quoted}"),
+        (f"profile t genus 1\nlocal 0 rank 1 v {token} h 0\n",
+         f"line 2: v row: expected integer, got {quoted}"),
+        # an end slot of rank 500,000 (a 2 MB file), quoted by its check
+        (_wide_slot_text(1, ["1"] * 500000, ["0"] * 500000),
+         "s=1: rank must be 1 with v = [+-1] (got LocalData(rank=500000, v=(1, 1, "),
+    ]
+    for k, (text, message) in enumerate(texts):
+        path = tmp_path / f"{k}.profile"
+        path.write_text(text)
+        for argv in (
+            ["profile", "--check", f"@{path}"], ["hf", "--profile", f"@{path}", "--framing", "1"]
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (65, ""), argv
+            assert message in err, argv
+            assert len(err.encode()) < 4096, argv
+
+
 def test_violation_list_is_capped(tmp_path, capsys):
     # one violation per missing slot would be a 37 MB line
     path = tmp_path / "big.profile"

@@ -3,6 +3,7 @@
 import random
 import time
 from collections import Counter
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -168,6 +169,48 @@ def test_stretch_collapse_rule(data, gain):
     if gain is not None:
         assert [g.free_rank - groups[0].free_rank for g in groups] == [0, gain, 2 * gain, 3 * gain]
         assert len({g.torsion for g in groups}) == 1
+
+
+def _minors_gain(v, h):
+    """The collapse gain by the 2x2 minors of [v; h], as the rule read
+    them column by column: the oracle of _shape's (u, g, c) rule."""
+    cols = [(x, y) for x, y in zip(v, h) if x or y]
+    if not cols:
+        return len(v) + 1
+    minors = gcd(*(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(cols, 2)))
+    if minors == 1:
+        return len(v) - 1
+    if minors:
+        return None
+    # rank 1: a direction in {0, +-1}^2 and multiples of gcd 1
+    x, y = cols[0]
+    unit = max(abs(x), abs(y)) == gcd(x, y) and gcd(gcd(*v), gcd(*h)) == 1
+    return len(v) - 1 if unit else None
+
+
+@st.composite
+def slot_columns_st(draw):
+    # columns from a small pool, so that zero and repeated columns are common
+    pool = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=4))
+    cols = draw(st.lists(st.sampled_from(pool + [(0, 0)]), min_size=1, max_size=8))
+    return tuple(x for x, _ in cols), tuple(y for _, y in cols)
+
+
+@given(slot_columns_st())
+@settings(max_examples=500, deadline=None)
+def test_shape_is_the_canonical_two_column_form(vh):
+    v, h = vh
+    u, g, c, gx, gain = cone._shape(v, h)
+    assert g == gcd(*h) and gx == gcd(*v) == gcd(u, c)
+    assert g * c == gcd(*(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in combinations(zip(v, h), 2)))
+    assert 0 <= u < c or c == 0 and (g or u == 0)
+    # every column lies in the span of (u, g) and (c, 0), which with the
+    # index g c above makes the two spans equal
+    for x, y in zip(v, h):
+        k = y // g if g else 0
+        assert k * g == y
+        assert (x - k * u) % c == 0 if c else x == k * u
+    assert gain == _minors_gain(v, h)
 
 
 def test_non_unit_direction_keeps_every_copy():
