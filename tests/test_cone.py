@@ -172,8 +172,8 @@ def test_stretch_collapse_rule(data, gain):
 
 
 def _minors_gain(v, h):
-    """The collapse gain by the 2x2 minors of [v; h], as the rule read
-    them column by column: the oracle of _shape's (u, g, c) rule."""
+    """The collapse gain from the 2x2 minors of [v; h], and for rank 1
+    from its direction and content: the oracle of _shape's (u, g, c) rule."""
     cols = [(x, y) for x, y in zip(v, h) if x or y]
     if not cols:
         return len(v) + 1
