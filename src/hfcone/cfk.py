@@ -72,6 +72,14 @@ error, if any, is the whole slice's, since the rest reduced without
 one. T(2,2001) reduces 8,001 generators so, against the 4,004,001 of
 its slices.
 
+So the sweep pays only for the slices that change. A quiet slice, with
+no rebuilt column and no generator at grading s or s - 1, costs no set
+and no search. One walk finds a changed part and copies its columns;
+its survivors' values are merged into the others', which stay in
+ascending order; the profile is built from the runs of equal data. A
+part whose arrows are disjoint +-1 arrows, as B of every staircase, is
+cancelled at once, with the steps the loop of cancel_units would take.
+
 No slice repeats the d^2 check of homology(). A_s is a subquotient of
 the full complex C: the generators U^b x with max(i, j - s) <= 0 span a
 subcomplex, since d lowers neither filtration, those with
@@ -292,9 +300,20 @@ def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, d
     the work list visits a component's columns in one order whatever else
     is there, so a component has the same cancellations alone as in any
     larger complex.
+
+    A complex whose arrows are disjoint +-1 arrows (_unit_matching), or
+    that has none, returns at once what the loop gives: the work list
+    takes the columns from the last; the column of x, with x -> y, is
+    that unit alone, so x pivots on y without waiting; y is on no other
+    arrow, so its column is empty and no other column meets row y or row
+    x: the step's column and row are empty and nothing else changes. The
+    emptied y, like a column without an arrow, is skipped in its turn.
     """
-    if not any(cols.values()):
-        return []  # no arrow: nothing to cancel
+    matching = _unit_matching(cols)
+    if matching is not None:
+        for x, _, _ in matching:
+            cols[x] = {}
+        return [(x, y, u, {}, {}) for x, y, u in reversed(matching)]
     # the columns that have had an entry on each row
     on_row: dict[int, set[int]] = {z: set() for z in cols}
     for z, col in cols.items():
@@ -346,6 +365,20 @@ def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, d
         steps.append((x, y, u, col, row))
         cols[x] = {}
     return steps
+
+
+def _unit_matching(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int]] | None:
+    """The arrows x -> y of cols as (x, y, coeff), in column order, if each
+    coeff is +-1 and no generator is on two arrows (nor x = y); else None."""
+    arrows, ends = [], set()
+    for x, col in cols.items():
+        for y, u in col.items():
+            if x in ends or y in ends or x == y or (u != 1 and u != -1):
+                return None
+            ends.add(x)
+            ends.add(y)
+            arrows.append((x, y, u))
+    return arrows
 
 
 def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
@@ -533,7 +566,8 @@ def _sweep(
     generator, the generators changed at s) for s = -g, ..., g: two
     lists, cols equal to ahat(c, s).differential and into[y] = {x : y in
     cols[x]}, updated in place between the yields. The changed generators
-    are those whose columns are rebuilt, with their old and new targets.
+    are those whose columns are rebuilt, with their old and new targets;
+    every slice without a rebuilt column yields one shared empty set.
 
     Only the columns of sources whose arrows enter or leave at s are
     rebuilt, each from the sums of tally that survive, checked once, in
@@ -555,9 +589,10 @@ def _sweep(
 
     cols: list[dict[int, int]] = [{} for _ in gens]
     into: list[set[int]] = [set() for _ in gens]
+    unchanged: set[int] = set()
     for s in range(-g, g + 1):
-        rebuilt = touched.get(s, set())
-        changed = set(rebuilt)
+        rebuilt = touched.get(s, ())
+        changed = set(rebuilt) if rebuilt else unchanged
         for x in rebuilt:
             for y in cols[x]:
                 into[y].discard(x)
@@ -569,18 +604,20 @@ def _sweep(
         yield s, cols, into, changed
 
 
-def _connected(cols, into, seeds: Iterable[int]) -> list[int]:
-    """The generators that a path of arrows joins to seeds, in ascending
-    order, in the slice whose arrows x -> y are the keys y of cols[x] and
-    the members x of into[y]."""
+def _part(cols, into, seeds: Iterable[int]) -> dict[int, dict[int, int]]:
+    """Copies of the columns of the generators that a path of arrows joins
+    to seeds, in ascending order, in the slice whose arrows x -> y are the
+    keys y of cols[x] and the members x of into[y]."""
     found = set(seeds)
-    todo = list(found)
-    while todo:
-        x = todo.pop()
-        near = {*cols[x], *into[x]} - found
-        found |= near
-        todo += near
-    return sorted(found)
+    order = list(found)
+    for x in order:  # order grows as the walk finds generators
+        for near in (cols[x], into[x]):
+            for y in near:
+                if y not in found:
+                    found.add(y)
+                    order.append(y)
+    order.sort()
+    return {x: dict(cols[x]) for x in order}
 
 
 def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
@@ -591,10 +628,13 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     rank > 1 the basis is the one the cancellation leaves; another basis
     changes v and h, but not the surgery groups.
 
-    The slices come from one sweep over s. The components of A_s that
-    changed are reduced on a copy of their columns, with no group unless
-    an arrow is left, and carried in one walk; the rest keep their values.
-    B is reduced once, by the validation. Past SLICE_BUDGET generators x
+    The slices come from one sweep over s. A quiet slice, with no rebuilt
+    column and no generator at grading s or s - 1, is skipped. Otherwise
+    the components of A_s that changed are found and copied in one walk,
+    reduced with no group unless an arrow is left, and carried in one
+    walk; their survivors' values are merged into the rest, which keep
+    theirs. The profile is built from the runs of equal data. B is
+    reduced once, by the validation. Past SLICE_BUDGET generators x
     slices, ComplexTooLarge is raised before the validation; an
     EliminationOverflow or TorsionError on a slice names its s."""
     n = len(c.generators)
@@ -614,27 +654,30 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
     graded: dict[int, list[int]] = {}
     for w, k in enumerate(alexander):
         graded.setdefault(k, []).append(w)
-    read: dict[int, tuple[int, int]] = {}  # (v, h) on each survivor, signs fixed
-    overrides = {}
-    data = None
+    read: dict[int, tuple[int, int]] = {}  # (v, h) on each survivor, signs fixed, ascending
+    runs = []
+    lo, data = -g, None
     for s, cols, into, changed in _sweep(c, g, tally):
+        if not changed and s not in graded and s - 1 not in graded:
+            continue  # quiet: A_s has the data of the slice before
         # the components that changed, or hold a generator whose pullbacks change
-        part = _connected(cols, into, changed.union(graded.get(s, ()), graded.get(s - 1, ())))
-        if part:  # else A_s has the data of the slice before
-            for x in part:
-                read.pop(x, None)
-            reduced = {x: dict(cols[x]) for x in part}
-            try:
-                steps, survivors = _reduce(reduced)
-                if any(reduced.values()):  # no basis: refused with the part's group
-                    _basis(_record(reduced, steps, survivors))
-                pairs = _carry(steps, survivors, phi, s, alexander, conj)
-            except (EliminationOverflow, TorsionError) as e:
-                raise type(e)(f"slice s={s}: {e}") from None
-            for k, (x, y) in zip(survivors, pairs):
-                read[k] = (x, y) if (x or y) >= 0 else (-x, -y)
-            v, h = zip(*map(read.get, sorted(read))) if read else ((), ())
-            if data is None or data.v != v or data.h != h:  # else the slice before's data
-                data = LocalData(len(read), v, h)
-        overrides[s] = data
-    return SurgeryProfile(name or f"derived:g={g}", g, overrides)
+        part = _part(cols, into, changed.union(graded.get(s, ()), graded.get(s - 1, ())))
+        try:
+            steps, survivors = _reduce(part)
+            if any(part.values()):  # no basis: refused with the part's group
+                _basis(_record(part, steps, survivors))
+            pairs = _carry(steps, survivors, phi, s, alexander, conj)
+        except (EliminationOverflow, TorsionError) as e:
+            raise type(e)(f"slice s={s}: {e}") from None
+        for x in part:
+            read.pop(x, None)
+        if survivors:  # sorted merges the two ascending runs in one pass
+            new = {k: (x, y) if (x or y) >= 0 else (-x, -y) for k, (x, y) in zip(survivors, pairs)}
+            read = dict(sorted((*read.items(), *new.items()))) if read else new
+        v, h = zip(*read.values()) if read else ((), ())
+        if data is None or data.v != v or data.h != h:  # else the slice before's data
+            if data is not None:
+                runs.append((lo, s, data))
+            lo, data = s, LocalData(len(read), v, h)
+    runs.append((lo, g + 1, data))
+    return SurgeryProfile.from_segments(name or f"derived:g={g}", g, runs)

@@ -374,7 +374,10 @@ def _cmd_staircase(ns) -> int:
     text = ns.alexander.strip()
     coeff_part, colon, top_part = text.partition(":")
     try:
-        coeffs = [ascii_int(x) for x in coeff_part.split(",")]
+        # one match for the whole list; int() refuses only past its digit limit
+        if not re.fullmatch(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*", coeff_part):
+            raise ValueError
+        coeffs = list(map(int, coeff_part.split(",")))
         top = ascii_int(top_part) if colon else None
     except ValueError:
         raise InputError(f"cannot parse alexander coefficients {quoted(text)}") from None

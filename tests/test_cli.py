@@ -1011,6 +1011,17 @@ _UNKNOWN_PROFILE = "; use unknot, lspace:g=G, fig8, kfam:m=M,k=K, tau:g=G, or @f
      "input error: cannot parse alexander coefficients '1,-1,1:'\n"),
     (["staircase", "--alexander", "1,-1,1:x"], 65,
      "input error: cannot parse alexander coefficients '1,-1,1:x'\n"),
+    (["staircase", "--alexander", "1,,1"], 65,
+     "input error: cannot parse alexander coefficients '1,,1'\n"),
+    (["staircase", "--alexander", "1,-1,1,"], 65,
+     "input error: cannot parse alexander coefficients '1,-1,1,'\n"),
+    (["staircase", "--alexander", "1_0,-1,1"], 65,
+     "input error: cannot parse alexander coefficients '1_0,-1,1'\n"),
+    (["staircase", "--alexander", "1, -1,1"], 65,
+     "input error: cannot parse alexander coefficients '1, -1,1'\n"),
+    # past int()'s digit limit: the same message, quoted short
+    (["staircase", "--alexander", "1" * 5000 + ",-1,1"], 65,
+     "input error: cannot parse alexander coefficients '" + "1" * 99 + "… (5007 characters)\n"),
 ])
 def test_input_error_messages(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err)
