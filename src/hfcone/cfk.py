@@ -76,9 +76,7 @@ So the sweep pays only for the slices that change. A quiet slice, with
 no rebuilt column and no generator at grading s or s - 1, costs no set
 and no search. One walk finds a changed part and copies its columns;
 its survivors' values are merged into the others', which stay in
-ascending order; the profile is built from the runs of equal data. A
-part whose arrows are disjoint +-1 arrows, as B of every staircase, is
-cancelled at once, with the steps the loop of cancel_units would take.
+ascending order; the profile is built from the runs of equal data.
 
 No slice repeats the d^2 check of homology(). A_s is a subquotient of
 the full complex C: the generators U^b x with max(i, j - s) <= 0 span a
@@ -94,7 +92,7 @@ validate() through homology(), whose check is one pass over B's arrows.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence, Set
 
 from .exactla import AbelianGroup, EliminationOverflow, Record, _checked, smith_normal_form
 from .profiles import InputError, LocalData, SurgeryProfile
@@ -301,24 +299,21 @@ def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, d
     is there, so a component has the same cancellations alone as in any
     larger complex.
 
-    A complex whose arrows are disjoint +-1 arrows (_unit_matching), or
-    that has none, returns at once what the loop gives: the work list
-    takes the columns from the last; the column of x, with x -> y, is
-    that unit alone, so x pivots on y without waiting; y is on no other
-    arrow, so its column is empty and no other column meets row y or row
-    x: the step's column and row are empty and nothing else changes. The
-    emptied y, like a column without an arrow, is skipped in its turn.
+    Most parts the slice sweep hands here have one to three generators,
+    so the set-up is kept to what the arrows need: a set of columns only
+    for each row that occurs, and an empty column skipped before any
+    list is built.
     """
-    matching = _unit_matching(cols)
-    if matching is not None:
-        for x, _, _ in matching:
-            cols[x] = {}
-        return [(x, y, u, {}, {}) for x, y, u in reversed(matching)]
-    # the columns that have had an entry on each row
-    on_row: dict[int, set[int]] = {z: set() for z in cols}
+    if not any(cols.values()):
+        return []  # no arrow: nothing to cancel
+    # the columns that have had an entry on each row, for the rows that occur
+    on_row: dict[int, set[int]] = {}
     for z, col in cols.items():
         for w in col:
-            on_row[w].add(z)
+            if w in on_row:
+                on_row[w].add(z)
+            else:
+                on_row[w] = {z}
     steps = []
     work = list(cols)
     waiting: dict[int, None] = {}  # the columns that wait, in the order they came
@@ -328,11 +323,14 @@ def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, d
             work.append(waiting.popitem()[0])
             force = True
         x = work.pop()
-        waiting.pop(x, None)
+        if waiting:
+            waiting.pop(x, None)
         col = cols[x]
+        if not col:
+            continue  # cancelled already, or no arrow
         units = [w for w, a in col.items() if w != x and (a == 1 or a == -1)]
         if not units:
-            continue  # cancelled already, or holds no unit (yet)
+            continue  # holds no unit (yet)
         y = units[0]
         for w in units[1:]:
             if len(on_row[w]) < len(on_row[y]):
@@ -357,28 +355,14 @@ def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, d
                 for w in col:
                     on_row[w].add(z)
                 work.append(z)
-        for z in on_row[x]:
+        for z in on_row.get(x, ()):
             cols[z].pop(x, None)  # arrows into x leave with it
         if waiting:
             # the rows of x changed: a pivot there may wait no more
-            work.extend(z for w in (x, *col) for z in on_row[w] if z in waiting)
+            work.extend(z for w in (x, *col) for z in on_row.get(w, ()) if z in waiting)
         steps.append((x, y, u, col, row))
         cols[x] = {}
     return steps
-
-
-def _unit_matching(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int]] | None:
-    """The arrows x -> y of cols as (x, y, coeff), in column order, if each
-    coeff is +-1 and no generator is on two arrows (nor x = y); else None."""
-    arrows, ends = [], set()
-    for x, col in cols.items():
-        for y, u in col.items():
-            if x in ends or y in ends or x == y or (u != 1 and u != -1):
-                return None
-            ends.add(x)
-            ends.add(y)
-            arrows.append((x, y, u))
-    return arrows
 
 
 def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
@@ -561,13 +545,14 @@ def _survival(ax: int, ay: int, a: int, lo: int, hi: int) -> tuple[int, int]:
 
 def _sweep(
     c: CfkComplex, g: int, tally: dict
-) -> Iterator[tuple[int, list[dict[int, int]], list[set[int]], set[int]]]:
+) -> Iterator[tuple[int, list[dict[int, int]], list[set[int]], Set[int]]]:
     """(s, the columns of A_s, the sources of the arrows into each
     generator, the generators changed at s) for s = -g, ..., g: two
     lists, cols equal to ahat(c, s).differential and into[y] = {x : y in
     cols[x]}, updated in place between the yields. The changed generators
     are those whose columns are rebuilt, with their old and new targets;
-    every slice without a rebuilt column yields one shared empty set.
+    every slice without a rebuilt column yields one shared empty
+    frozenset, so it allocates nothing and no caller can fill it.
 
     Only the columns of sources whose arrows enter or leave at s are
     rebuilt, each from the sums of tally that survive, checked once, in
@@ -589,7 +574,7 @@ def _sweep(
 
     cols: list[dict[int, int]] = [{} for _ in gens]
     into: list[set[int]] = [set() for _ in gens]
-    unchanged: set[int] = set()
+    unchanged: frozenset[int] = frozenset()  # each frozenset() call is a new object
     for s in range(-g, g + 1):
         rebuilt = touched.get(s, ())
         changed = set(rebuilt) if rebuilt else unchanged

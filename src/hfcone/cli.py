@@ -374,8 +374,10 @@ def _cmd_staircase(ns) -> int:
     text = ns.alexander.strip()
     coeff_part, colon, top_part = text.partition(":")
     try:
-        # one match for the whole list; int() refuses only past its digit limit
-        if not re.fullmatch(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*", coeff_part):
+        # one run of [-+0-9,], as profiles._LOCAL matches a row, since a
+        # repeated group would keep state for each entry; int() refuses what
+        # ascii_int refuses ('', '1-2', '+-1') and an integer past its limit
+        if not re.fullmatch(r"[-+0-9,]+", coeff_part):
             raise ValueError
         coeffs = list(map(int, coeff_part.split(",")))
         top = ascii_int(top_part) if colon else None

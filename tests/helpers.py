@@ -8,9 +8,8 @@ property (free rank odd) holds exactly for that class.
 Also the slow references the fast paths are checked against: the dense
 cone matrix and its Smith form, hf output rendered class by class, the
 induced maps of a knot complex read through dense cycle lifts, its
-profile derived slice by slice from ahat and homology, the loop of
-cfk.cancel_units without its early return, the complex of a connected
-sum, and the command line parsed by argparse's two levels.
+profile derived slice by slice from ahat and homology, the complex of a
+connected sum, and the command line parsed by argparse's two levels.
 Dense matrices here are plain lists of rows; columns() turns them into
 the sparse {row: entry} columns the library takes.
 """
@@ -33,7 +32,6 @@ from hfcone.cfk import (
     ahat,
     bhat,
     homology,
-    schur_update,
 )
 from hfcone.cone import Framing, Window, phi, surgery_report, truncation_window
 from hfcone.exactla import AbelianGroup, smith_normal_form
@@ -337,61 +335,6 @@ def reference_profile(c: CfkComplex) -> SurgeryProfile:
                 v[j], h[j] = -v[j], -h[j]
         overrides[s] = LocalData(ha.group.free_rank, tuple(v), tuple(h))
     return SurgeryProfile(f"derived:g={g}", g, overrides)
-
-
-def cancel_units_loop(cols: dict[int, dict[int, int]]) -> list[tuple]:
-    """cfk.cancel_units taken by its general loop alone, for every complex:
-    the reference its early return on disjoint unit arrows is checked
-    against."""
-    on_row: dict[int, set[int]] = {z: set() for z in cols}
-    for z, col in cols.items():
-        for w in col:
-            on_row[w].add(z)
-    steps = []
-    work = list(cols)
-    waiting: dict[int, None] = {}
-    force = False
-    while work or waiting:
-        if not work:
-            work.append(waiting.popitem()[0])
-            force = True
-        x = work.pop()
-        waiting.pop(x, None)
-        col = cols[x]
-        units = [w for w, a in col.items() if w != x and (a == 1 or a == -1)]
-        if not units:
-            continue
-        y = units[0]
-        for w in units[1:]:
-            if len(on_row[w]) < len(on_row[y]):
-                y = w
-        if (
-            not force
-            and len(units) < len(col)
-            and any(z != x and y in cols[z] for z in on_row[y])
-        ):
-            waiting[x] = None
-            continue
-        force = False
-        u = col.pop(y)
-        col.pop(x, None)
-        cols[y].clear()
-        row = {}
-        for z in on_row[y]:
-            a = cols[z].pop(y, 0)
-            if a:
-                row[z] = a
-                schur_update(cols[z], a * u, col)
-                for w in col:
-                    on_row[w].add(z)
-                work.append(z)
-        for z in on_row[x]:
-            cols[z].pop(x, None)
-        if waiting:
-            work.extend(z for w in (x, *col) for z in on_row[w] if z in waiting)
-        steps.append((x, y, u, col, row))
-        cols[x] = {}
-    return steps
 
 
 def tensor(c1: CfkComplex, c2: CfkComplex) -> CfkComplex:

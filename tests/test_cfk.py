@@ -32,7 +32,6 @@ from hfcone.cfk import (
     _survival,
     _sweep,
     _tally,
-    _unit_matching,
     ahat,
     bhat,
     cancel_units,
@@ -516,50 +515,6 @@ def test_a_waiting_column_leaves_other_components_alone():
     cols = [{}, {2: 1}, {}, {0: -1}, {6: -1, 4: -1}, {2: -1, 0: 1}, {6: 1, 4: 1}]
     assert _reduce({x: dict(col) for x, col in enumerate(cols)})[1] == [3]
     _assert_reduced_by_components(cols, {x: x + 1 for x in range(7)}, [0] * 7, range(7))
-
-
-def _assert_cancels_as_the_loop(cols):
-    """cancel_units gives the steps, in order, the survivors and the
-    columns left over that its general loop gives on cols."""
-    ours, theirs = ({x: dict(col) for x, col in cols.items()} for _ in "ab")
-    steps = helpers.cancel_units_loop(theirs)
-    gone = {k for x, y, *_ in steps for k in (x, y)}
-    assert _reduce(ours) == (steps, [k for k in cols if k not in gone])
-    assert list(ours.items()) == list(theirs.items())
-
-
-@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_disjoint_unit_arrows_cancel_as_the_loop(rng, isolated, shuffled):
-    # every generator on at most one +-1 arrow: cancel_units returns at
-    # once, as B of every staircase and most parts of its slices do
-    pairs = rng.randint(0, 6)
-    n = 2 * pairs + (rng.randint(1, 4) if isolated else 0)
-    names = rng.sample(range(n), n)
-    cols = {x: {} for x in range(n)}
-    for k in range(pairs):
-        cols[names[2 * k]] = {names[2 * k + 1]: rng.choice((1, -1))}
-    if shuffled:
-        cols = {x: cols[x] for x in rng.sample(range(n), n)}
-    arrows = [(x, y, u) for x, col in cols.items() for y, u in col.items()]
-    assert _unit_matching(cols) == arrows
-    _assert_cancels_as_the_loop(cols)
-
-
-@pytest.mark.parametrize(
-    "cols",
-    [
-        {0: {2: 1}, 1: {2: -1}, 2: {}},  # a shared row
-        {0: {1: 1, 2: 1}, 1: {}, 2: {}},  # a column with two arrows
-        {0: {1: 2}, 1: {}, 2: {3: 1}, 3: {}},  # a non-unit
-        {0: {1: 1}, 1: {2: 1}, 2: {}},  # a chain of units
-        {1: {2: 1, 3: 2}, 2: {}, 3: {}, 4: {3: 1, 5: 2}, 5: {}},  # d x_j = y_j + 2 y_(j+1)
-        {0: {0: 1}, 1: {}},  # an arrow from a generator to itself
-    ],
-)
-def test_other_parts_take_the_loop(cols):
-    assert _unit_matching(cols) is None
-    _assert_cancels_as_the_loop(cols)
 
 
 def _assert_reduced_by_components(cols, psi, alexander, conj):

@@ -1019,6 +1019,13 @@ _UNKNOWN_PROFILE = "; use unknot, lspace:g=G, fig8, kfam:m=M,k=K, tau:g=G, or @f
      "input error: cannot parse alexander coefficients '1_0,-1,1'\n"),
     (["staircase", "--alexander", "1, -1,1"], 65,
      "input error: cannot parse alexander coefficients '1, -1,1'\n"),
+    # signs out of place pass the character match and are refused by int()
+    (["staircase", "--alexander", "1,1-2,1"], 65,
+     "input error: cannot parse alexander coefficients '1,1-2,1'\n"),
+    (["staircase", "--alexander", "+-1,0,1"], 65,
+     "input error: cannot parse alexander coefficients '+-1,0,1'\n"),
+    (["staircase", "--alexander", "1,+,1"], 65,
+     "input error: cannot parse alexander coefficients '1,+,1'\n"),
     # past int()'s digit limit: the same message, quoted short
     (["staircase", "--alexander", "1" * 5000 + ",-1,1"], 65,
      "input error: cannot parse alexander coefficients '" + "1" * 99 + "… (5007 characters)\n"),
