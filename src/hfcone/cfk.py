@@ -92,6 +92,7 @@ validate() through homology(), whose check is one pass over B's arrows.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator, Sequence, Set
 
 from .exactla import AbelianGroup, EliminationOverflow, Record, _checked, smith_normal_form
@@ -130,10 +131,12 @@ class Arrow(Record):
 
 
 class CfkComplex(Record):
+    _fields = "generators", "arrows", "conj"  # and genus, kept once read
+
     def __init__(self, generators: tuple[Generator, ...], arrows: tuple[Arrow, ...], conj: tuple):
         self.__dict__.update(generators=generators, arrows=arrows, conj=conj)
 
-    @property
+    @functools.cached_property
     def genus(self) -> int:
         return max(abs(g.alexander) for g in self.generators)
 

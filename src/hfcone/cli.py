@@ -27,6 +27,7 @@ import functools
 import os
 import re
 import sys
+from math import gcd
 
 from . import profiles
 from .cone import Framing, FramingError, surgery_report
@@ -141,12 +142,8 @@ def _grid(ps: range, qs: range):
         return
     for q in qs:
         for p in ps:
-            if p == 0:
-                continue
-            try:
+            if p and gcd(p, q) == 1:
                 yield Framing(p, q)
-            except FramingError:
-                continue
 
 
 def _check_spinc(spinc: int, framing) -> None:

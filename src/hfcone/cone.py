@@ -441,27 +441,11 @@ class SurgeryReport(Record):
     at any |p|; spinc, one SpincEntry per class, is built on first read
     and kept beside the fields, which alone compare, hash and show."""
 
+    _fields = "framing", "runs", "ell", "total_rank"
+
     def __init__(self, framing: Framing, runs: tuple[tuple[range, AbelianGroup], ...],
                  ell: int, total_rank: int):
         self.__dict__.update(framing=framing, runs=runs, ell=ell, total_rank=total_rank)
-
-    def _compared(self) -> tuple:
-        return self.framing, self.runs, self.ell, self.total_rank
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._compared() == other._compared()
-        return NotImplemented
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not Record's
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return f"SurgeryReport(framing={self.framing!r}, runs={self.runs!r}, " + (
-            f"ell={self.ell!r}, total_rank={self.total_rank!r})"
-        )
 
     @functools.cached_property
     def spinc(self) -> tuple[SpincEntry, ...]:

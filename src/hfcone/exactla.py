@@ -73,23 +73,35 @@ class Record:
     """An immutable value, whose fields its own __init__ sets once in
     __dict__, in the order of its parameters. Records of one class are
     equal when their fields are, and a record hashes as the tuple of its
-    fields; no field may be assigned or deleted."""
+    fields; no field may be assigned or deleted.
+
+    A class that keeps more than its fields in __dict__, such as a cache,
+    names the fields its repr shows in _fields, and those that equality
+    and hash read in _compared, by default _fields; one that names none
+    compares, hashes and shows all of __dict__."""
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        names, d = self._compared or self._fields, self.__dict__
+        return tuple(map(d.__getitem__, names)) if names else tuple(d.values())
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
+            return self._key() == other._key() if self._fields else self.__dict__ == other.__dict__
         return NotImplemented
 
     def __ne__(self, other):  # the inherited one would call __eq__ through one more lookup
         if other.__class__ is self.__class__:
-            return self.__dict__ != other.__dict__
+            return self._key() != other._key() if self._fields else self.__dict__ != other.__dict__
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={value!r}" for key, value in self.__dict__.items())
+        fields = ", ".join(f"{key}={self.__dict__[key]!r}" for key in self._fields or self.__dict__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

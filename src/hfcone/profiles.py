@@ -112,6 +112,9 @@ class SurgeryProfile(Record):
     docstring), and plans, the cone's reductions of this profile keyed by
     plan (cone.spinc_group); equality and hash read genus, cuts and pieces."""
 
+    _fields = "name", "genus", "cuts", "pieces"
+    _compared = "genus", "cuts", "pieces"
+
     def __init__(self, name: str, genus: int, overrides: Mapping[int, LocalData]):
         self._build(name, genus, ((s, s + 1, d) for s, d in sorted(overrides.items())))
 
@@ -135,24 +138,6 @@ class SurgeryProfile(Record):
         first = next(violations, None)
         if first is not None:
             raise ProfileError(chain((first,), violations))
-
-    def _compared(self) -> tuple:
-        return self.genus, self.cuts, self.pieces
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._compared() == other._compared()
-        return NotImplemented
-
-    __ne__ = object.__ne__  # the inverse of __eq__, not Record's
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return f"SurgeryProfile(name={self.name!r}, genus={self.genus!r}, " + (
-            f"cuts={self.cuts!r}, pieces={self.pieces!r})"
-        )
 
     def local(self, s: int) -> LocalData:
         """Effective data at slot s."""

@@ -252,15 +252,33 @@ def test_record_defaults():
     assert obstruct.Verdict("s").detail == ""
 
 
-def test_report_compares_the_same_after_spinc_is_read():
-    report = cone.surgery_report(profiles.figure_eight(), cone.Framing(-3))
-    fresh = cone.surgery_report(profiles.figure_eight(), cone.Framing(-3))
-    key = hash(report)
-    assert len(report.spinc) == 3 and "spinc" in report.__dict__
-    assert report == fresh and not report != fresh
-    assert hash(report) == key == hash(fresh)
-    assert repr(report) == repr(fresh)
-    assert copy.deepcopy(report) == report
+# a value that keeps a cache beside its fields: (a maker, the cache's name in
+# __dict__, a read that fills it, and what that read gives)
+CACHED = {
+    "report": (
+        lambda: cone.surgery_report(profiles.figure_eight(), cone.Framing(-3)),
+        "spinc", lambda report: len(report.spinc), 3,
+    ),
+    "profile": (
+        profiles.figure_eight, "plans",
+        lambda profile: cone.surgery_report(profile, cone.Framing(-3)) and len(profile.plans), 2,
+    ),
+    "complex": (_trefoil, "genus", lambda complex_: complex_.genus, 1),
+}
+
+
+@pytest.mark.parametrize("name", CACHED)
+def test_value_compares_the_same_after_its_cache_is_filled(name):
+    make, cache, fill, filled = CACHED[name]
+    value, fresh = make(), make()
+    key, text = hash(value), repr(value)
+    assert fill(value) == filled and cache in value.__dict__
+    assert value == fresh and not value != fresh
+    assert hash(value) == key == hash(fresh)
+    assert repr(value) == repr(fresh) == text
+    for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert copied == value and not copied != value
+        assert hash(copied) == key and repr(copied) == text
 
 
 def test_profile_equality_ignores_name_and_plans():
