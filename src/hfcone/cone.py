@@ -51,6 +51,27 @@ A-slot than B-slots; for p < 0 one more B-slot than A-slots. Enlarging
 the window never changes the answer (property-tested), it only pads the
 matrix with unit rows.
 
+Windows of two or three A-slots: only the end slots have phi outside
+the band -G < phi < G, so a window of at most three slots has at most
+one slot in the band. For |p| >= (2G - 1) q every class has such a
+window: these are the paper's first kind (no band slot, group Z) and
+second kind (one band slot s, group read from A_s by v_s and h_s). The
+end slots have rank 1, and each has a unit that is the only entry of
+its column inside the window: for p > 0 the first slot's h and the last
+slot's v, the other rows lying outside; for p < 0 the first slot's v on
+b_lo and the last slot's h on b_hi, each also alone on its row, so the
+row operation that clears the column touches no other. Cancelling both
+leaves the middle slot alone, of rank r with columns (u, g), (c, 0) and
+zeros (``_shape``):
+  * two slots: Z;
+  * three slots, p > 0: both of the middle slot's rows are cancelled,
+    and its columns are kernel: Z^r;
+  * three slots, p < 0: ker + coker of the 2 x r matrix [v; h], of rank
+    k = (g > 0) + (c > 0): free rank r + 2 - 2k, and the divisors > 1 of
+    d1 = gcd(u, g, c) and, when k = 2, of c g / d1.
+``spinc_group`` answers these windows so, without stretches, plan or
+scan; COLUMN_BUDGET still counts their r + 2 columns.
+
 Stretches: phi is monotone in s, and the profile's data is constant on
 each of its pieces (``profiles``), so the A-slots whose phi(s) lies in
 one piece form one stretch of consecutive slots, all carrying the same
@@ -135,7 +156,7 @@ COLUMN_BUDGET = 10**6
 
 # reduced plans one profile keeps (a key of two ints per stretch and a
 # group each); the 37,344 framings of lspace:g=3 at -3000..3000/1..10 need
-# 6 of them
+# 2 of them, their windows of two and three slots none
 PLAN_CACHE = 4096
 
 
@@ -240,25 +261,44 @@ def _stretches(profile: SurgeryProfile, framing: Framing, i: int, a_lo: int, a_h
 
 def spinc_group(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0) -> AbelianGroup:
     """HF-hat of the surgered manifold in the spin-c class i, as
-    ker + coker of the truncated cone matrix with its stretches collapsed;
-    a plan the profile has reduced before is read from profile.plans.
-    Raises ConeTooLarge past COLUMN_BUDGET emitted columns; an
-    EliminationOverflow names the framing and the class."""
+    ker + coker of the truncated cone matrix. A window of two or three
+    A-slots is answered from its middle slot, if any (module docstring);
+    a larger one has its stretches collapsed, and a plan the profile has
+    reduced before is read from profile.plans. Raises ConeTooLarge past
+    COLUMN_BUDGET emitted columns; an EliminationOverflow names the
+    framing and the class."""
     if not 0 <= i < abs(framing.p):
         raise ValueError(f"spin-c class {i} outside [0, {abs(framing.p)})")
+    a_lo, a_hi = _a_range(profile, framing, i, pad)
+    if a_hi - a_lo <= 2:
+        # at most one slot in the band: the end units cancel, and the
+        # middle slot, if any, is left alone (module docstring)
+        mid = profile.local((i + framing.p * (a_lo + 1)) // framing.q) if a_hi - a_lo == 2 else None
+        r = 0 if mid is None else mid.rank
+        if r + 2 > COLUMN_BUDGET:
+            raise _too_large(framing, i)
+        if mid is None:
+            return AbelianGroup(1)
+        if framing.p > 0:
+            return AbelianGroup(r)
+        u, g, c, gx, _ = _shape(mid.v, mid.h)
+        k = (g > 0) + (c > 0)
+        d1 = gcd(gx, g)
+        try:
+            torsion = invariant_factors([d for d in (d1, c * g // d1 if k == 2 else 0) if d > 1])
+        except EliminationOverflow as e:
+            raise EliminationOverflow(f"framing {framing}, class i={i}: {e}") from None
+        return AbelianGroup(r + 2 - 2 * k, torsion)
     plan = []
     slots = width = free = 0
-    for j, data, k in _stretches(profile, framing, i, *_a_range(profile, framing, i, pad)):
+    for j, data, k in _stretches(profile, framing, i, a_lo, a_hi):
         if k >= 3 and (gain := _shape(data.v, data.h)[4]) is not None:
             free += (k - 2) * gain
             k = 2
         slots += k
         width += k * data.rank
         if width > COLUMN_BUDGET:
-            raise ConeTooLarge(
-                f"framing {framing}, class i={i}: the cone needs more than "
-                f"{COLUMN_BUDGET} columns"
-            )
+            raise _too_large(framing, i)
         plan.append((j, k))
     plans = profile.plans
     key = (framing.p > 0, *plan)
@@ -272,6 +312,12 @@ def spinc_group(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0)
             plans.clear()
         plans[key] = group
     return AbelianGroup(free + group.free_rank, group.torsion) if free else group
+
+
+def _too_large(framing: Framing, i: int) -> ConeTooLarge:
+    return ConeTooLarge(
+        f"framing {framing}, class i={i}: the cone needs more than {COLUMN_BUDGET} columns"
+    )
 
 
 def _reduce(pieces, plan: list[tuple[int, int]], positive: bool, slots: int, width: int) -> AbelianGroup:

@@ -29,7 +29,7 @@ from hfcone.cone import (
     truncation_window,
 )
 from hfcone.exactla import AbelianGroup, EliminationOverflow, smith_normal_form
-from hfcone.obstruct import first_kind_closed_form, genus_inequality
+from hfcone.obstruct import first_kind_closed_form, first_kind_range, genus_inequality
 from hfcone.profiles import (
     LEFT_EDGE,
     LocalData,
@@ -238,6 +238,16 @@ def test_column_budget_counts_emitted_columns(monkeypatch):
         spinc_group(profile, Framing(-1, 20), 0)
 
 
+def test_band_closed_forms_keep_the_column_budget(monkeypatch):
+    # fig8 at -5, class 0: a window of three slots of widths 1 + 3 + 1,
+    # answered from its middle slot without a scan
+    monkeypatch.setattr(cone, "COLUMN_BUDGET", 5)
+    assert spinc_group(figure_eight(), Framing(-5), 0) == AbelianGroup(3)
+    monkeypatch.setattr(cone, "COLUMN_BUDGET", 4)
+    with pytest.raises(ConeTooLarge, match=r"framing -5/1, class i=0"):
+        spinc_group(figure_eight(), Framing(-5), 0)
+
+
 def test_each_plan_is_reduced_once_per_profile(monkeypatch):
     reduced = []
     reduce = cone._reduce
@@ -245,7 +255,10 @@ def test_each_plan_is_reduced_once_per_profile(monkeypatch):
     profile = lspace_knot(3)
     framings = [Framing(p, q) for q in range(1, 6) for p in range(-40, 41) if p and gcd(p, q) == 1]
     groups = [[group for _, group in spinc_runs(profile, f)] for f in framings]
-    assert len(reduced) == len(profile.plans) == 6
+    # one plan a sign, the band slot's stretch of two copies between the
+    # end slots; the windows of two and three slots, edge-edge and
+    # edge-band-edge, are answered without a plan
+    assert len(reduced) == len(profile.plans) == 2
     # a fresh profile object per framing shares nothing with the others,
     # and a bounded cache gives the same groups
     assert [[group for _, group in spinc_runs(lspace_knot(3), f)] for f in framings] == groups
@@ -392,6 +405,69 @@ def test_scan_matches_dense_oracle_with_torsion(profile, framing, i_raw):
     event("torsion" if dense.torsion else "torsion-free")
     event(f"p {'positive' if framing.p > 0 else 'negative'}")
     assert spinc_group(profile, framing, i) == dense
+
+
+# entries of band_cases_st: small ones, and now and then one near +-2^62,
+# so that a divisor can pass 2^63
+BAND_ENTRIES = [*range(-6, 7), 2**62 - 1, 2**62 + 1, -(2**62 + 3)]
+
+
+@st.composite
+def band_cases_st(draw):
+    """(profile, framing, i) with |p| >= (2G - 1) q, G = max(genus, 1), so
+    that class i has at most one slot in the band -G < phi < G."""
+    g = draw(st.integers(0, 3))
+    entries = st.sampled_from(BAND_ENTRIES)
+    if g == 0:
+        v, h = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        profile = SurgeryProfile("band:g=0", 0, {0: LocalData(1, (v,), (h,))})
+    else:
+        ranks = [draw(st.sampled_from([1, 1, 2, 3])) for _ in range(g)]
+        overrides = {
+            s: LocalData(ranks[abs(s)], tuple(draw(entries) for _ in range(ranks[abs(s)])),
+                         tuple(draw(entries) for _ in range(ranks[abs(s)])))
+            for s in range(1 - g, g)
+        }
+        # the entry beside each end unit is free: h at s = g, v at s = -g
+        overrides[g] = LocalData(1, (draw(st.sampled_from([1, -1])),), (draw(entries),))
+        overrides[-g] = LocalData(1, (draw(entries),), (draw(st.sampled_from([1, -1])),))
+        profile = SurgeryProfile(f"band:g={g}", g, overrides)
+    q = draw(st.integers(1, 8))
+    least = (2 * max(g, 1) - 1) * q
+    p = draw(st.integers(least, least + 30))
+    assume(gcd(p, q) == 1)
+    return profile, Framing(draw(st.sampled_from([1, -1])) * p, q), draw(st.integers(0, p - 1))
+
+
+@given(band_cases_st())
+@settings(max_examples=300, deadline=None)
+def test_band_closed_forms_match_the_scan(case):
+    # a window of two or three slots is answered from its slots alone; pad 1
+    # sends the same class through the stretches and the scan
+    profile, framing, i = case
+    window = truncation_window(profile, framing, i)
+    slots = window.a_hi - window.a_lo + 1
+    assert slots <= 3
+    event(f"{slots} slots, p {'positive' if framing.p > 0 else 'negative'}")
+    outcomes = []
+    for pad in (0, 1):
+        try:
+            outcomes.append(spinc_group(profile, framing, i, pad))
+        except EliminationOverflow as e:
+            outcomes.append((type(e), str(e)))
+    assert outcomes[0] == outcomes[1]
+    try:
+        dense = helpers.dense_spinc_group(profile, framing, i)
+    except EliminationOverflow:
+        event("a divisor past 2^63")
+        assert outcomes[0][0] is EliminationOverflow
+    else:
+        assert outcomes[0] == dense
+    # the classes with no slot in the band are the paper's first kind
+    g, p, q = profile.genus, framing.p, framing.q
+    if p > 0 and g >= 1:
+        two = [k for k in range(p) if (w := truncation_window(profile, framing, k)).a_hi - w.a_lo == 1]
+        assert two == list(first_kind_range(g, p, q))
 
 
 def _assert_runs_match_dense(profile, framing, report):
