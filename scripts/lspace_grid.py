@@ -6,6 +6,7 @@ import argparse
 from math import gcd
 
 from hfcone.cone import Framing, surgery_report
+from hfcone.obstruct import ell_formula_lspace
 from hfcone.profiles import lspace_knot
 
 
@@ -26,7 +27,7 @@ def main() -> int:
                 if gcd(p, q) != 1:
                     continue
                 report = surgery_report(profile, Framing(-p, q))
-                want = p - (2 * g - 1) * q
+                want = ell_formula_lspace(g, p, q)
                 checked += 1
                 if args.verbose:
                     print(f"g={g} -{p}/{q}: ell={report.ell} expected={want}")

@@ -46,23 +46,28 @@ genus-1 staircase profile must give Z while -1 gives Z^3.
 
 Truncation: with G = max(genus, 1), slots with phi(s) >= G carry a unit
 v and slots with phi(s) <= -G carry a unit h, so the infinite complex
-retracts onto a finite window. For p > 0 the window keeps one more
-A-slot than B-slots; for p < 0 one more B-slot than A-slots. Enlarging
-the window never changes the answer (property-tested), it only pads the
-matrix with unit rows.
+retracts onto a finite window: the A-slots a_lo..a_hi from the last
+slot before the band -G < phi < G to the first slot past it. For p > 0
+the B-rows are a_lo + 1..a_hi, one fewer; for p < 0 a_lo..a_hi + 1, one
+more. Enlarging the window never changes the answer (property-tested),
+it only pads the matrix with unit rows.
+
+End slots: a_lo and a_hi have phi outside the band, so their data is
+rank 1, the outward unit (v past G, h below -G) up to sign and the
+other entry 0 past the genus, free at phi = +-G. For p > 0 the unit is
+the only entry of its column inside the window, the other row lying
+outside; for p < 0 it is the only entry of its row, b_lo or b_hi, which
+no other A-slot meets. Either way the unit cancels with its row and
+column and leaves the rest of the cone as it was, whatever its sign and
+the other entry.
 
 Windows of two or three A-slots: only the end slots have phi outside
-the band -G < phi < G, so a window of at most three slots has at most
-one slot in the band. For |p| >= (2G - 1) q every class has such a
-window: these are the paper's first kind (no band slot, group Z) and
-second kind (one band slot s, group read from A_s by v_s and h_s). The
-end slots have rank 1, and each has a unit that is the only entry of
-its column inside the window: for p > 0 the first slot's h and the last
-slot's v, the other rows lying outside; for p < 0 the first slot's v on
-b_lo and the last slot's h on b_hi, each also alone on its row, so the
-row operation that clears the column touches no other. Cancelling both
-leaves the middle slot alone, of rank r with columns (u, g), (c, 0) and
-zeros (``_shape``):
+the band, so a window of at most three slots has at most one slot in
+the band. For |p| >= (2G - 1) q every class has such a window: these
+are the paper's first kind (no band slot, group Z) and second kind (one
+band slot s, group read from A_s by v_s and h_s). Cancelling both end
+slots leaves the middle slot alone, of rank r with columns (u, g),
+(c, 0) and zeros (``_shape``):
   * two slots: Z;
   * three slots, p > 0: both of the middle slot's rows are cancelled,
     and its columns are kernel: Z^r;
@@ -202,11 +207,6 @@ def phi(i: int, p: int, q: int, s: int) -> int:
     return (i + p * s) // q
 
 
-def _ceil_div(a: int, b: int) -> int:
-    # b > 0
-    return -((-a) // b)
-
-
 class Window(Record):
     """Truncation window: A-slots [a_lo, a_hi], B-slots [b_lo, b_hi]."""
 
@@ -221,9 +221,7 @@ def truncation_window(profile: SurgeryProfile, framing: Framing, i: int, pad: in
     which is what the stability property tests exercise.
     """
     a_lo, a_hi = _a_range(profile, framing, i, pad)
-    if framing.p > 0:
-        return Window(a_lo, a_hi, a_lo + 1, a_hi)
-    return Window(a_lo, a_hi, a_lo, a_hi + 1)
+    return Window(a_lo, a_hi, a_lo + (framing.p > 0), a_hi + (framing.p < 0))
 
 
 def _a_range(profile: SurgeryProfile, framing: Framing, i: int, pad: int) -> tuple[int, int]:
@@ -232,13 +230,13 @@ def _a_range(profile: SurgeryProfile, framing: Framing, i: int, pad: int) -> tup
         raise ValueError("pad must be nonnegative")
     g_bound = max(profile.genus, 1)
     p, q = framing.p, framing.q
-    if p > 0:
-        # phi is nondecreasing in s: the last s with phi(s) <= -G, the
-        # first with phi(s) >= G
-        return (-g_bound * q + q - 1 - i) // p - pad, _ceil_div(g_bound * q - i, p) + pad
-    # phi is nonincreasing in s: the last s with phi(s) >= G, the first
-    # with phi(s) <= -G
-    return (i - g_bound * q) // (-p) - pad, _ceil_div(i + g_bound * q - q + 1, -p) + pad
+    # phi crosses a threshold t between slot (t q - e) // p and the next,
+    # e = i + (p > 0): from the next on, phi >= t if p > 0, phi < t if
+    # p < 0. a_lo is the last slot before the band 1 - G <= phi < G and
+    # a_hi the first past it: p > 0 crosses 1 - G then G, p < 0 G then 1 - G
+    e = i + (p > 0)
+    lo, hi = (1 - g_bound, g_bound) if p > 0 else (g_bound, 1 - g_bound)
+    return (lo * q - e) // p - pad, (hi * q - e) // p + 1 + pad
 
 
 def _stretches(profile: SurgeryProfile, framing: Framing, i: int, a_lo: int, a_hi: int):
@@ -247,14 +245,14 @@ def _stretches(profile: SurgeryProfile, framing: Framing, i: int, a_lo: int, a_h
     the profile, which carries data."""
     p, q = framing.p, framing.q
     cuts, pieces = profile.cuts, profile.pieces
+    e = i + (p > 0)
     s = a_lo
     while s <= a_hi:
         j = bisect_right(cuts, (i + p * s) // q)
-        if p > 0:  # phi ascends: the stretch ends before phi reaches cuts[j]
-            last = _ceil_div(cuts[j] * q - i, p) - 1 if j < len(cuts) else a_hi
-        else:  # phi descends: the stretch ends where phi leaves cuts[j - 1]
-            last = (i - cuts[j - 1] * q) // -p if j else a_hi
-        last = min(last, a_hi)
+        # the stretch ends where phi crosses the cut that bounds piece j
+        # in its direction (_a_range): cuts[j] rising, cuts[j - 1] falling
+        t = j - (p < 0)
+        last = min((cuts[t] * q - e) // p, a_hi) if 0 <= t < len(cuts) else a_hi
         yield j, pieces[j], last - s + 1
         s = last + 1
 
@@ -270,47 +268,44 @@ def spinc_group(profile: SurgeryProfile, framing: Framing, i: int, pad: int = 0)
     if not 0 <= i < abs(framing.p):
         raise ValueError(f"spin-c class {i} outside [0, {abs(framing.p)})")
     a_lo, a_hi = _a_range(profile, framing, i, pad)
-    if a_hi - a_lo <= 2:
-        # at most one slot in the band: the end units cancel, and the
-        # middle slot, if any, is left alone (module docstring)
-        mid = profile.local((i + framing.p * (a_lo + 1)) // framing.q) if a_hi - a_lo == 2 else None
-        r = 0 if mid is None else mid.rank
-        if r + 2 > COLUMN_BUDGET:
-            raise _too_large(framing, i)
-        if mid is None:
-            return AbelianGroup(1)
-        if framing.p > 0:
-            return AbelianGroup(r)
-        u, g, c, gx, _ = _shape(mid.v, mid.h)
-        k = (g > 0) + (c > 0)
-        d1 = gcd(gx, g)
-        try:
+    try:
+        if a_hi - a_lo <= 2:
+            # at most one slot in the band: the end units cancel, and the
+            # middle slot, if any, is left alone (module docstring)
+            mid = profile.local((i + framing.p * (a_lo + 1)) // framing.q) if a_hi - a_lo == 2 else None
+            r = 0 if mid is None else mid.rank
+            if r + 2 > COLUMN_BUDGET:
+                raise _too_large(framing, i)
+            if mid is None:
+                return AbelianGroup(1)
+            if framing.p > 0:
+                return AbelianGroup(r)
+            u, g, c, gx, _ = _shape(mid.v, mid.h)
+            k = (g > 0) + (c > 0)
+            d1 = gcd(gx, g)
             torsion = invariant_factors([d for d in (d1, c * g // d1 if k == 2 else 0) if d > 1])
-        except EliminationOverflow as e:
-            raise EliminationOverflow(f"framing {framing}, class i={i}: {e}") from None
-        return AbelianGroup(r + 2 - 2 * k, torsion)
-    plan = []
-    slots = width = free = 0
-    for j, data, k in _stretches(profile, framing, i, a_lo, a_hi):
-        if k >= 3 and (gain := _shape(data.v, data.h)[4]) is not None:
-            free += (k - 2) * gain
-            k = 2
-        slots += k
-        width += k * data.rank
-        if width > COLUMN_BUDGET:
-            raise _too_large(framing, i)
-        plan.append((j, k))
-    plans = profile.plans
-    key = (framing.p > 0, *plan)
-    group = plans.get(key)
-    if group is None:
-        try:
+            return AbelianGroup(r + 2 - 2 * k, torsion)
+        plan = []
+        slots = width = free = 0
+        for j, data, k in _stretches(profile, framing, i, a_lo, a_hi):
+            if k >= 3 and (gain := _shape(data.v, data.h)[4]) is not None:
+                free += (k - 2) * gain
+                k = 2
+            slots += k
+            width += k * data.rank
+            if width > COLUMN_BUDGET:
+                raise _too_large(framing, i)
+            plan.append((j, k))
+        plans = profile.plans
+        key = (framing.p > 0, *plan)
+        group = plans.get(key)
+        if group is None:
             group = _reduce(profile.pieces, plan, framing.p > 0, slots, width)
-        except EliminationOverflow as e:
-            raise EliminationOverflow(f"framing {framing}, class i={i}: {e}") from None
-        if len(plans) >= PLAN_CACHE:
-            plans.clear()
-        plans[key] = group
+            if len(plans) >= PLAN_CACHE:
+                plans.clear()
+            plans[key] = group
+    except EliminationOverflow as e:
+        raise EliminationOverflow(f"framing {framing}, class i={i}: {e}") from None
     return AbelianGroup(free + group.free_rank, group.torsion) if free else group
 
 
@@ -509,15 +504,8 @@ def spinc_runs(profile: SurgeryProfile, framing: Framing) -> list[tuple[range, A
     cone is the same. The window ends are where phi passes G and 1 - G,
     so they move only at t = G or t = 1 - G, and the slots between them
     hold 1 - G <= phi <= G - 1. A crossing at any other t outside
-    1 - G <= t <= G changes only an end A-slot e, between data of slots
-    s >= G (or s <= -G): rank 1 with the outward unit, v (or h), up to
-    sign, and the other entry 0 past the genus but free at s = +-G. A
-    sign never changes the group, and neither does that other entry. For
-    p > 0 it lies outside the B-range: the first A-slot's v row is below
-    b_lo and the last A-slot's h row above b_hi. For p < 0 the unit of e
-    is alone on its row (b_lo, or b_hi, which no other A-slot meets), and
-    the row operation that clears e's other entry with it touches no
-    other column.
+    1 - G <= t <= G changes only an end A-slot, from one outward unit to
+    another, and an end slot cancels whatever its data (module docstring).
 
     So the runs are cut at the residues t q mod |p| for t = 0 (the first
     class), t = 1 - G, t = G and the cuts of the profile strictly between

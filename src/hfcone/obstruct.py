@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .cone import Framing, _ceil_div, phi
+from .cone import Framing, phi
 from .exactla import Record
 
 CONSISTENT = "consistent"
@@ -125,7 +125,7 @@ def classify_spinc(g: int, p: int, q: int) -> SpincClassification:
         if i in first:
             continue
         # smallest s with phi(s) > -g; for second-kind classes it lies in the band
-        s = _ceil_div((-g + 1) * q - i, p)
+        s = ((1 - g) * q - i - 1) // p + 1
         value = phi(i, p, q, s)
         if not -g < value < g:
             raise AssertionError(f"classification witness failed for i={i}")

@@ -29,7 +29,7 @@ from hfcone.cone import (
     truncation_window,
 )
 from hfcone.exactla import AbelianGroup, EliminationOverflow, smith_normal_form
-from hfcone.obstruct import first_kind_closed_form, first_kind_range, genus_inequality
+from hfcone.obstruct import classify_spinc, first_kind_closed_form, first_kind_range, genus_inequality
 from hfcone.profiles import (
     LEFT_EDGE,
     LocalData,
@@ -101,6 +101,77 @@ def test_window_slot_counts():
     for framing in (Framing(-3, 2), Framing(-7, 1)):
         w = truncation_window(figure_eight(), framing, 1)
         assert (w.a_hi - w.a_lo) == (w.b_hi - w.b_lo) - 1
+
+
+@st.composite
+def crossing_cases_st(draw):
+    # huge |p| and q: the window and stretch ends are floor divisions, and
+    # only phi itself is trusted to check them
+    g = draw(st.integers(0, 6))
+    if g == 0:
+        profile = unknot()
+    elif draw(st.booleans()):
+        profile = lspace_knot(g)
+    else:
+        profile = k_family(g, draw(st.integers(1, 3)))
+    p = draw(st.integers(1, 10**12))
+    q = draw(st.integers(1, 10**12))
+    assume(gcd(p, q) == 1)
+    framing = Framing(draw(st.sampled_from([1, -1])) * p, q)
+    return profile, framing, draw(st.integers(0, p - 1)), draw(st.integers(0, 3))
+
+
+@given(crossing_cases_st())
+@example((lspace_knot(3), Framing(-1), 0, 0))
+@example((k_family(2, 1), Framing(7, 10**12), 5, 1))
+@settings(max_examples=300, deadline=None)
+def test_window_and_stretch_ends_are_phi_crossings(case):
+    profile, framing, i, pad = case
+    p, q = framing.p, framing.q
+    g_bound = max(profile.genus, 1)
+    sign = 1 if p > 0 else -1
+
+    def before(s):  # on the side of the band that phi starts from
+        return sign * phi(i, p, q, s) <= -g_bound
+
+    def past(s):
+        return sign * phi(i, p, q, s) >= g_bound
+
+    w = truncation_window(profile, framing, i, pad)
+    a_lo, a_hi = w.a_lo + pad, w.a_hi - pad
+    assert before(a_lo) and not before(a_lo + 1)
+    assert past(a_hi) and not past(a_hi - 1)
+    # p > 0 drops the first slot's v row, p < 0 keeps the last slot's h row
+    assert (w.b_lo, w.b_hi) == ((w.a_lo + 1, w.a_hi) if p > 0 else (w.a_lo, w.a_hi + 1))
+
+    def piece(s):
+        return sum(cut <= phi(i, p, q, s) for cut in profile.cuts)
+
+    s = w.a_lo
+    for j, data, k in cone._stretches(profile, framing, i, w.a_lo, w.a_hi):
+        assert k >= 1 and data == profile.pieces[j]
+        assert piece(s) == piece(s + k - 1) == j
+        s += k
+        assert s > w.a_hi or piece(s) != j
+    assert s == w.a_hi + 1
+
+
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 60))
+@settings(max_examples=150, deadline=None)
+def test_second_kind_witness_is_the_slot_after_a_lo(g, q, extra):
+    # past (2g - 1) q every window has two or three slots: the first kind
+    # two, and the second kind's band slot, the witness, right after a_lo
+    p = (2 * g - 1) * q + extra
+    assume(gcd(p, q) == 1)
+    profile = lspace_knot(g)
+    classes = classify_spinc(g, p, q)
+    for i in range(p):
+        w = truncation_window(profile, Framing(p, q), i)
+        if i in classes.first_kind:
+            assert w.a_hi - w.a_lo == 1
+        else:
+            assert classes.second_kind[i] == (w.a_lo + 1, phi(i, p, q, w.a_lo + 1))
+            assert w.a_hi - w.a_lo == 2
 
 
 # --- single spin-c groups ----------------------------------------------
@@ -266,6 +337,12 @@ def test_each_plan_is_reduced_once_per_profile(monkeypatch):
     small = lspace_knot(3)
     assert [[group for _, group in spinc_runs(small, f)] for f in framings] == groups
     assert len(small.plans) <= 2
+    # a cache of one plan evicts at each change of sign and reduces again
+    monkeypatch.setattr(cone, "PLAN_CACHE", 1)
+    tiny, before = lspace_knot(3), len(reduced)
+    assert [[group for _, group in spinc_runs(tiny, f)] for f in framings] == groups
+    assert len(tiny.plans) <= 1
+    assert len(reduced) - before > 2
 
 
 # --- full reports -------------------------------------------------------
