@@ -14,8 +14,10 @@ from hfcone.profiles import k_family
 
 
 def _multiset(profile, framing) -> Counter:
-    report = surgery_report(profile, framing)
-    return Counter(e.group.free_rank for e in report.spinc)
+    counts = Counter()
+    for run, group in surgery_report(profile, framing).runs:
+        counts[group.free_rank] += run.stop - run.start
+    return counts
 
 
 def _render(counts: Counter) -> str:

@@ -21,10 +21,10 @@ The two maps to B are, on the chain level,
 A slice holds one sparse {target: coeff} column per generator, built
 straight from the arrows that survive on it; parallel arrows are summed
 once per complex (``_tally``), for the checks, B and the sweep. A slice
-is a based complex, and _reduce hands it to cancel_units, which cancels
-its +-1 arrows by the Gaussian elimination lemma, each cancellation a
-schur_update on the columns that meet the pivot row. A complex on n
-generators with k cancellations and a unit-free remainder of elementary
+is a based complex, and cancel_units cancels its +-1 arrows by the
+Gaussian elimination lemma, each cancellation a schur_update on the
+columns that meet the pivot row, and returns the survivors. A complex
+on n generators with k cancellations and a unit-free remainder of
 divisors d_1, ..., d_m has homology Z^(n - 2(k + m)) + sum Z/d_i; the
 remainder goes, still as columns, to ``exactla.smith_normal_form``.
 With no remainder, the survivors are a basis of the homology. H(B) is
@@ -73,10 +73,10 @@ one. T(2,2001) reduces 8,001 generators so, against the 4,004,001 of
 its slices.
 
 So the sweep pays only for the slices that change. A quiet slice, with
-no rebuilt column and no generator at grading s or s - 1, costs no set
-and no search. One walk finds a changed part and copies its columns;
-its survivors' values are merged into the others', which stay in
-ascending order; the profile is built from the runs of equal data.
+no rebuilt column and no generator at grading s or s - 1, costs no
+search and no reduction. One walk finds a changed part and copies its
+columns; its survivors' values are merged into the others', which stay
+in ascending order; the profile is built from the runs of equal data.
 
 No slice repeats the d^2 check of homology(). A_s is a subquotient of
 the full complex C: the generators U^b x with max(i, j - s) <= 0 span a
@@ -85,15 +85,15 @@ max(i, j - s) <= -1 a subcomplex of that, and A_s is the quotient. Its
 differential is d restricted and projected, so d^2 = 0 on A_s follows
 from d^2 = 0 on C. validate() checks that once, over Z[U] on the i = 0
 generators, which covers their U-translates. to_profile reduces the
-parts of A_s with _reduce, which skips the check and builds no group
-unless an arrow is left; B, which is A_s for s >= g, is reduced once, by
+parts of A_s with cancel_units alone: no check, and no group unless an
+arrow is left. B, which is A_s for s >= g, is reduced once, by
 validate() through homology(), whose check is one pass over B's arrows.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator, Sequence, Set
+from collections.abc import Iterable, Iterator, Sequence
 
 from .exactla import AbelianGroup, EliminationOverflow, Record, _checked, smith_normal_form
 from .profiles import InputError, LocalData, SurgeryProfile
@@ -275,10 +275,12 @@ def schur_update(dst: dict[int, int], k: int, src: dict[int, int]) -> None:
             dst.pop(r, None)
 
 
-def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, dict, dict]]:
+def cancel_units(cols: dict[int, dict[int, int]]) -> tuple[list[tuple], list[int]]:
     """Cancel +-1 arrows x -> y (x != y) of a based complex until none is
-    left, by the Gaussian elimination lemma; returns the cancellations in
-    order and leaves in cols the differential of what survives.
+    left, by the Gaussian elimination lemma, without checking d^2 = 0;
+    returns the cancellations in order and the generators that survive
+    them, in generator order, and leaves in cols the arrows among the
+    survivors: with none, the survivors are a basis of the homology.
 
     cols maps each generator x, in ascending order, to d(x) as {y: coeff},
     every y a key of cols. Each step is (x, y, u, column, row): the unit u,
@@ -307,8 +309,6 @@ def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, d
     for each row that occurs, and an empty column skipped before any
     list is built.
     """
-    if not any(cols.values()):
-        return []  # no arrow: nothing to cancel
     # the columns that have had an entry on each row, for the rows that occur
     on_row: dict[int, set[int]] = {}
     for z, col in cols.items():
@@ -318,6 +318,7 @@ def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, d
             else:
                 on_row[w] = {z}
     steps = []
+    gone = set()
     work = list(cols)
     waiting: dict[int, None] = {}  # the columns that wait, in the order they came
     force = False
@@ -364,8 +365,9 @@ def cancel_units(cols: dict[int, dict[int, int]]) -> list[tuple[int, int, int, d
             # the rows of x changed: a pivot there may wait no more
             work.extend(z for w in (x, *col) for z in on_row.get(w, ()) if z in waiting)
         steps.append((x, y, u, col, row))
+        gone.update((x, y))
         cols[x] = {}
-    return steps
+    return steps, [k for k in cols if k not in gone]
 
 
 def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
@@ -378,32 +380,21 @@ def _image(cols: Sequence[dict[int, int]], vec: dict[int, int]) -> dict[int, int
 def homology(s: SliceComplex, _allow_torsion: bool = False) -> SliceHomology:
     """Homology of a slice, with the cancellations that give its free basis.
 
-    Checks d^2 = 0, then reduces a copy of the columns with _reduce. A
-    slice with arrows left over has no basis here, so it is refused
+    Checks d^2 = 0, then reduces a copy of the columns with cancel_units.
+    A slice with arrows left over has no basis here, so it is refused
     (TorsionError) like torsion, unless tolerated by a group-only caller.
     """
     d = s.differential
     if any(_image(d, col) for col in d):
         raise ValueError("slice differential does not square to zero")
     cols = {k: dict(col) for k, col in enumerate(d)}
-    h = _record(cols, *_reduce(cols))
+    h = _record(cols, *cancel_units(cols))
     return h if _allow_torsion else _basis(h)
 
 
-def _reduce(cols: dict[int, dict[int, int]]) -> tuple[list[tuple], list[int]]:
-    """The cancellations of the unit arrows of the complex with
-    differential cols ({generator: column}, in ascending order, closed
-    under the arrows), without checking d^2 = 0, and the generators that
-    survive them, in generator order. cols is left with the arrows among
-    the survivors: with none, they are a basis of the homology."""
-    steps = cancel_units(cols)
-    gone = {k for x, y, *_ in steps for k in (x, y)}
-    return steps, [k for k in cols if k not in gone]
-
-
 def _record(cols: dict[int, dict[int, int]], steps, survivors) -> SliceHomology:
-    """The reduction _reduce gave, with its group: the survivors, less
-    the Smith form of the arrows it left among them in cols."""
+    """The reduction cancel_units gave, with its group: the survivors,
+    less the Smith form of the arrows it left among them in cols."""
     divisors = smith_normal_form([cols[k] for k in survivors if cols[k]])
     group = AbelianGroup(len(survivors) - 2 * len(divisors), tuple(e for e in divisors if e > 1))
     return SliceHomology(group, tuple(steps), tuple(survivors))
@@ -548,14 +539,12 @@ def _survival(ax: int, ay: int, a: int, lo: int, hi: int) -> tuple[int, int]:
 
 def _sweep(
     c: CfkComplex, g: int, tally: dict
-) -> Iterator[tuple[int, list[dict[int, int]], list[set[int]], Set[int]]]:
+) -> Iterator[tuple[int, list[dict[int, int]], list[set[int]], set[int]]]:
     """(s, the columns of A_s, the sources of the arrows into each
     generator, the generators changed at s) for s = -g, ..., g: two
     lists, cols equal to ahat(c, s).differential and into[y] = {x : y in
     cols[x]}, updated in place between the yields. The changed generators
-    are those whose columns are rebuilt, with their old and new targets;
-    every slice without a rebuilt column yields one shared empty
-    frozenset, so it allocates nothing and no caller can fill it.
+    are those whose columns are rebuilt, with their old and new targets.
 
     Only the columns of sources whose arrows enter or leave at s are
     rebuilt, each from the sums of tally that survive, checked once, in
@@ -577,10 +566,9 @@ def _sweep(
 
     cols: list[dict[int, int]] = [{} for _ in gens]
     into: list[set[int]] = [set() for _ in gens]
-    unchanged: frozenset[int] = frozenset()  # each frozenset() call is a new object
     for s in range(-g, g + 1):
         rebuilt = touched.get(s, ())
-        changed = set(rebuilt) if rebuilt else unchanged
+        changed = set(rebuilt)
         for x in rebuilt:
             for y in cols[x]:
                 into[y].discard(x)
@@ -651,7 +639,7 @@ def to_profile(c: CfkComplex, name: str | None = None) -> SurgeryProfile:
         # the components that changed, or hold a generator whose pullbacks change
         part = _part(cols, into, changed.union(graded.get(s, ()), graded.get(s - 1, ())))
         try:
-            steps, survivors = _reduce(part)
+            steps, survivors = cancel_units(part)
             if any(part.values()):  # no basis: refused with the part's group
                 _basis(_record(part, steps, survivors))
             pairs = _carry(steps, survivors, phi, s, alexander, conj)

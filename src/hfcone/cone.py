@@ -119,19 +119,10 @@ or framing with a plan seen before is not reduced again. The cache
 belongs to the profile object, so separate profiles, and separate
 command-line queries, share nothing.
 
-Runs of classes (the standard argument, Ozsvath-Szabo math/0504404):
-when i becomes i + 1, every point i + p s moves up by one, so phi(s)
-changes only where i + 1 + p s = t q, from t - 1 to t. The slot's data
-goes from local(t - 1) to local(t), which changes the cone only where t
-is a cut of the profile. The window ends sit on the thresholds t = G
-and t = 1 - G, and a crossing at any other t outside the window touches
-at most an end A-slot (proof in ``spinc_runs``). So class i + 1 has the
-cone of class i unless i + 1 = t q mod |p| for t = 1 - G, t = G, or a
-cut 1 - G < t < G. With t = 0 for class 0, all these t lie in
-[1 - G, G]: at most 2G runs, and at most three more than the cuts
-inside the window, whatever |p| is. lspace:g=10^9 has none there, so
-any framing has at most three runs. ``spinc_runs`` builds one cone per
-run.
+Runs of classes: class i + 1 has the cone of class i except at a few
+residues t q mod |p|, so the classes fall into runs that share one
+cone. ``spinc_runs`` cuts them, builds one cone per run, and gives the
+argument (the standard one, Ozsvath-Szabo math/0504404) and the count.
 """
 
 from __future__ import annotations

@@ -92,11 +92,6 @@ class Record:
             return self._key() == other._key() if self._fields else self.__dict__ == other.__dict__
         return NotImplemented
 
-    def __ne__(self, other):  # the inherited one would call __eq__ through one more lookup
-        if other.__class__ is self.__class__:
-            return self._key() != other._key() if self._fields else self.__dict__ != other.__dict__
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(self._key())
 

@@ -178,7 +178,7 @@ def _partition(g: int, runs) -> tuple[tuple, tuple]:
 def _put(cuts: list, pieces: list, lo: int, data) -> None:
     """Start a piece with data at lo, or extend the last one if equal."""
     last = pieces[-1]
-    if data is not last and data != last:
+    if not (data is last or data == last):  # not !=: Record has no __ne__ of its own
         cuts.append(lo)
         pieces.append(data)
 

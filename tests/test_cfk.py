@@ -28,7 +28,6 @@ from hfcone.cfk import (
     _Reader,
     _carry,
     _record,
-    _reduce,
     _survival,
     _sweep,
     _tally,
@@ -292,6 +291,19 @@ def _assert_dual_bases(sl, h):
             assert sum(phi[k] * a for k, a in col.items()) == 0
 
 
+def test_reader_queues_a_generator_twice():
+    # d x0 = x1 + 4 x3 - 2 x5 cancels x1, which reads through x3 and x5,
+    # and x5 (cancelled by x4) reads through x3 as well: reading x1 queues
+    # x3 twice, and the second time finds it read
+    d = ({1: 1, 3: 4, 5: -2}, {}, {1: -2, 3: -7, 5: 4}, {}, {3: -2, 5: 1}, {}, {})
+    sl = SliceComplex(tuple((k, 0) for k in range(7)), d)
+    h = homology(sl)
+    assert h.group.is_z and h._survivors == (6,)
+    phi = _Reader(h, 0)
+    assert [phi[k] for k in range(7)] == [0, 0, 0, 0, 0, 0, 1]
+    _assert_dual_bases(sl, h)
+
+
 def induced_v(c, s):
     return helpers.slice_maps(c, s, _Reader(homology(bhat(c)), 0))[1]
 
@@ -513,7 +525,7 @@ def test_a_waiting_column_leaves_other_components_alone():
     # pushed back whenever any column waited, the cancellations of the
     # other component would come in another order and leave x1, not x3
     cols = [{}, {2: 1}, {}, {0: -1}, {6: -1, 4: -1}, {2: -1, 0: 1}, {6: 1, 4: 1}]
-    assert _reduce({x: dict(col) for x, col in enumerate(cols)})[1] == [3]
+    assert cancel_units({x: dict(col) for x, col in enumerate(cols)})[1] == [3]
     _assert_reduced_by_components(cols, {x: x + 1 for x in range(7)}, [0] * 7, range(7))
 
 
@@ -523,11 +535,11 @@ def _assert_reduced_by_components(cols, psi, alexander, conj):
     v_0 and h_0 of the gradings alexander and conj, and the free rank of
     one reduction of them all."""
     whole = {x: dict(col) for x, col in enumerate(cols)}
-    steps, kept = _reduce(whole)
+    steps, kept = cancel_units(whole)
     survivors, values, free_rank = [], [], 0
     for part in _components(cols):
         reduced = {x: dict(cols[x]) for x in part}
-        part_steps, part_kept = _reduce(reduced)
+        part_steps, part_kept = cancel_units(reduced)
         survivors += part_kept
         values += _carry(part_steps, part_kept, psi, 0, alexander, conj)
         free_rank += _record(reduced, part_steps, part_kept).group.free_rank
@@ -678,7 +690,7 @@ def test_slice_overflow_names_s(monkeypatch, capsys):
 def test_slice_torsion_names_s(monkeypatch, capsys):
     # an A_0 left uncancelled keeps its unit arrow, as a non-unit remainder would
     c = trefoil()
-    monkeypatch.setattr(cfk, "cancel_units", _failing_on(c, 0, lambda cols: []))
+    monkeypatch.setattr(cfk, "cancel_units", _failing_on(c, 0, lambda cols: ([], list(cols))))
     with pytest.raises(TorsionError, match=r"^slice s=0: arrows without a unit coefficient"):
         to_profile(c)
     assert main(["staircase", "--alexander", "1,-1,1", "--emit-profile"]) == 65
