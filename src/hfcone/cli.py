@@ -82,10 +82,10 @@ _BUILTIN_USAGE = ", ".join(
 
 # bytes read from a profile file, past which it is refused unread: about
 # 150,000 `local` lines of rank 1, which `profile --check` reads in about
-# 0.5 s and 50 MB when each line repeats the data of the line before, and
-# 132,000 in about 1.0-1.8 s and 98 MB when every line differs, or one
-# line of rank 10^6 in about 0.6 s and 66-75 MB (2-core x86-64, Python
-# 3.11); a file that never ends, as @/dev/zero, stops here
+# 0.3 s and 50 MB when each line repeats the data of the line before, and
+# 117,000 in about 0.8 s and 85 MB when every line differs, or one line
+# of rank 10^6 in about 0.4 s and 68 MB (2-core x86-64, Python 3.11); a
+# file that never ends, as @/dev/zero, stops here
 PROFILE_BYTES = 2**22
 
 
@@ -93,12 +93,18 @@ def _resolve_profile(selector: str) -> SurgeryProfile:
     if selector.startswith("@"):
         path = selector[1:]
         try:
-            with open(path, "rb") as fh:
+            with open(path, "rb", buffering=0) as fh:
                 # a read allocates what it asks for: most files fit in the
-                # first 64 KiB, and only a longer one asks for the budget
-                data = fh.read(1 << 16)
-                if len(data) == 1 << 16:
-                    data += fh.read(PROFILE_BYTES + 1 - len(data))
+                # first 64 KiB, and only a longer one asks for the rest of
+                # the budget; a pipe may answer any read short, so the
+                # reads go on to its end
+                chunks, size = [], 0
+                while size <= PROFILE_BYTES and (
+                    chunk := fh.read(1 << 16 if size < 1 << 16 else PROFILE_BYTES + 1 - size)
+                ):
+                    chunks.append(chunk)
+                    size += len(chunk)
+            data = b"".join(chunks)
             if len(data) > PROFILE_BYTES:
                 raise InputError(f"profile file {path} exceeds {PROFILE_BYTES} bytes")
             text = data.decode("utf-8")

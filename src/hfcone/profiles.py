@@ -87,7 +87,8 @@ class LocalData(Record):
             raise ProfileError([f"v/h widths ({len(v)}, {len(h)}) != rank {rank}"])
         if max(map(abs, v + h)) > _LIMIT:
             raise ProfileError(["v/h entries must lie within +-2^63"])
-        self.__dict__.update(rank=rank, v=v, h=h)
+        fields = self.__dict__  # set one by one: update(rank=...) builds a dict first
+        fields["rank"], fields["v"], fields["h"] = rank, v, h
 
 
 RIGHT_EDGE = LocalData(1, (1,), (0,))  # s > g: v is a unit, h vanishes
@@ -165,11 +166,15 @@ def _partition(g: int, runs) -> tuple[tuple, tuple]:
     inside the window."""
     lo_in, hi_in = _inside(g)
     cuts, pieces = [], [LEFT_EDGE]
-    end = -inf
+    last, end = LEFT_EDGE, -inf
     for lo, hi, data in runs:
         if end < lo:
             _gap(cuts, pieces, end, lo, lo_in, hi_in)
-        _put(cuts, pieces, lo, data)
+            last = pieces[-1]
+        if not (data is last or data == last):  # _put inline, a call less per run
+            cuts.append(lo)
+            pieces.append(data)
+            last = data
         end = hi
     _gap(cuts, pieces, end, inf, lo_in, hi_in)
     return tuple(cuts), tuple(pieces)
@@ -243,7 +248,7 @@ def _check(p: SurgeryProfile) -> Iterator[str | int]:
     """The violations, in the order: name, missing slots, data that is not
     LocalData or breaks the edge pattern, rank symmetry, window ends. Each
     rule walks the pieces, so a long piece costs what a short one does."""
-    g = p.genus
+    g, cuts, pieces = p.genus, p.cuts, p.pieces
     if p.name.split() != [p.name]:  # empty, or with whitespace
         yield f"name {quoted(p.name)} must be nonempty without whitespace"
     # the _MISSING pieces are the gaps inside the window, one per gap
@@ -269,14 +274,14 @@ def _check(p: SurgeryProfile) -> Iterator[str | int]:
     # conjugation symmetry of ranks, on 0 < s <= g: the ranks at s and -s
     # can only change where s or 1 - s is a cut
     marks = {1, g + 1}
-    for c in p.cuts:
+    for c in cuts:
         if 1 < c <= g:
             marks.add(c)
         elif 1 - g <= c <= 0:
             marks.add(1 - c)
     marks = sorted(marks)
     for lo, hi in zip(marks, marks[1:]):
-        pos, neg = p.local(lo), p.local(-lo)
+        pos, neg = pieces[bisect_right(cuts, lo)], pieces[bisect_right(cuts, -lo)]
         if isinstance(pos, LocalData) and isinstance(neg, LocalData) and pos.rank != neg.rank:
             yield from _capped(
                 lo, hi, f"rank symmetry violated: rank({{s}})={pos.rank}, rank(-{{s}})={neg.rank}"
@@ -284,13 +289,13 @@ def _check(p: SurgeryProfile) -> Iterator[str | int]:
     # unit conditions at the ends of the window (data that is not
     # LocalData was reported above)
     if g >= 1:
-        right = p.local(g)
+        right = pieces[bisect_right(cuts, g)]
         if isinstance(right, LocalData) and (right.rank != 1 or not _is_unit_row(right.v)):
             yield f"s={g}: rank must be 1 with v = [+-1] (got {quoted(right)})"
-        left = p.local(-g)
+        left = pieces[bisect_right(cuts, -g)]
         if isinstance(left, LocalData) and (left.rank != 1 or not _is_unit_row(left.h)):
             yield f"s={-g}: rank must be 1 with h = [+-1] (got {quoted(left)})"
-    elif isinstance(centre := p.local(0), LocalData):
+    elif isinstance(centre := pieces[bisect_right(cuts, 0)], LocalData):
         if centre.rank != 1 or not _is_unit_row(centre.v) or not _is_unit_row(centre.h):
             yield f"s=0: genus 0 needs rank 1 with v = [+-1] and h = [+-1]"
 
@@ -414,13 +419,14 @@ def _parse_row(tok: str, line_no: int, what: str) -> tuple[int, ...]:
 
 
 _INT = _ASCII_INT.pattern
-# a `local` line in the shape _local_tokens checks, its tokens joined by
-# single spaces; group 2, the text after the slot, decides the slot's
-# data. A row is matched as one run of [-+0-9,], since a repeated group
-# would keep state for each entry, and int() refuses the entries that
-# ascii_int refuses ('', '1-2', '+-1'), as it refuses an integer past its
-# digit limit: such a line is read again by _local_tokens
-_LOCAL = re.compile(rf"local ({_INT}) (rank ({_INT}) v ([-+0-9,]+) h ([-+0-9,]+))")
+# a `local` line in the shape _local_tokens checks, matched where it stands:
+# on a str pattern \s is what str.isspace() takes, where str.split() splits,
+# and each \s run lies between characters it cannot take, so a match stays
+# linear. Group 2, the text after the slot, decides the slot's data. A row
+# is one run of [-+0-9,], as a repeated group would keep state for each
+# entry; int() refuses the entries ascii_int refuses ('', '1-2', '+-1'), as
+# it refuses an integer past its digit limit: _local_tokens reads such a line
+_LOCAL = re.compile(rf"\s*local\s+({_INT})\s+(rank\s+({_INT})\s+v\s+([-+0-9,]+)\s+h\s+([-+0-9,]+))\s*")
 
 
 def _new_slot(s: int, overrides: dict, line_no: int) -> int:
@@ -443,40 +449,45 @@ def parse(text: str) -> SurgeryProfile:
     """Parse the profile file format; validates all invariants. Lines may
     come in any order; equal adjacent slots merge into one segment.
 
-    Lines are split at whitespace (str.split); blank lines and those
-    starting with '#' are skipped. The first other line is
+    Tokens are parted by whitespace (str.isspace); blank lines and those
+    whose first token starts with '#' are skipped. The first other line is
     ``profile NAME genus G``, each later one ``local S rank R v ROW h ROW``:
-    G, S, R are [+-]?[0-9]+ and a ROW is such integers joined by commas."""
+    G, S, R are [+-]?[0-9]+ and a ROW is such integers joined by commas. A
+    `local` line is matched where it stands (_LOCAL), any other split."""
     header: tuple[str, int] | None = None
     overrides: dict[int, LocalData] = {}
     tail, last = None, None  # _LOCAL's group 2 of the line before, and its data
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split()
-        if not toks or toks[0].startswith("#"):
-            continue
-        if header is None:
-            if len(toks) != 4 or toks[0] != "profile" or toks[2] != "genus":
-                raise ProfileParseError(line_no, "expected 'profile <name> genus <g>'")
-            header = (toks[1], _parse_int(toks[3], line_no, "genus"))
-            continue
-        m = _LOCAL.fullmatch(" ".join(toks))
-        if m is not None:
+        m = header and _LOCAL.fullmatch(raw)
+        if m:
+            s, key, rank, v, h = m.groups()
             try:
-                s = _new_slot(int(m[1]), overrides, line_no)
-                if m[2] == tail:  # the same data as the line before: share it
+                s = _new_slot(int(s), overrides, line_no)
+                if key == tail:  # the same data as the line before: share it
                     overrides[s] = last
                     continue
-                rank = int(m[3])
-                v, h = tuple(map(int, m[4].split(","))), tuple(map(int, m[5].split(",")))
+                rank = int(rank)
+                if rank == 1:  # a row of one entry, as most are: int() refuses a comma
+                    v, h = (int(v),), (int(h),)
+                else:
+                    v, h = tuple(map(int, v.split(","))), tuple(map(int, h.split(",")))
             except ValueError:  # a bad row entry, or past int()'s digit limit
                 m = None
-        if m is None:
+        if not m:
+            toks = raw.split()
+            if not toks or toks[0].startswith("#"):
+                continue
+            if header is None:
+                if len(toks) != 4 or toks[0] != "profile" or toks[2] != "genus":
+                    raise ProfileParseError(line_no, "expected 'profile <name> genus <g>'")
+                header = (toks[1], _parse_int(toks[3], line_no, "genus"))
+                continue
             s, rank, v, h = _local_tokens(toks, line_no, overrides)
         try:
             overrides[s] = last = LocalData(rank, v, h)
         except ProfileError as e:
             raise ProfileParseError(line_no, f"s={s}: {e}") from None
-        tail = None if m is None else m[2]
+        tail = key if m else None
     if header is None:
         raise ProfileParseError(0, "empty profile text")
     return SurgeryProfile(header[0], header[1], overrides)

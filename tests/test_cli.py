@@ -456,6 +456,63 @@ def test_profile_read_from_a_pipe(tmp_path):
     )
 
 
+def _piped_child(tmp_path, argv, pieces, pause=0.05):
+    """(exit code, stdout, stderr, seconds, peak RSS in MB) of one CLI run
+    in a fresh interpreter whose stdin gets pieces one by one, each
+    flushed and followed by a pause, so that its reads come back short."""
+    command, env = _child_command(tmp_path, argv)
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(
+        command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    with contextlib.suppress(BrokenPipeError):
+        for piece in pieces:
+            proc.stdin.write(piece)
+            proc.stdin.flush()
+            time.sleep(pause)
+    out, err = proc.communicate(timeout=60)
+    seconds = time.perf_counter() - t0
+    return proc.returncode, out.decode(), err.decode(), seconds, _child_hwm_mb(tmp_path)
+
+
+def test_profile_read_from_a_pipe_in_pieces(tmp_path, capsys):
+    argv = ["hf", "--profile", "@/dev/stdin", "--framing", "-3"]
+    text = serialize(figure_eight()).encode()
+    path = tmp_path / "fig8.profile"
+    path.write_bytes(text)
+    code, out, err = run(capsys, "hf", "--profile", f"@{path}", "--framing", "-3")
+    assert code == 0
+    cut = len(text) // 3
+    pieces = [text[:cut], text[cut : 2 * cut], text[2 * cut :]]
+    assert _piped_child(tmp_path, argv, pieces)[:3] == (0, out, err)
+    # past the first 64 KiB read, the rest of the file is read too
+    padded = b"#" * (1 << 16) + b"\n" + text
+    assert _piped_child(tmp_path, argv, [padded[:70000], padded[70000:]])[:3] == (0, out, err)
+    # one byte over the budget, sent in 64 KiB pieces, is refused in time
+    over = b"#" * (cli.PROFILE_BYTES + 1)
+    chunks = [over[k : k + (1 << 16)] for k in range(0, len(over), 1 << 16)]
+    code, out, err, seconds, rss_mb = _piped_child(tmp_path, argv, chunks, pause=0)
+    assert (code, out, err) == (
+        65, "", f"input error: profile file /dev/stdin exceeds {cli.PROFILE_BYTES} bytes\n"
+    )
+    assert seconds < 2.0
+    assert rss_mb < 100
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [("", "[Errno 21] Is a directory"), ("missing", "[Errno 2] No such file or directory")],
+)
+def test_profile_file_read_errors_keep_their_wording(tmp_path, capsys, name, reason):
+    path = tmp_path / name if name else tmp_path
+    assert run(capsys, "hf", "--profile", f"@{path}", "--framing", "1") == (
+        65, "", f"input error: cannot read profile file {path}: {reason}: '{path}'\n"
+    )
+    assert run(capsys, "profile", "--check", f"@{path}") == (
+        65, "", f"invalid: cannot read profile file {path}: {reason}: '{path}'\n"
+    )
+
+
 def test_complex_over_slice_budget_exits_65(tmp_path):
     # T(2,20001): 20,001 generators x 20,001 slices, refused before the sweep
     coeffs = ",".join(str((-1) ** k) for k in range(20001))
@@ -1164,6 +1221,34 @@ def test_wide_local_line_parses_in_linear_memory(tmp_path):
     assert (code, out, err) == (0, "ok: wide genus 1 (1 overrides)\n", "")
     assert seconds < 1.0
     assert rss_mb < 100
+
+
+_BAD_LOCAL = "line 2: expected 'local <s> rank <r> v <c,...> h <c,...>'"
+
+
+@pytest.mark.parametrize(
+    "tokens, code, message",
+    [
+        (["local", "0", "rank", "1", "v", "1", "h", "1"], 0, "ok: pad genus 1 (1 overrides)"),
+        (["x"], 65, _BAD_LOCAL),
+        (["local", "0", "rank", "1", "v", "1", "h", "1", "x"], 65, _BAD_LOCAL),
+        (["local", "0", "rank", "1", "v", "1", "h", "1x"], 65, "line 2: h row: expected integer, got '1x'"),
+    ],
+    ids=["padded", "junk", "extra token", "junk row"],
+)
+def test_local_line_padded_with_whitespace_reads_in_linear_time(tmp_path, tokens, code, message):
+    # 3 MB of whitespace around and between the tokens of one line, which
+    # the `local` line pattern must match or refuse without backtracking
+    pad = " \t" * (1_500_000 // (len(tokens) + 1))
+    path = tmp_path / "pad.profile"
+    path.write_text(f"profile pad genus 1\n{pad}{pad.join(tokens)}{pad}\n")
+    result = run_child(tmp_path, "profile", "--check", f"@{path}", timeout=10)
+    if code:
+        assert result[:3] == (code, "", f"invalid: {path}: {message}\n")
+    else:
+        assert result[:3] == (code, f"{message}\n", "")
+    assert result[3] < 1.0
+    assert result[4] < 100
 
 
 def test_error_lines_quoting_huge_input_are_short(tmp_path, capsys):

@@ -24,6 +24,7 @@ from hfcone.profiles import (
     tau_extremal,
     unknot,
 )
+from test_cone import profiles_st
 
 ALL_BUILTINS = [
     unknot(),
@@ -265,6 +266,13 @@ def test_local_line_with_tabs_and_runs_of_spaces():
     assert _parsed(text) == _parsed_by_tokens(text) == expected
 
 
+def test_local_line_before_the_header_is_refused():
+    text = "\tlocal 0 rank 1 v 1 h 1\nprofile x genus 1\n"
+    assert _parsed(text) == _parsed_by_tokens(text) == (
+        ProfileParseError, "line 1: expected 'profile <name> genus <g>'"
+    )
+
+
 _INT = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["+1", "-0", "007"]))
 # tokens and row entries the grammar refuses, and a few it takes
 _JUNK = st.sampled_from(
@@ -303,6 +311,42 @@ def test_local_lines_read_as_by_the_tokens(lines, end):
     # equal LocalData
     text = "profile x genus 1" + end + end.join(lines) + end
     assert _parsed(text) == _parsed_by_tokens(text)
+
+
+# runs of the characters str.isspace() takes that str.splitlines() does
+# not break at, and the line breaks it does take
+_SPACES = st.text(st.sampled_from(" \t\x1f\xa0\u2000\u3000"), min_size=1, max_size=3)
+_BREAKS = st.sampled_from(["\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+_SKIPPED = st.sampled_from(["", " ", "\t\xa0", "#", "# note", "\u3000#x y"])
+
+
+@st.composite
+def _laid_out(draw):
+    """A valid profile and its file text laid out anew: the `local` lines
+    shuffled, blank and comment lines put in, each space a run of
+    whitespace, each line ended by some line break."""
+    p = draw(st.one_of(st.sampled_from(ALL_BUILTINS), profiles_st()))
+    header, *local = serialize(p).splitlines()
+    lines = [header, *draw(st.permutations(local))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_SKIPPED))
+    text = ""
+    for line in lines:
+        edge = draw(st.sampled_from(["", " ", "\t"]))
+        first, *rest = line.split(" ")
+        spaced = first + "".join(draw(_SPACES) + tok for tok in rest)
+        text += edge + spaced + draw(st.sampled_from(["", "\xa0"])) + draw(_BREAKS)
+    return p, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laid_out())
+def test_file_layout_does_not_matter(laid_out):
+    p, text = laid_out
+    parsed = parse(text)
+    assert parsed == p
+    assert serialize(parsed) == serialize(p)
+    assert _parsed_by_tokens(text) == parsed
 
 
 def test_rank_symmetry_enforced():
