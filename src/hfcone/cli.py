@@ -85,30 +85,38 @@ _BUILTIN_USAGE = ", ".join(
 # 0.3 s and 50 MB when each line repeats the data of the line before, and
 # 117,000 in about 0.8 s and 85 MB when every line differs, or one line
 # of rank 10^6 in about 0.4 s and 68 MB (2-core x86-64, Python 3.11); a
-# file that never ends, as @/dev/zero, stops here
+# file that never ends, as @/dev/zero, stops here, once os.read was asked
+# for PROFILE_BYTES + 1 bytes
 PROFILE_BYTES = 2**22
 
 
 def _resolve_profile(selector: str) -> SurgeryProfile:
+    """The profile a selector names; @path is read by os.read, open to
+    close in four system calls for a file of up to 64 KiB."""
     if selector.startswith("@"):
         path = selector[1:]
         try:
-            with open(path, "rb", buffering=0) as fh:
+            fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+            try:
                 # a read allocates what it asks for: most files fit in the
                 # first 64 KiB, and only a longer one asks for the rest of
                 # the budget; a pipe may answer any read short, so the
                 # reads go on to its end
                 chunks, size = [], 0
                 while size <= PROFILE_BYTES and (
-                    chunk := fh.read(1 << 16 if size < 1 << 16 else PROFILE_BYTES + 1 - size)
+                    chunk := os.read(fd, 1 << 16 if size < 1 << 16 else PROFILE_BYTES + 1 - size)
                 ):
                     chunks.append(chunk)
                     size += len(chunk)
+            finally:
+                os.close(fd)
             data = b"".join(chunks)
             if len(data) > PROFILE_BYTES:
                 raise InputError(f"profile file {path} exceeds {PROFILE_BYTES} bytes")
             text = data.decode("utf-8")
         except (OSError, UnicodeDecodeError) as e:
+            if isinstance(e, OSError):
+                e.filename = path  # os.read names no file, as EISDIR on a directory
             raise InputError(f"cannot read profile file {path}: {e}") from None
         try:
             return profiles.parse(text.removeprefix("\ufeff"))
@@ -192,31 +200,45 @@ def _framings_from_args(ns, spinc=None):
     return [framing]
 
 
-# classes per write, whole decades: one string per chunk of a run, not
-# one per class, and memory that does not grow with the run
+# classes per write: one string per chunk, not one per class or per run,
+# and memory that does not grow with the listing
 _CHUNK = 1000
+# the classes 0..999, where most listings stay: a slice of these joins in
+# about 15 ns a class, str() in about 130
+_NAMES = tuple(map(str, range(1000)))
 
 
-def _write_runs(runs, sep: str = "") -> int:
-    """Write before + str(i) + after for every i of every (classes, before,
-    after) run, classes a range, with sep between entries and one write per
-    _CHUNK classes, 100 or more through _join_decades; returns the count."""
+def _write_runs(runs, sep: str = "", head: str = "", tail: str = "") -> None:
+    """Write head, before + str(i) + after for every i of every (classes,
+    before, after) run, classes a range, with sep between entries, and
+    tail, buffered across runs: one write per _CHUNK classes, so up to
+    _CHUNK classes are one write. A piece of a run in one chunk is read
+    from _NAMES within 0..999, else through _join_decades from 100 classes."""
     write = sys.stdout.write
-    count = 0
+    parts, room, lead = [head], _CHUNK, ""
     for classes, before, after in runs:
         glue, templates = after + sep + before, None
-        for lo in range(classes.start, classes.stop, _CHUNK):
-            hi = min(lo + _CHUNK, classes.stop)
-            if hi - lo < 100:
+        lo, stop = classes.start, classes.stop
+        while lo < stop:
+            if not room:
+                write("".join(parts))
+                parts.clear()
+                room = _CHUNK
+            hi = stop if stop - lo <= room else lo + room  # not min(): a call per run
+            if 0 <= lo and hi <= 1000:
+                body = glue.join(_NAMES[lo:hi])
+            elif hi - lo < 100:
                 body = glue.join(map(str, range(lo, hi)))
             else:
                 if templates is None:
                     g = [d + glue for d in "0123456789"]
                     templates = ("", *g[:9], "9"), ("", *g[:0:-1], "0")
                 body = _join_decades(lo, hi, glue, *templates)
-            write(f"{sep if count else ''}{before}{body}{after}")
-            count += hi - lo
-    return count
+            parts.append(f"{lead}{before}{body}{after}")
+            room -= hi - lo
+            lo, lead = hi, sep
+    parts.append(tail)
+    write("".join(parts))
 
 
 def _join_decades(lo, hi, glue, up, down) -> str:
@@ -253,48 +275,57 @@ def _cmd_hf(ns) -> int:
     # renders from report.runs, never report.spinc: the cones cost O(genus)
     # per framing, each run is described or fills the JSON template once,
     # and _write_runs writes the classes, so --spinc costs O(genus) at any |p|.
-    # Both formats stream: each framing is written before the next one is
-    # computed, a JSON range as one list element per framing (a framing is
-    # digits, "-" and "/", which JSON does not escape).
+    # Both formats stream: each framing, with the text around it, is one
+    # _write_runs call before the next one is computed, a JSON range as one
+    # list element per framing (a framing is digits, "-" and "/", which
+    # JSON does not escape), its "]" written with the last one.
     profile = _resolve_profile(ns.profile)
     framings = _framings_from_args(ns, ns.spinc)
-    out = sys.stdout
     is_json, is_range = ns.format == "json", ns.framing_range is not None
     pad = "  " if is_range else ""
-    for idx, framing in enumerate(framings):
+    for idx, (framing, is_last) in enumerate(_with_last(framings)):
         report = surgery_report(profile, framing)
         ell, total_rank, shown = report.ell, report.total_rank, report.runs
         if ns.spinc is not None:
             shown = [(range(ns.spinc, ns.spinc + 1), g) for run, g in shown if ns.spinc in run]
         if is_json:
-            if is_range:
-                out.write(",\n" if idx else "[\n")
-            out.write(f'{pad}{{\n{pad}  "framing": "{framing}",\n{pad}  "spinc": [')
-            _write_runs(_json_runs(shown, pad + "    "), ",")
-            out.write(
-                f'\n{pad}  ],\n{pad}  "ell": {ell},\n{pad}  "total_rank": {total_rank}\n{pad}}}'
+            lead = (",\n" if idx else "[\n") if is_range else ""
+            end = ("\n]\n" if is_range else "\n") if is_last else ""
+            _write_runs(
+                _json_runs(shown, pad + "    "), ",",
+                f'{lead}{pad}{{\n{pad}  "framing": "{framing}",\n{pad}  "spinc": [',
+                f'\n{pad}  ],\n{pad}  "ell": {ell},\n{pad}  "total_rank": {total_rank}'
+                f'\n{pad}}}{end}',
             )
-            continue
-        if idx:
-            print()
-        print(f"framing {framing}")
-        _write_runs(
-            (run, "i=", f": {group.describe()}{' (L)' if group.is_z else ''}\n")
-            for run, group in shown
-        )
-        if ns.spinc is None:
-            print(f"ell={ell} total_rank={total_rank}")
-    if is_json:
-        out.write("\n]\n" if is_range else "\n")
+        else:
+            lead = "\n" if idx else ""
+            _write_runs(
+                ((run, "i=", f": {group.describe()}{' (L)' if group.is_z else ''}\n")
+                 for run, group in shown),
+                "",
+                f"{lead}framing {framing}\n",
+                "" if ns.spinc is not None else f"ell={ell} total_rank={total_rank}\n",
+            )
     return EXIT_OK
+
+
+def _with_last(items):
+    """(item, whether it is the last one) for each item, read one ahead."""
+    items = iter(items)
+    item = next(items)
+    for following in items:
+        yield item, False
+        item = following
+    yield item, True
 
 
 def _cmd_ell(ns) -> int:
     profile = _resolve_profile(ns.profile)
+    write = sys.stdout.write
     for framing in _framings_from_args(ns):
         report = surgery_report(profile, framing)
         prefix = f"{framing} " if ns.framing_range is not None else ""
-        print(f"{prefix}ell={report.ell} total_rank={report.total_rank}")
+        write(f"{prefix}ell={report.ell} total_rank={report.total_rank}\n")
     return EXIT_OK
 
 
@@ -328,7 +359,7 @@ def _cmd_spinc(ns) -> int:
     if ns.oracle:
         brute = obstruct.first_kind_brute(ns.genus, p, q)
         agree = brute == frozenset(first)
-        print(f"oracle: {'agree' if agree else 'DISAGREE'}")
+        sys.stdout.write(f"oracle: {'agree' if agree else 'DISAGREE'}\n")
         if not agree:
             return 1
     return EXIT_OK
@@ -338,9 +369,11 @@ def _write_set(label: str, runs) -> None:
     """'label: ', the values of the ascending ranges runs joined by commas,
     or '-' when they are all empty, and their count; memory does not grow
     with p."""
-    sys.stdout.write(f"{label}: ")
-    count = _write_runs(((run, "", "") for run in runs), ",")
-    sys.stdout.write(f"{'' if count else '-'} (count {count})\n")
+    count = sum(run.stop - run.start for run in runs if run)  # len() stops at 2^63
+    _write_runs(
+        ((run, "", "") for run in runs), ",", f"{label}: ",
+        f"{'' if count else '-'} (count {count})\n",
+    )
 
 
 def _verdict_exit(verdict) -> int:

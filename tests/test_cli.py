@@ -627,10 +627,41 @@ def write_runs_st(draw):
     return classes, before, after
 
 
-@given(st.lists(write_runs_st(), max_size=3), st.sampled_from(["", ","]))
+@st.composite
+def short_runs_st(draw):
+    """Ten to twenty-four runs of at most 150 classes, in and out of the
+    names 0..999 and on both sides of the 100 from which decades are used:
+    together they mostly pass a chunk, so chunks end inside runs and runs
+    share chunks."""
+    runs = []
+    for _ in range(draw(st.integers(10, 24))):
+        start = draw(st.sampled_from([0, -(10**6), 10**12])) + draw(st.integers(-200, 200))
+        classes = range(start, start + draw(st.sampled_from([0, 9, 99, 100, 150, 150])))
+        before = draw(st.sampled_from(["", "i=", "local "]))
+        runs.append((classes, before, draw(st.sampled_from(["", ": Z^1 (L)\n"]))))
+    return runs
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts the write calls made on it."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@given(
+    st.lists(write_runs_st(), max_size=3) | short_runs_st(),
+    st.sampled_from(["", ","]),
+    st.sampled_from(["", "framing -5/1\n", '[\n  {\n    "framing": "1/2",\n    "spinc": [']),
+    st.sampled_from(["", "ell=1 total_rank=3\n", '\n    ],\n    "ell": 1\n  }\n]\n']),
+)
 @settings(max_examples=300, deadline=None)
-def test_write_runs_matches_per_entry_rendering(runs, sep):
-    # the decade joins against one before + str(i) + after per entry
+def test_write_runs_matches_per_entry_rendering(runs, sep, head, tail):
+    # the names 0..999, the decade joins and the chunks across runs against
+    # one before + str(i) + after per entry, with head and tail around them
     for classes, _, _ in runs:
         event(
             "empty" if not classes
@@ -638,10 +669,55 @@ def test_write_runs_matches_per_entry_rendering(runs, sep):
             else "negative" if classes.start < 0 else "non-negative"
         )
     entries = [f"{before}{i}{after}" for classes, before, after in runs for i in classes]
-    out = io.StringIO()
+    past = len(entries) > cli._CHUNK
+    event(f"{'many' if len(runs) > 3 else 'few'} runs, {'past' if past else 'within'} a chunk")
+    out = CountingStdout()
     with contextlib.redirect_stdout(out):
-        count = cli._write_runs(runs, sep)
-    assert (out.getvalue(), count) == (sep.join(entries), len(entries))
+        cli._write_runs(runs, sep, head, tail)
+    assert out.getvalue() == head + sep.join(entries) + tail
+    # one write per chunk of classes, and one for a listing of none
+    assert out.writes == max(1, -(-len(entries) // cli._CHUNK))
+
+
+def test_each_framing_is_one_write(monkeypatch):
+    # a framing of at most _CHUNK classes, header, runs and footer, is one
+    # write: fig8 at -5 has two runs, and a range writes one per framing
+    hf = ["hf", "--profile", "fig8"]
+    cases = [
+        ([*hf, "--framing", "-5"], 1),
+        ([*hf, "--framing", "-5", "--format", "json"], 1),
+        ([*hf, "--framing", "-5", "--spinc", "3"], 1),
+        ([*hf, "--framing-range", "-3..-1"], 3),
+        ([*hf, "--framing-range", "-3..-1", "--format", "json"], 3),
+        (["ell", "--profile", "fig8", "--framing", "-5"], 1),
+        (["ell", "--profile", "fig8", "--framing-range", "-3..-1"], 3),
+        (["profile", "--show", "fig8"], 1),
+        (["spinc", "--genus", "1", "--framing", "5"], 2),
+        ([*hf, "--framing", "-2500"], -(-2500 // cli._CHUNK)),
+        ([*hf, "--framing", "-2500", "--format", "json"], -(-2500 // cli._CHUNK)),
+    ]
+    for argv, writes in cases:
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert (cli.main(argv), out.writes) == (0, writes), argv
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_profile_file_reads_close_their_descriptor(tmp_path):
+    # 200 reads that fail, after the open or before it, and 200 that pass
+    good = tmp_path / "fig8.profile"
+    good.write_text(serialize(figure_eight()))
+    over = tmp_path / "over.profile"
+    over.write_bytes(b"#" * (cli.PROFILE_BYTES + 1))
+    latin = tmp_path / "latin.profile"
+    latin.write_bytes(b"profile x genus 1\nlocal 0 rank 1 v 1 h \xff\n")
+    failing = [tmp_path, tmp_path / "missing", over, latin]
+    open_fds = len(os.listdir("/proc/self/fd"))
+    for k in range(200):
+        with pytest.raises(cli.InputError):
+            cli._resolve_profile(f"@{failing[k % len(failing)]}")
+        assert cli._resolve_profile(f"@{good}") == figure_eight()
+    assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 _CLASS_LINE = re.compile(r' *(?:i=|"i": )([0-9]+)')
