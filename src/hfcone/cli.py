@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import re
 import sys
@@ -32,7 +33,7 @@ from math import gcd
 from . import profiles
 from .cone import Framing, FramingError, surgery_report
 from .exactla import EliminationOverflow
-from .profiles import InputError, ProfileError, SurgeryProfile, ascii_int, quoted
+from .profiles import ROW, InputError, ProfileError, SurgeryProfile, ascii_int, quoted
 
 EXIT_OK = 0
 EXIT_VIOLATED = 2
@@ -357,8 +358,8 @@ def _cmd_spinc(ns) -> int:
     _write_set("first_kind", (first,))
     _write_set("second_kind", second)
     if ns.oracle:
-        brute = obstruct.first_kind_brute(ns.genus, p, q)
-        agree = brute == frozenset(first)
+        brute = obstruct.first_kind_scan(ns.genus, p, q)
+        agree = all(a == b for a, b in itertools.zip_longest(brute, first))
         sys.stdout.write(f"oracle: {'agree' if agree else 'DISAGREE'}\n")
         if not agree:
             return 1
@@ -410,10 +411,7 @@ def _cmd_staircase(ns) -> int:
     text = ns.alexander.strip()
     coeff_part, colon, top_part = text.partition(":")
     try:
-        # one run of [-+0-9,], as profiles._LOCAL matches a row, since a
-        # repeated group would keep state for each entry; int() refuses what
-        # ascii_int refuses ('', '1-2', '+-1') and an integer past its limit
-        if not re.fullmatch(r"[-+0-9,]+", coeff_part):
+        if not re.fullmatch(ROW, coeff_part):
             raise ValueError
         coeffs = list(map(int, coeff_part.split(",")))
         top = ascii_int(top_part) if colon else None

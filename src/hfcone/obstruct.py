@@ -16,6 +16,7 @@ as the witness (s_i, phi(s_i)).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
 
@@ -91,10 +92,15 @@ def first_kind_closed_form(g: int, p: int, q: int) -> frozenset[int]:
 
 
 def first_kind_brute(g: int, p: int, q: int) -> frozenset[int]:
-    """Independent scan: i is first kind iff no slot phi(s) lies strictly
+    """The classes of first_kind_scan as a set."""
+    return frozenset(first_kind_scan(g, p, q))
+
+
+def first_kind_scan(g: int, p: int, q: int) -> Iterator[int]:
+    """Independent scan, ascending and one class at a time, so memory does
+    not grow with p: i is first kind iff no slot phi(s) lies strictly
     inside (-g, g); monotonicity makes a finite s window sufficient."""
     _check_classification_args(g, p, q)
-    out = set()
     for i in range(p):
         s = -((i + (g + 1) * q) // p) - 1  # start well below the band
         good = True
@@ -107,8 +113,7 @@ def first_kind_brute(g: int, p: int, q: int) -> frozenset[int]:
                 break
             s += 1
         if good:
-            out.add(i)
-    return frozenset(out)
+            yield i
 
 
 def classify_spinc(g: int, p: int, q: int) -> SpincClassification:

@@ -419,14 +419,16 @@ def _parse_row(tok: str, line_no: int, what: str) -> tuple[int, ...]:
 
 
 _INT = _ASCII_INT.pattern
+# a row is one run of [-+0-9,], as a repeated group would keep state for
+# each entry; int() refuses the entries ascii_int refuses ('', '1-2', '+-1'),
+# as it refuses an integer past its digit limit
+ROW = "[-+0-9,]+"
 # a `local` line in the shape _local_tokens checks, matched where it stands:
 # on a str pattern \s is what str.isspace() takes, where str.split() splits,
 # and each \s run lies between characters it cannot take, so a match stays
-# linear. Group 2, the text after the slot, decides the slot's data. A row
-# is one run of [-+0-9,], as a repeated group would keep state for each
-# entry; int() refuses the entries ascii_int refuses ('', '1-2', '+-1'), as
-# it refuses an integer past its digit limit: _local_tokens reads such a line
-_LOCAL = re.compile(rf"\s*local\s+({_INT})\s+(rank\s+({_INT})\s+v\s+([-+0-9,]+)\s+h\s+([-+0-9,]+))\s*")
+# linear. Group 2, the text after the slot, decides the slot's data; a line
+# with a row int() refuses is read by _local_tokens
+_LOCAL = re.compile(rf"\s*local\s+({_INT})\s+(rank\s+({_INT})\s+v\s+({ROW})\s+h\s+({ROW}))\s*")
 
 
 def _new_slot(s: int, overrides: dict, line_no: int) -> int:

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import cli_pins
 import helpers
 import hfcone
 from hfcone import cli, obstruct
@@ -931,7 +932,7 @@ def test_spinc_classification(capsys):
 
 
 def test_spinc_oracle_disagreement_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(obstruct, "first_kind_brute", lambda g, p, q: frozenset({0}))
+    monkeypatch.setattr(obstruct, "first_kind_scan", lambda g, p, q: iter([0]))
     code, out, _ = run(capsys, "spinc", "--genus", "1", "--framing", "5/2", "--oracle")
     assert code == 1
     assert out.splitlines()[-1] == "oracle: DISAGREE"
@@ -964,6 +965,14 @@ def test_spinc_memory_stays_flat(tmp_path):
     first, second = path.read_text().splitlines()
     assert first.startswith("first_kind: 1,2,3,") and first.endswith(",999999 (count 999999)")
     assert second == "second_kind: 0 (count 1)"
+    # the oracle checks the scan class by class; its set peaked at 171 MB
+    with open(path, "w") as out:
+        code, _, err, _, rss_mb = run_child(
+            tmp_path, "spinc", "--genus", "2", "--framing", "1000003/3", "--oracle", stdout=out
+        )
+    assert (code, err) == (0, "")
+    assert rss_mb < 40
+    assert path.read_text().splitlines()[-1] == "oracle: agree"
 
 
 def test_bound_values(capsys):
@@ -1373,3 +1382,16 @@ def test_huge_genus_check_fails_fast(tmp_path, capsys):
     assert (code, out) == (65, "")
     assert len(err.encode()) < 4096
     assert err.rstrip().endswith("… and 599999979 more")
+
+
+def test_cli_pins_check_every_exit_code():
+    # tests/cli_pins.py holds the pins CI runs on every Python: a comparison
+    # of two runs that both fail with empty stdout fails, and a pin dropped
+    # from its tables changes the count it prints
+    with pytest.raises(AssertionError):
+        cli_pins.same(["-c", "raise SystemExit(1)"], ["-c", "raise SystemExit(1)"])
+    proc = subprocess.run(
+        [sys.executable, cli_pins.__file__], capture_output=True, text=True, timeout=300
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "cli_pins: 64 runs of the package and 3 scripts passed\n"
