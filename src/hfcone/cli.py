@@ -204,21 +204,32 @@ def _framings_from_args(ns, spinc=None):
 # classes per write: one string per chunk, not one per class or per run,
 # and memory that does not grow with the listing
 _CHUNK = 1000
-# the classes 0..999, where most listings stay: a slice of these joins in
-# about 15 ns a class, str() in about 130
+# the names of 0..999, where most listings stay, and the three-digit tails
+# 000..999 that follow str(k) in each class 1000k + t, k >= 1: _UP[k > 0],
+# reversed in _DOWN for the negative classes, whose tails descend; a slice
+# of these joins in about 10 ns a class, str() takes about 130
 _NAMES = tuple(map(str, range(1000)))
+_UP = _NAMES, tuple(map(str.zfill, _NAMES, [3] * 1000))
+_DOWN = tuple(names[::-1] for names in _UP)
+# glibc hands the heap's top back to the system once 128 KiB lie free
+# there, and a JSON chunk's strings (its pieces, itself, its encoded bytes)
+# take about 270 KB, so in some heap layouts each chunk faulted its pages
+# in again; freeing a block that malloc served by mmap raises that bound to
+# twice the block's size (mallopt(3)), and bytes(n), calloc'ed, touches a page
+bytes(1 << 20)
 
 
 def _write_runs(runs, sep: str = "", head: str = "", tail: str = "") -> None:
     """Write head, before + str(i) + after for every i of every (classes,
     before, after) run, classes a range, with sep between entries, and
     tail, buffered across runs: one write per _CHUNK classes, so up to
-    _CHUNK classes are one write. A piece of a run in one chunk is read
-    from _NAMES within 0..999, else through _join_decades from 100 classes."""
+    _CHUNK classes are one write. A piece of a run ends where its chunk or
+    its thousand does: prefix P ("", str(k), "-" or "-" + str(k)) and the
+    names or tails of the piece joined with glue + P, one join a piece."""
     write = sys.stdout.write
     parts, room, lead = [head], _CHUNK, ""
     for classes, before, after in runs:
-        glue, templates = after + sep + before, None
+        glue = after + sep + before
         lo, stop = classes.start, classes.stop
         while lo < stop:
             if not room:
@@ -227,37 +238,22 @@ def _write_runs(runs, sep: str = "", head: str = "", tail: str = "") -> None:
                 room = _CHUNK
             hi = stop if stop - lo <= room else lo + room  # not min(): a call per run
             if 0 <= lo and hi <= 1000:
-                body = glue.join(_NAMES[lo:hi])
-            elif hi - lo < 100:
-                body = glue.join(map(str, range(lo, hi)))
-            else:
-                if templates is None:
-                    g = [d + glue for d in "0123456789"]
-                    templates = ("", *g[:9], "9"), ("", *g[:0:-1], "0")
-                body = _join_decades(lo, hi, glue, *templates)
-            parts.append(f"{lead}{before}{body}{after}")
+                parts.append(f"{lead}{before}{glue.join(_NAMES[lo:hi])}{after}")
+            else:  # three parts: a long body is not copied into a fourth string
+                k, t = divmod(-lo if lo < 0 else lo, 1000)
+                prefix = str(k) if k else ""
+                if lo < 0:  # -(1000k + t) up to -1000k, or -t up to -1
+                    n, t, prefix, tables = t + (k > 0), 999 - t, "-" + prefix, _DOWN
+                else:  # 1000k + t up to 1000k + 999
+                    n, tables = 1000 - t, _UP
+                if hi - lo > n:
+                    hi = lo + n
+                body = (glue + prefix).join(tables[k > 0][t:t + hi - lo])
+                parts += lead + before + prefix, body, after
             room -= hi - lo
             lo, lead = hi, sep
     parts.append(tail)
     write("".join(parts))
-
-
-def _join_decades(lo, hi, glue, up, down) -> str:
-    """glue.join(map(str, range(lo, hi))), each full decade 10k..10k+9 as
-    str(k).join(up), up = ("", "0" + glue, ..., "8" + glue, "9"), and each
-    -10k-9..-10k as str(-k).join(down), digits 9..0 (k >= 1); they cover
-    [c1, c2) and [c3, c4); its fixed few us pay off from about 60 entries."""
-    neg = range(max(1, -((hi - 1) // 10)), (1 - lo) // 10)
-    pos = range(max(1, -(-lo // 10)), hi // 10)
-    c1, c2 = (1 - 10 * neg.stop, 1 - 10 * neg.start) if neg else (lo, lo)
-    c3, c4 = (10 * pos.start, 10 * pos.stop) if pos else (hi, hi)
-    return glue.join(filter(None, (
-        glue.join(map(str, range(lo, c1))),
-        *[str(k).join(down) for k in range(1 - neg.stop, 1 - neg.start)],
-        glue.join(map(str, range(c2, c3))),
-        *[str(k).join(up) for k in pos],
-        glue.join(map(str, range(c4, hi))),
-    )))
 
 
 def _json_runs(runs, indent: str):

@@ -154,6 +154,7 @@ def pins(at):
     """(command, exit code, want, timeout) of each single run; at(name)
     is the @path argument of the profile file of that name."""
     g9 = ["--profile", "lspace:g=1000000000", "--framing"]
+    t12 = ["--profile", "fig8", "--framing", "-1000000000000"]
     return [
         (cli("ell", "--profile", "fig8", "--framing", "5"), 0, None, None),
         (cli("ell", "--profile", "fig8", "--framing", "-1/1000000000"), 0, None, None),
@@ -180,6 +181,15 @@ def pins(at):
             (f"i={i}: Z^1 (L)\n" for i in range(1, 10**6)),
             [f"ell={10**6 - 1} total_rank={10**6 + 2}\n"],
         )), None),
+        # one class past 10^6 and one at 1000, each a thousand's first or last
+        (cli("hf", *t12, "--spinc", "999999999999"), 0,
+         stdout_is("framing -1000000000000/1\ni=999999999999: Z^1 (L)\n"), None),
+        (cli("hf", *t12, "--spinc", "1000", "--format", "json"), 0, stdout_is(json.dumps({
+            "framing": "-1000000000000/1",
+            "spinc": [{"i": 1000, "free_rank": 1, "torsion": [], "l_structure": True}],
+            "ell": 999999999999,
+            "total_rank": 1000000000002,
+        }, indent=2) + "\n"), None),
         (cli("profile", "--show", "lspace:g=100000"), 0, lines_are(itertools.chain(
             ["profile lspace:g=100000 genus 100000\n"],
             (f"local {s} rank 1 v 0 h 0\n" for s in range(-99999, 100000)),

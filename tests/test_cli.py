@@ -612,16 +612,17 @@ def test_hf_runs_across_chunks_match_reference(tmp_path, fmt):
 
 @st.composite
 def write_runs_st(draw):
-    """(classes, before, after) runs whose ends fall on and beside decade
-    and chunk boundaries, negative, positive, across 0 or empty, with
-    chunks on both sides of the 100 classes from which decades are used."""
+    """(classes, before, after) runs whose ends fall on and beside thousand
+    and chunk boundaries (+-999, +-1000, +-1001), negative, positive, across
+    0 or empty, up to 10^12 away from 0: a run may cover several thousands,
+    and its chunks may end inside a thousand."""
     chunk = cli._CHUNK
-    # shifting both ends by a multiple of 10 keeps each decade a decade
-    shift = draw(st.sampled_from([0, 0, 10**6, -(10**6), 10**12, -(10**12)]))
-    base = draw(st.sampled_from([0, 10, 20, 100, 990, chunk, 2 * chunk]))
-    start = shift + draw(st.sampled_from([1, -1])) * base + draw(st.integers(-12, 12))
-    length = draw(st.sampled_from([0, 10, 90, chunk, chunk + 90, 2 * chunk]))
-    length += draw(st.integers(0, 12))
+    # shifting both ends by a multiple of 1000 keeps each thousand a thousand
+    shift = draw(st.sampled_from([0, 0, 1000, -1000, 10**6, -(10**6), 10**12, -(10**12)]))
+    base = draw(st.sampled_from([0, 1, 500, 999, 1000, 1001, 2 * chunk]))
+    start = shift + draw(st.sampled_from([1, -1])) * base + draw(st.integers(-2, 2))
+    length = draw(st.sampled_from([0, 1, 500, 999, chunk, chunk + 1, 2 * chunk, 3 * chunk]))
+    length += draw(st.integers(0, 2))
     classes = range(start, start + length)
     before = draw(st.sampled_from(["", "i=", "local ", '\n    {\n      "i": ']))
     after = draw(st.sampled_from(["", ": Z^1 (L)\n", " rank 1 v 0 h 0\n", "\n    }"]))
@@ -631,13 +632,14 @@ def write_runs_st(draw):
 @st.composite
 def short_runs_st(draw):
     """Ten to twenty-four runs of at most 150 classes, in and out of the
-    names 0..999 and on both sides of the 100 from which decades are used:
-    together they mostly pass a chunk, so chunks end inside runs and runs
-    share chunks."""
+    names 0..999, many across a thousand (0, +-1000, -10^6, 10^12):
+    together they mostly pass a chunk, so chunks end inside runs and inside
+    thousands, and runs share chunks."""
     runs = []
     for _ in range(draw(st.integers(10, 24))):
-        start = draw(st.sampled_from([0, -(10**6), 10**12])) + draw(st.integers(-200, 200))
-        classes = range(start, start + draw(st.sampled_from([0, 9, 99, 100, 150, 150])))
+        start = draw(st.sampled_from([0, 1000, -1000, -(10**6), 10**12]))
+        start += draw(st.integers(-200, 200))
+        classes = range(start, start + draw(st.sampled_from([0, 1, 9, 100, 150, 150])))
         before = draw(st.sampled_from(["", "i=", "local "]))
         runs.append((classes, before, draw(st.sampled_from(["", ": Z^1 (L)\n"]))))
     return runs
@@ -661,8 +663,8 @@ class CountingStdout(io.StringIO):
 )
 @settings(max_examples=300, deadline=None)
 def test_write_runs_matches_per_entry_rendering(runs, sep, head, tail):
-    # the names 0..999, the decade joins and the chunks across runs against
-    # one before + str(i) + after per entry, with head and tail around them
+    # the names 0..999, the joins per thousand and the chunks across runs
+    # against one before + str(i) + after per entry, with head and tail
     for classes, _, _ in runs:
         event(
             "empty" if not classes
@@ -1007,7 +1009,7 @@ def test_profile_show_keeps_memory_flat(tmp_path):
         )
     assert (code, err) == (0, "")
     assert rss_mb < 40
-    # every line, so a decade written out of order cannot pass
+    # every line, so a thousand written out of order cannot pass
     with open(path) as out:
         assert next(out) == "profile lspace:g=1000000 genus 1000000\n"
         lines, last = 1, None
@@ -1394,4 +1396,4 @@ def test_cli_pins_check_every_exit_code():
         [sys.executable, cli_pins.__file__], capture_output=True, text=True, timeout=300
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "cli_pins: 64 runs of the package and 3 scripts passed\n"
+    assert proc.stdout == "cli_pins: 66 runs of the package and 3 scripts passed\n"
